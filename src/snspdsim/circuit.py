@@ -82,6 +82,22 @@ class CircuitParams:
         )
 
     @property
+    def settle_time(self) -> float:
+        """Time after a click from which the float recovery law returns
+        exactly I_b.
+
+        The exponential term (I_b - I_end) * exp(-(t - t_hs)/tau) is then at
+        most an eighth of ulp(I_b). I_b - term rounds back to I_b while the
+        term is below half the float spacing just under I_b, which is a
+        quarter ulp when I_b is a power of two; the factor two to spare
+        absorbs the rounding of exp and of the product."""
+        deficit = self.bias_current - self.hotspot_end_current
+        eighth_ulp = 0.125 * math.ulp(self.bias_current)
+        return self.hotspot_duration + self.recovery_tau * max(
+            math.log(deficit / eighth_ulp), 0.0
+        )
+
+    @property
     def amplifier_gain(self) -> float:
         return 10.0 ** (self.amplifier_gain_db / 20.0)
 

@@ -28,6 +28,9 @@ MODE_DOUBLE_PULSE = "double-pulse"
 LATCH_NONE = "none"
 LATCH_PERMANENT = "permanent-until-reset"
 
+# deterministic work counters the engine reports under metadata["engine"]
+ENGINE_COUNTERS = ("uniforms", "pulses_evaluated", "pulses_skipped", "coincidences_dropped")
+
 
 @dataclass(frozen=True)
 class RateModel:
@@ -226,14 +229,6 @@ class TimeTagStream:
     def duration_seconds(self) -> float:
         return self.duration_ps / PS_PER_SECOND
 
-    @property
-    def detector_seconds(self) -> np.ndarray:
-        return self.detector_events / PS_PER_SECOND
-
-    @property
-    def sync_seconds(self) -> np.ndarray:
-        return self.sync_events / PS_PER_SECOND
-
 
 def effective_bias(model: DetectorModel, t, click_history=()):
     """Effective bias current at time(s) `t` given past click times (seconds).
@@ -273,21 +268,28 @@ def branching_probability(
 class _BlockUniforms:
     """Draws uniforms from a Generator in blocks; sequential and deterministic."""
 
-    __slots__ = ("_rng", "_block", "_i", "_n")
+    __slots__ = ("_rng", "_block", "_i", "_n", "_blocks")
 
     def __init__(self, rng: np.random.Generator, block_size: int = 1 << 14):
         self._rng = rng
         self._n = block_size
         self._block = rng.random(block_size).tolist()
         self._i = 0
+        self._blocks = 1
 
     def next(self) -> float:
         i = self._i
         if i == self._n:
             self._block = self._rng.random(self._n).tolist()
+            self._blocks += 1
             i = 0
         self._i = i + 1
         return self._block[i]
+
+    @property
+    def drawn(self) -> int:
+        """Uniforms handed out so far."""
+        return (self._blocks - 1) * self._n + self._i
 
 
 def simulate(
@@ -304,6 +306,21 @@ def simulate(
     which can only decay until the next click raises it again. The envelope
     therefore dominates the true rate by construction; a violation would
     indicate internal corruption and raises SimulationError.
+
+    Laser pulses are evaluated one by one while the detector recovers from
+    a click. Once it is quiescent -- no kernel live, and the last click at
+    least `CircuitParams.settle_time` ago, beyond which the float recovery
+    law returns exactly I_b -- every pulse clicks with the same probability
+    p_q until the next click. The engine then draws the index of the next
+    clicking pulse as one geometric variate and steps over the pulses before
+    it. A dark click that lands first ends the stretch; evaluation resumes
+    at the first pulse after it. This is exact: in a quiet stretch the pulse
+    outcomes are independent of each other and of the dark process.
+
+    `metadata["engine"]` carries deterministic work counters: uniforms
+    drawn, pulses evaluated one by one, pulses stepped over by a geometric
+    draw (the clicking pulse it lands on included), and sub-ps coincident
+    clicks dropped.
     """
     if duration < 0:
         raise ValueError("duration must be non-negative")
@@ -311,11 +328,12 @@ def simulate(
     train = make_stimulus(stimulus, duration)
     metadata = _run_metadata(model, stimulus, duration_ps, seed)
     if duration_ps == 0:
+        metadata["engine"] = dict.fromkeys(ENGINE_COUNTERS, 0)
         return TimeTagStream(
             np.empty(0, np.int64), np.empty(0, np.int64), 0, metadata
         )
     rng = np.random.default_rng(seed)
-    detector = _run_engine(model, stimulus, train, duration, rng)
+    detector, metadata["engine"] = _run_engine(model, stimulus, train, duration, rng)
     return TimeTagStream(detector, train.sync_times_ps, duration_ps, metadata)
 
 
@@ -343,7 +361,7 @@ def _run_engine(
     train: StimulusTrain,
     duration: float,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict]:
     circ = model.circuit
     rates = model.rates
     i_b = circ.bias_current
@@ -351,6 +369,7 @@ def _run_engine(
     i_ss = circ.resistive_branch_current
     i_end = circ.hotspot_end_current
     t_hs = circ.hotspot_duration
+    t_settle = circ.settle_time
     tau_fall = circ.fall_tau
     tau_rec = circ.recovery_tau
     r_ref = rates.dark_rate_ref
@@ -376,9 +395,7 @@ def _run_engine(
 
     can_latch = model.can_latch
     pulses_ps = train.pulse_times_ps
-    pulse_s = (pulses_ps * 1e-12).tolist()
-    pulses_ps = pulses_ps.tolist()
-    n_pulses = len(pulse_s)
+    n_pulses = pulses_ps.size
 
     uniforms = _BlockUniforms(rng)
     exp = math.exp
@@ -388,8 +405,26 @@ def _run_engine(
     active: list[float] = []      # click times with a live kernel
     t_last = -1.0                 # most recent click, <0 means none yet
     t = 0.0
-    pulse_idx = 0
+    pulse_idx = 0                 # first pulse not yet resolved
     latched = False
+    evaluated = skipped = dropped = 0
+
+    def click_probability(bias: float) -> float:
+        eta = eta_max * exp(g_eta * (bias - i_ref))
+        if eta > eta_max:
+            eta = eta_max
+        return 1.0 - exp(-mu * eta) if mu > 0.0 else 0.0
+
+    # a quiescent detector sits at exactly I_b, so every pulse of a quiet
+    # stretch clicks with this one probability
+    p_quiet = click_probability(i_b)
+    log_miss = math.log1p(-p_quiet) if 0.0 < p_quiet < 1.0 else 0.0
+
+    def pulse_at(idx: int) -> tuple[int, float]:
+        if idx < n_pulses:
+            when_ps = int(pulses_ps[idx])
+            return when_ps, when_ps * 1e-12
+        return -1, math.inf
 
     def bias_at(when: float) -> float:
         if t_last < 0:
@@ -424,6 +459,11 @@ def _run_engine(
 
     duration_ps = round(duration * PS_PER_SECOND)
     next_uniform = uniforms.next
+    # the next pulse to act on: pulse_idx, or while skipping the pulse the
+    # geometric draw lands on (n_pulses when none of the rest clicks)
+    due = 0
+    due_ps, due_s = pulse_at(0)
+    skipping = False
 
     while not latched:
         # adaptive thinning envelope: recovery never exceeds I_b, and each
@@ -442,21 +482,46 @@ def _run_engine(
             continue
         proposal = t + gap
 
-        if pulse_idx < n_pulses and pulse_s[pulse_idx] <= proposal:
-            t = pulse_s[pulse_idx]
-            t_ps = pulses_ps[pulse_idx]
-            pulse_idx += 1
-            if active and t - active[0] >= kdur:
-                active = [tc for tc in active if t - tc < kdur]
-            eta = eta_max * exp(g_eta * (bias_at(t) - i_ref))
-            if eta > eta_max:
-                eta = eta_max
-            p_click = 1.0 - exp(-mu * eta) if mu > 0.0 else 0.0
-            if next_uniform() < p_click and (not out_ps or t_ps > out_ps[-1]):
-                register_click(t, t_ps)
+        if due_s <= proposal:
+            t = due_s
+            t_ps = due_ps
+            if not skipping:
+                if active and t - active[0] >= kdur:
+                    active = [tc for tc in active if t - tc < kdur]
+                if not active and (t_last < 0 or t - t_last >= t_settle):
+                    # quiescent: the number of quiet pulses before the next
+                    # one that clicks is geometric in p_quiet
+                    skipping = True
+                    if p_quiet <= 0.0:
+                        due = n_pulses
+                    elif p_quiet < 1.0:
+                        misses = log(1.0 - next_uniform()) / log_miss
+                        if misses < n_pulses - pulse_idx:
+                            due = pulse_idx + int(misses)
+                        else:
+                            due = n_pulses
+                    if due > pulse_idx:
+                        due_ps, due_s = pulse_at(due)
+                        continue
+            if skipping:
+                skipped += due + 1 - pulse_idx
+                skipping = False
+                clicked = True
+            else:
+                evaluated += 1
+                clicked = next_uniform() < click_probability(bias_at(t))
+            pulse_idx = due = due + 1
+            due_ps, due_s = pulse_at(due)
+            if clicked:
+                if not out_ps or t_ps > out_ps[-1]:
+                    register_click(t, t_ps)
+                else:
+                    dropped += 1
             continue
 
         if proposal >= duration:
+            if skipping:
+                skipped += n_pulses - pulse_idx
             break
         t = proposal
         # inline bias_at: this branch dominates the run time
@@ -487,7 +552,18 @@ def _run_engine(
         if next_uniform() * envelope <= rate:
             t_ps = round(t * PS_PER_SECOND)
             # sub-ps coincidences cannot be resolved; drop them
-            if (not out_ps or t_ps > out_ps[-1]) and t_ps <= duration_ps:
+            if out_ps and t_ps <= out_ps[-1]:
+                dropped += 1
+            elif t_ps <= duration_ps:
                 register_click(t, t_ps)
+        if skipping:
+            # the quiet pulses up to this dark event did not click; the
+            # ones after it are evaluated afresh from the new state
+            resume = int(np.searchsorted(pulses_ps, round(t * PS_PER_SECOND), side="right"))
+            skipped += resume - pulse_idx
+            pulse_idx = due = resume
+            due_ps, due_s = pulse_at(due)
+            skipping = False
 
-    return np.asarray(out_ps, dtype=np.int64)
+    counters = dict(zip(ENGINE_COUNTERS, (uniforms.drawn, evaluated, skipped, dropped)))
+    return np.asarray(out_ps, dtype=np.int64), counters

@@ -1,0 +1,110 @@
+"""The engine against its pre-fast-forward copy in reference_engine.py.
+
+Without laser pulses the two consume the random stream identically, so
+their streams must be equal byte for byte. With pulses the engine steps
+over quiet pulses with one geometric draw, so realizations differ and the
+two are compared statistically: counts within 4 sigma, gap distributions
+by a two-sample KS test.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from reference_engine import _run_engine as reference_engine
+from snspdsim import presets
+from snspdsim.simulation import DetectorModel, RateModel, StimulusConfig, make_stimulus, simulate
+
+
+def reference_stream(model, stimulus, duration, seed):
+    train = make_stimulus(stimulus, duration)
+    return reference_engine(model, stimulus, train, duration, np.random.default_rng(seed))
+
+
+def unshunted_latching_model():
+    return DetectorModel(
+        circuit=presets.profile_circuit(25.2e-6),
+        rates=presets.profile_rates(),
+        kernel=presets.profile_kernel(),
+        shunt_enabled=False,
+        latch_policy="permanent-until-reset",
+    )
+
+
+DARK_CASES = {
+    "kernel-23.0uA": lambda: presets.profile_model(23.0e-6),
+    "kernel-25.0uA": lambda: presets.profile_model(25.0e-6),
+    "kernel-25.2uA": lambda: presets.profile_model(25.2e-6),
+    "null-kernel-25.0uA": lambda: presets.profile_model(25.0e-6, kernel_amplitude=0.0),
+    "unshunted-latching": unshunted_latching_model,
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+@pytest.mark.parametrize("case", sorted(DARK_CASES))
+def test_dark_streams_byte_identical(case, seed):
+    model = DARK_CASES[case]()
+    # about 1500 primary dark counts
+    duration = 1500 / float(model.rates.dark_rate(model.circuit.bias_current))
+    got = simulate(model, StimulusConfig.none(), duration, seed).detector_events
+    expected = reference_stream(model, StimulusConfig.none(), duration, seed)
+    assert got.size > 0
+    assert got.tobytes() == expected.tobytes()
+
+
+def assert_counts_agree(n_new, n_ref, label):
+    # independent counts, each with variance at most its mean
+    sigma = math.sqrt(n_new + n_ref)
+    assert abs(n_new - n_ref) <= 4 * sigma, f"{label}: {n_new} vs reference {n_ref}"
+
+
+@pytest.mark.parametrize("separation_ns", [80, 180, 1000])
+def test_double_pulse_counts_agree(separation_ns):
+    # the fig10 operating point with 20 photons per pulse: ~14% of first
+    # pulses click, so every count carries thousands of events
+    model = presets.profile_model(24.9e-6)
+    stimulus = StimulusConfig.double_pulse(separation_ns * 1e-9, 20.0)
+    duration = 0.1  # 50k frames
+    train = make_stimulus(stimulus, duration)
+    first, second = train.pulse_times_ps[0::2], train.pulse_times_ps[1::2]
+    new = simulate(model, stimulus, duration, 31).detector_events
+    ref = reference_stream(model, stimulus, duration, 32)
+    for name, pulses in (("first", first), ("second", second)):
+        n_new = int(np.count_nonzero(np.isin(new, pulses)))
+        n_ref = int(np.count_nonzero(np.isin(ref, pulses)))
+        assert_counts_agree(n_new, n_ref, f"{name} pulse at {separation_ns} ns")
+    assert_counts_agree(new.size, ref.size, f"all clicks at {separation_ns} ns")
+
+
+def test_periodic_laser_agrees():
+    model = presets.profile_model(25.0e-6)
+    stimulus = StimulusConfig.periodic(0.5e6, 10.0)
+    duration = 0.1
+    new = simulate(model, stimulus, duration, 41).detector_events
+    ref = reference_stream(model, stimulus, duration, 42)
+    assert_counts_agree(new.size, ref.size, "total clicks")
+    _, p_value = stats.ks_2samp(np.diff(new), np.diff(ref))
+    assert p_value > 0.01
+
+
+def test_dark_clicks_end_quiet_stretches():
+    # dark clicks every ~10 us against quiet stretches of ~40 pulses at
+    # 1 MHz: most stretches end on a dark click, after which the pulses
+    # up to the drawn one must be evaluated afresh
+    rates = presets.profile_rates()
+    model = DetectorModel(
+        circuit=presets.profile_circuit(25.0e-6),
+        rates=RateModel(1e5, rates.dark_rate_slope, rates.efficiency_max,
+                        rates.efficiency_slope, rates.reference_bias),
+    )
+    stimulus = StimulusConfig.periodic(1e6, 1.0)
+    duration = 0.1
+    pulses = make_stimulus(stimulus, duration).pulse_times_ps
+    new = simulate(model, stimulus, duration, 51).detector_events
+    ref = reference_stream(model, stimulus, duration, 52)
+    n_new = int(np.count_nonzero(np.isin(new, pulses)))
+    n_ref = int(np.count_nonzero(np.isin(ref, pulses)))
+    assert_counts_agree(n_new, n_ref, "pulse clicks")
+    assert_counts_agree(new.size - n_new, ref.size - n_ref, "dark clicks")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from snspdsim import presets
-from snspdsim.circuit import gaussian_kernel
+from snspdsim.circuit import CircuitParams, gaussian_kernel, nanowire_current
 from snspdsim.errors import ConfigError
 from snspdsim.simulation import (
     DetectorModel,
@@ -284,3 +284,112 @@ class TestTimeTagStream:
         assert s.metadata["seed"] == "42"
         assert "config_digest" in s.metadata
         assert s.metadata["bias_a"] == pytest.approx(25.0e-6)
+
+
+class TestQuiescentSkip:
+    @pytest.mark.parametrize("bias", presets.BIAS_SWEEP)
+    def test_settle_time_against_current_law(self, bias):
+        c = presets.profile_circuit(bias)
+        settle = c.settle_time
+        later = settle + np.array([0.0, 1e-12, 1e-9, 0.1e-6, 1e-6, 1e-3])
+        assert np.all(nanowire_current(c, later) == bias)
+        # and it is not loose: two recovery constants earlier the
+        # exponential term still shows in the float current
+        assert nanowire_current(c, settle - 2 * c.recovery_tau) < bias
+        assert 700e-9 < settle < 800e-9
+
+    def test_no_skip_while_kernel_live(self):
+        # a faint 2 us kernel outlives the 1 us pulse period while the
+        # current settles in ~0.77 us; 1e4 photons make every pulse click
+        circuit = presets.profile_circuit(25.0e-6)
+        stimulus = StimulusConfig.periodic(1e6, 1e4)
+
+        def run(kernel):
+            model = DetectorModel(circuit, presets.profile_rates(), kernel)
+            s = simulate(model, stimulus, 2e-3, 5)
+            assert np.all(np.isin(s.sync_events, s.detector_events))
+            dark_clicks = s.detector_events.size - s.sync_events.size
+            return s.metadata["engine"], dark_clicks
+
+        assert circuit.settle_time < 1e-6
+        long_kernel = gaussian_kernel(1e-9, center=1e-6, width=0.2e-6)
+        assert long_kernel.duration > 1e-6
+        # only the first pulse meets a quiescent detector
+        engine, _ = run(long_kernel)
+        assert engine["pulses_skipped"] == 1
+        assert engine["pulses_evaluated"] == 1999
+        # with a kernel that dies before the next pulse, only a pulse in the
+        # recovery after a dark click is evaluated
+        short_kernel = gaussian_kernel(1e-9, center=0.2e-6, width=0.05e-6)
+        assert short_kernel.duration < 1e-6
+        engine, dark_clicks = run(short_kernel)
+        assert engine["pulses_evaluated"] <= dark_clicks
+        assert engine["pulses_skipped"] + engine["pulses_evaluated"] == 2000
+
+
+class TestEngineCounters:
+    def test_counters_repeat_exactly(self):
+        m = model_at(24.9e-6)
+        stimulus = StimulusConfig.double_pulse(180e-9, 1.0)
+        a = simulate(m, stimulus, 0.05, 8).metadata["engine"]
+        b = simulate(m, stimulus, 0.05, 8).metadata["engine"]
+        assert a == b
+        assert a["uniforms"] > 0
+
+    @pytest.mark.parametrize(
+        "stimulus",
+        [
+            StimulusConfig.double_pulse(80e-9, 1.0),
+            StimulusConfig.double_pulse(1000e-9, 20.0),
+            StimulusConfig.periodic(0.5e6, 10.0),
+            StimulusConfig.periodic(0.5e6, 0.0),
+        ],
+        ids=["double-80ns", "double-1000ns-mu20", "periodic-mu10", "periodic-mu0"],
+    )
+    def test_every_pulse_evaluated_or_skipped(self, stimulus):
+        s = simulate(model_at(24.9e-6), stimulus, 0.05, 12)
+        engine = s.metadata["engine"]
+        n_pulses = make_stimulus(stimulus, 0.05).pulse_times_ps.size
+        assert engine["pulses_evaluated"] + engine["pulses_skipped"] == n_pulses
+        # a recovered detector is the rule, so skipping is too
+        assert engine["pulses_skipped"] > 0.9 * n_pulses
+
+    def test_zero_photons_draw_nothing_for_quiet_pulses(self):
+        m = model_at(25.0e-6, kernel_amplitude=0.0)
+        lit = simulate(m, StimulusConfig.periodic(0.5e6, 0.0), 0.05, 3)
+        # p_q = 0: quiet pulses cost no uniform; only a pulse in the
+        # recovery after a dark click is evaluated, with one uniform
+        engine = lit.metadata["engine"]
+        assert engine["pulses_evaluated"] <= lit.detector_events.size
+        assert engine["uniforms"] < 0.1 * lit.sync_events.size
+
+    def test_dark_only_counts_no_pulses(self):
+        s = simulate(model_at(25.2e-6), StimulusConfig.none(), 0.02, 4)
+        engine = s.metadata["engine"]
+        assert engine["pulses_evaluated"] == engine["pulses_skipped"] == 0
+        # each click costs at least a proposal and its acceptance draw
+        assert engine["uniforms"] >= 2 * s.detector_events.size
+
+    def test_sub_ps_coincidences_counted(self):
+        # a detector with no dead time and a flat 1e12/s dark rate: every
+        # proposal is accepted, about 1 ps apart, and those that round onto
+        # the previous click's picosecond are dropped
+        circuit = CircuitParams(
+            kinetic_inductance=1e-15,
+            hotspot_resistance=5000.0,
+            load_resistance=25.0,
+            bias_current=25e-6,
+            critical_current=25.3e-6,
+            hotspot_duration=1e-15,
+        )
+        m = DetectorModel(circuit, RateModel(1e12, 0.0, 0.025, 0.0, 25e-6))
+        s = simulate(m, StimulusConfig.none(), 2e-9, 1)
+        engine = s.metadata["engine"]
+        accepted = s.detector_events.size + engine["coincidences_dropped"]
+        assert engine["coincidences_dropped"] > 0.2 * accepted
+        # two draws per accepted proposal, one for the proposal past the end
+        assert engine["uniforms"] == 2 * accepted + 1
+
+    def test_zero_duration_counters(self):
+        s = simulate(model_at(25.0e-6), StimulusConfig.periodic(1e6, 1.0), 0.0, 1)
+        assert set(s.metadata["engine"].values()) == {0}
