@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, FitError
 from .simulation import TimeTagStream
+from .tables import write_csv
 
 DEFAULT_WINDOW_PS = 1_000_000       # 1000 ns, the afterpulse horizon
 PS = 1e-12
@@ -353,25 +354,21 @@ def recovery_curve(
 
 def write_histogram_csv(hist: Histogram, path) -> None:
     """Schema: bin_start_s,count"""
-    with open(path, "w", newline="") as fh:
-        fh.write("bin_start_s,count\n")
-        for start, count in zip(hist.bin_starts_ps.tolist(), hist.counts.tolist()):
-            fh.write(f"{start * PS!r},{count}\n")
+    write_csv(path, "bin_start_s,count", zip(hist.bin_starts_ps * PS, hist.counts))
+
+
+def write_expfit_csv(hist: Histogram, fit: ExpFit, path) -> None:
+    """Schema: bin_start_s,count,fit (the fit's extrapolated count per bin)"""
+    rows = zip(hist.bin_starts_ps * PS, hist.counts, fit.predict_bins(hist.n_bins))
+    write_csv(path, "bin_start_s,count,fit", rows)
 
 
 def write_recovery_csv(curve: RecoveryCurve, path) -> None:
     """Schema: separation_s,efficiency,err"""
-    with open(path, "w", newline="") as fh:
-        fh.write("separation_s,efficiency,err\n")
-        for sep, eta, err in zip(
-            curve.separations_ps.tolist(), curve.efficiency.tolist(), curve.stat_error.tolist()
-        ):
-            fh.write(f"{sep * PS!r},{eta!r},{err!r}\n")
+    rows = zip(curve.separations_ps * PS, curve.efficiency, curve.stat_error)
+    write_csv(path, "separation_s,efficiency,err", rows)
 
 
 def write_trains_csv(dist: TrainDistribution, path) -> None:
     """Schema: n,count (n = 6 means "6 or more")"""
-    with open(path, "w", newline="") as fh:
-        fh.write("n,count\n")
-        for n in range(1, 7):
-            fh.write(f"{n},{dist.count(n)}\n")
+    write_csv(path, "n,count", ((n, dist.count(n)) for n in range(1, 7)))

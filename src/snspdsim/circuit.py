@@ -16,6 +16,7 @@ import numpy as np
 from scipy import signal
 
 from .errors import ConfigError, PrecisionError
+from .tables import write_csv
 
 # Grid fine enough to resolve the sub-ns current drop with the default
 # constants (fall constant ~0.1 ns).
@@ -135,10 +136,7 @@ class Waveform:
 
 def write_waveform_csv(wave: Waveform, path) -> None:
     """Two columns `time_s,value`, full double precision."""
-    with open(path, "w", newline="") as fh:
-        fh.write("time_s,value\n")
-        for t, v in zip(wave.times.tolist(), wave.samples.tolist()):
-            fh.write(f"{t!r},{v!r}\n")
+    write_csv(path, "time_s,value", zip(wave.times, wave.samples))
 
 
 def nanowire_current(params: CircuitParams, t):

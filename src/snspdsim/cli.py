@@ -17,6 +17,7 @@ from .config import load_run_config
 from .errors import SnspdSimError
 from .quantities import parse_time
 from .simulation import simulate
+from .tables import write_csv
 
 SEED_ENV_VAR = "SNSPD_SIM_SEED"
 
@@ -29,6 +30,8 @@ ANALYSES = (
     "conditional",
     "recovery",
 )
+# histogram bin width of each binned analysis when --bin is not given
+DEFAULT_BIN = {"interarrival": "0.1ms", "expfit": "0.1ms", "conditional": "20ns"}
 
 
 def _resolve_seed(flag_seed, fallback):
@@ -61,11 +64,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _write_metric_csv(path, names_values) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("metric,value\n")
-        for name, value in names_values:
-            fh.write(f"{name},{value!r}\n")
+def _ps(text) -> int:
+    return int(round(parse_time(text) * 1e12))
 
 
 def _cmd_analyze(args) -> int:
@@ -84,8 +84,8 @@ def _cmd_analyze(args) -> int:
             runs.append((int(sep), stream))
         curve = analysis.recovery_curve(
             runs,
-            acceptance_bin_ps=int(round(parse_time(args.acceptance_bin) * 1e12)),
-            window_ps=int(round(parse_time(args.window_2000ns) * 1e12)),
+            acceptance_bin_ps=_ps(args.acceptance_bin),
+            window_ps=_ps(args.conditional_window),
             neighbors_per_side=args.neighbors,
             ratio=args.ratio,
         )
@@ -99,52 +99,35 @@ def _cmd_analyze(args) -> int:
         return 2
     stream = streams[0]
     events = stream.detector_events
-    window_ps = int(round(parse_time(args.window) * 1e12))
+    window_ps = _ps(args.window)
+    if name in DEFAULT_BIN:
+        bin_ps = _ps(DEFAULT_BIN[name] if args.bin is None else args.bin)
 
     if name == "interarrival":
-        hist = analysis.interarrival_histogram(
-            events,
-            int(round(parse_time(args.bin) * 1e12)),
-            int(round(parse_time(args.max_time) * 1e12)),
-        )
+        hist = analysis.interarrival_histogram(events, bin_ps, _ps(args.max_time))
         analysis.write_histogram_csv(hist, out or "interarrival.csv")
         print(f"{hist.total_events} gaps, {int(hist.counts.sum())} binned")
     elif name == "expfit":
-        hist = analysis.interarrival_histogram(
-            events,
-            int(round(parse_time(args.bin) * 1e12)),
-            int(round(parse_time(args.max_time) * 1e12)),
-        )
+        hist = analysis.interarrival_histogram(events, bin_ps, _ps(args.max_time))
         fit = analysis.fit_exponential(hist, args.discard_first, args.min_bin_count)
-        pred = fit.predict_bins(hist.n_bins)
-        rows = [
-            (float(s * analysis.PS), int(c), float(p))
-            for s, c, p in zip(hist.bin_starts_ps, hist.counts, pred)
-        ]
-        with open(out or "expfit.csv", "w", newline="") as fh:
-            fh.write("bin_start_s,count,fit\n")
-            for row in rows:
-                fh.write(f"{row[0]!r},{row[1]},{row[2]!r}\n")
+        analysis.write_expfit_csv(hist, fit, out or "expfit.csv")
         print(f"rate: {fit.rate:.2f} /s  R^2: {fit.r_squared:.5f}")
     elif name == "afterpulse":
         p = analysis.afterpulse_probability(events, window_ps)
         rows = [("afterpulse_probability", float("nan") if p is None else p)]
-        _write_metric_csv(out or "afterpulse.csv", rows)
+        write_csv(out or "afterpulse.csv", "metric,value", rows)
         print("afterpulse probability:", "undefined (empty stream)" if p is None else f"{p:.6f}")
     elif name == "corrected-dcr":
         total, corrected = analysis.corrected_dcr(events, stream.duration_ps, window_ps)
-        _write_metric_csv(out or "corrected_dcr.csv", [("total_cps", total), ("corrected_cps", corrected)])
+        rows = [("total_cps", total), ("corrected_cps", corrected)]
+        write_csv(out or "corrected_dcr.csv", "metric,value", rows)
         print(f"total: {total:.2f} cps  corrected: {corrected:.2f} cps")
     elif name == "trains":
         dist = analysis.classify_trains(events, window_ps)
         analysis.write_trains_csv(dist, out or "trains.csv")
         print("trains by length:", {n: dist.count(n) for n in range(1, 7)})
     elif name == "conditional":
-        hist = analysis.conditional_histogram(
-            stream,
-            int(round(parse_time(args.window_2000ns) * 1e12)),
-            int(round(parse_time(args.bin) * 1e12)),
-        )
+        hist = analysis.conditional_histogram(stream, _ps(args.conditional_window), bin_ps)
         analysis.write_histogram_csv(hist, out or "conditional.csv")
         print(f"{hist.total_events} qualifying windows")
     return 0
@@ -176,12 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="run an analysis on a time-tag file")
     ana.add_argument("analysis", choices=ANALYSES)
     ana.add_argument("inputs", nargs="+", help="time-tag file(s); recovery takes one per separation")
-    ana.add_argument("--bin", default="0.1ms", help="histogram bin width (e.g. 0.1ms, 4ns)")
+    ana.add_argument(
+        "--bin", default=None, help="histogram bin width (default 20ns for conditional, else 0.1ms)"
+    )
     ana.add_argument("--max-time", default="3ms", help="interarrival histogram range")
     ana.add_argument("--window", default="1000ns", help="afterpulse window")
     ana.add_argument(
         "--conditional-window",
-        dest="window_2000ns",
+        dest="conditional_window",
         default="2000ns",
         help="sync window length for conditional/recovery analyses",
     )

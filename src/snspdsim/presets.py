@@ -7,20 +7,27 @@ slopes and the kernel amplitude are calibration choices, set so that the
 afterpulse probability spans roughly 1e-3 to 1e-1 across the 23.0-25.2 uA
 sweep and the recovery curve shows a hard dead time below 80 ns.
 
-Each `reproduce_*` runner simulates with fixed seeds derived from a master
-seed, writes plot-ready CSV files, and returns a report of pass/fail checks
-for that figure's qualitative signature.
+A figure is a function of the master seed that simulates with fixed seeds
+derived from it and returns `(tables, checks)`: its plot-ready tables, in
+file order, and the pass/fail checks of its qualitative signature. A table
+maps its name to a `(header, rows)` pair or to a schema writer taking the
+output path. One driver, `run_figure`, does the rest for every figure: it
+creates the output directory, writes each table to `<figure>_<table>.csv`
+and the report to `<figure>_report.txt`, and returns the report.
+`FIGURES` maps each figure name to its runner `(out_dir, seed)`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, circuit, timetags
+from . import analysis, circuit
 from .simulation import (
     DetectorModel,
     RateModel,
@@ -29,6 +36,7 @@ from .simulation import (
     branching_probability,
     simulate,
 )
+from .tables import write_csv
 
 PROFILE_VERSION = "snspd-profile-1"
 
@@ -143,19 +151,6 @@ class PresetReport:
                 fh.write(line + "\n")
 
 
-def _write_table(path, header: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
-                    for x in row
-                )
-                + "\n"
-            )
-
-
 def _line_fit(x, y, sigma):
     """Weighted straight-line fit; returns slope, intercept, slope stderr, R^2."""
     x, y = np.asarray(x, float), np.asarray(y, float)
@@ -174,8 +169,7 @@ def _line_fit(x, y, sigma):
     return slope, intercept, slope_err, r2
 
 
-def _dark_run(bias, duration, seed, kernel_amplitude=KERNEL_AMPLITUDE) -> TimeTagStream:
-    model = profile_model(bias, kernel_amplitude)
+def _dark_run(model: DetectorModel, duration, seed) -> TimeTagStream:
     return simulate(model, StimulusConfig.none(), duration, seed)
 
 
@@ -184,21 +178,20 @@ def _dark_duration(bias, target_events) -> float:
 
 
 # ---------------------------------------------------------------------------
-# figure runners
+# figures: each is a function of the master seed returning (tables, checks)
 
 
-def reproduce_figA2(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
+def figA2(seed: int):
     """Simulated detection pulse, unfiltered vs band-pass filtered."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = profile_circuit()
     sp = circuit.DEFAULT_SAMPLE_PERIOD
     cascade = circuit.design_bandpass(NARROW_BAND, sp)
     unfiltered = circuit.readout_pulse(params, sp, 500e-9, click_time=30e-9)
     filtered = circuit.readout_pulse(params, sp, 500e-9, click_time=30e-9, cascade=cascade)
-    files = [out_dir / "figA2_pulse_unfiltered.csv", out_dir / "figA2_pulse_filtered.csv"]
-    circuit.write_waveform_csv(unfiltered, files[0])
-    circuit.write_waveform_csv(filtered, files[1])
+    tables = {
+        "pulse_unfiltered": functools.partial(circuit.write_waveform_csv, unfiltered),
+        "pulse_filtered": functools.partial(circuit.write_waveform_csv, filtered),
+    }
 
     checks = []
     tau = params.recovery_tau
@@ -231,28 +224,16 @@ def reproduce_figA2(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
             f"post-lobe maximum {overshoot:.3e} V after a {fv[imin]:.3e} V lobe",
         )
     )
-    report = PresetReport("figA2", checks, files)
-    report.write(out_dir / "figA2_report.txt")
-    return report
+    return tables, checks
 
 
-def reproduce_fig3(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
+def fig3(seed: int):
     """Waiting-time histogram of dark counts at 25.0 uA, 0.1 ms bins."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stream = _dark_run(25.0e-6, 3.0, subseed(seed, 3))
+    stream = _dark_run(profile_model(25.0e-6), 3.0, subseed(seed, 3))
     hist = analysis.interarrival_histogram(stream.detector_events, 100_000_000, 1_500_000_000)
     fit = analysis.fit_exponential(hist, discard_first=1, min_bin_count=10)
     pred = fit.predict_bins(hist.n_bins)
-    files = [out_dir / "fig3_histogram.csv"]
-    _write_table(
-        files[0],
-        "bin_start_s,count,fit",
-        [
-            (s * analysis.PS, int(c), float(p))
-            for s, c, p in zip(hist.bin_starts_ps, hist.counts, pred)
-        ],
-    )
+    tables = {"histogram": functools.partial(analysis.write_expfit_csv, hist, fit)}
     checks = [
         Check(
             "event-count",
@@ -266,34 +247,25 @@ def reproduce_fig3(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
             f"first bin {hist.counts[0]} vs extrapolated {pred[0]:.0f}",
         ),
     ]
-    report = PresetReport("fig3", checks, files)
-    report.write(out_dir / "fig3_report.txt")
-    return report
+    return tables, checks
 
 
-def _fine_histogram_run(bias, seed_path, seed, kernel=None):
+def _fine_histogram_run(model, seed_path, seed):
     """High-bias dark run binned at 4 ns out to 500 ns plus a coarse fit."""
     # 5% headroom so the realized count clears 1e5 even without a cascade
-    duration = _dark_duration(bias, 105_000)
-    if kernel is None:
-        stream = _dark_run(bias, duration, subseed(seed, *seed_path))
-    else:
-        model = DetectorModel(circuit=profile_circuit(bias), rates=profile_rates(), kernel=kernel)
-        stream = simulate(model, StimulusConfig.none(), duration, subseed(seed, *seed_path))
+    duration = _dark_duration(model.circuit.bias_current, 105_000)
+    stream = _dark_run(model, duration, subseed(seed, *seed_path))
     fine = analysis.interarrival_histogram(stream.detector_events, 4_000, 500_000)
     coarse = analysis.interarrival_histogram(stream.detector_events, 100_000_000, 2_500_000_000)
     fit = analysis.fit_exponential(coarse, discard_first=1, min_bin_count=10)
     return stream, fine, fit
 
 
-def reproduce_fig4(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
+def fig4(seed: int):
     """Zoom into the first 500 ns of waiting times at high bias: the
     afterpulse bump near 180 ns."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stream, fine, fit = _fine_histogram_run(25.2e-6, (4,), seed)
-    files = [out_dir / "fig4_histogram.csv"]
-    analysis.write_histogram_csv(fine, files[0])
+    stream, fine, fit = _fine_histogram_run(profile_model(25.2e-6), (4,), seed)
+    tables = {"histogram": functools.partial(analysis.write_histogram_csv, fine)}
     peak = int(np.argmax(fine.counts))
     peak_center_ns = (peak + 0.5) * 4
     baseline = fit.predict_interval(peak * 4e-9, (peak + 1) * 4e-9)
@@ -309,23 +281,19 @@ def reproduce_fig4(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
             f"peak {fine.counts[peak]} counts vs baseline {baseline:.2f}",
         ),
     ]
-    report = PresetReport("fig4", checks, files)
-    report.write(out_dir / "fig4_report.txt")
-    return report
+    return tables, checks
 
 
 def _sweep_runs(seed, seed_tag, target_events):
     runs = []
     for k, bias in enumerate(BIAS_SWEEP):
         duration = _dark_duration(bias, target_events)
-        runs.append((bias, _dark_run(bias, duration, subseed(seed, seed_tag, k))))
+        runs.append((bias, _dark_run(profile_model(bias), duration, subseed(seed, seed_tag, k))))
     return runs
 
 
-def reproduce_fig5(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
+def fig5(seed: int):
     """Total vs corrected dark count rate across the bias sweep."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     deviations = []
     sigmas = []
@@ -336,8 +304,7 @@ def reproduce_fig5(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
         rows.append((bias, total, corrected))
         deviations.append((total - corrected) / total)
         sigmas.append(corrected / math.sqrt(max(stream.detector_events.size, 1)))
-    files = [out_dir / "fig5_dcr.csv"]
-    _write_table(files[0], "bias_a,total_cps,corrected_cps", rows)
+    tables = {"dcr": ("bias_a,total_cps,corrected_cps", rows)}
     corrected_rates = [r[2] for r in rows]
     monotone = all(
         corrected_rates[i + 1] >= corrected_rates[i]
@@ -357,22 +324,17 @@ def reproduce_fig5(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
         ),
         Check("corrected-monotone", monotone, "corrected DCR nondecreasing within 3 sigma"),
     ]
-    report = PresetReport("fig5", checks, files)
-    report.write(out_dir / "fig5_report.txt")
-    return report
+    return tables, checks
 
 
-def reproduce_fig6(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
+def fig6(seed: int):
     """Afterpulse probability vs bias: exponential growth toward I_c."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for bias, stream in _sweep_runs(seed, 6, 10_000):
         p = analysis.afterpulse_probability(stream.detector_events)
         n = stream.detector_events.size
         rows.append((bias, p, math.sqrt(max(p * (1 - p) / n, 1e-12))))
-    files = [out_dir / "fig6_afterpulse.csv"]
-    _write_table(files[0], "bias_a,probability,err", rows)
+    tables = {"afterpulse": ("bias_a,probability,err", rows)}
     usable = [(b, p, s) for b, p, s in rows if p > 0]
     x = [b for b, _, _ in usable]
     y = [math.log(p) for _, p, _ in usable]
@@ -382,28 +344,23 @@ def reproduce_fig6(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
         Check("positive-slope", slope > 0, f"slope {slope:.3e} /A"),
         Check("log-linear", r2 > 0.95, f"R^2 = {r2:.4f}"),
     ]
-    report = PresetReport("fig6", checks, files)
-    report.write(out_dir / "fig6_report.txt")
-    return report
+    return tables, checks
 
 
 FIG7_BIASES = (23.0e-6, 24.2e-6, 24.8e-6, 25.2e-6)
 
 
-def reproduce_fig7(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
+def fig7(seed: int):
     """Train-length distributions P(n) at four bias points."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     dists = []
     for k, bias in enumerate(FIG7_BIASES):
-        stream = _dark_run(bias, _dark_duration(bias, 30_000), subseed(seed, 7, k))
+        stream = _dark_run(profile_model(bias), _dark_duration(bias, 30_000), subseed(seed, 7, k))
         dist = analysis.classify_trains(stream.detector_events)
         dists.append(dist)
         for n in range(1, 7):
             rows.append((bias, n, dist.count(n)))
-    files = [out_dir / "fig7_trains.csv"]
-    _write_table(files[0], "bias_a,n,count", rows)
+    tables = {"trains": ("bias_a,n,count", rows)}
     low = dists[0]
     high = dists[-1]
     multi_frac = [1.0 - d.count(1) / d.n_trains for d in dists]
@@ -424,15 +381,11 @@ def reproduce_fig7(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
             "multi-click train fraction increases along the sweep",
         ),
     ]
-    report = PresetReport("fig7", checks, files)
-    report.write(out_dir / "fig7_report.txt")
-    return report
+    return tables, checks
 
 
-def reproduce_fig8(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
+def fig8(seed: int):
     """n=2 to n=1 train ratio vs bias, compared with the branching model."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for bias, stream in _sweep_runs(seed, 8, 30_000):
         dist = analysis.classify_trains(stream.detector_events)
@@ -443,8 +396,7 @@ def reproduce_fig8(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
         ratio = n2 / n1
         err = ratio * math.sqrt(1 / n2 + 1 / n1)
         rows.append((bias, ratio, err, n1, n2))
-    files = [out_dir / "fig8_ratio.csv"]
-    _write_table(files[0], "bias_a,ratio,err", [(b, r, e) for b, r, e, _, _ in rows])
+    tables = {"ratio": ("bias_a,ratio,err", [(b, r, e) for b, r, e, _, _ in rows])}
     usable = [(b, r, e) for b, r, e, _, n2 in rows if n2 >= 10]
     slope, _, _, r2 = _line_fit(
         [b for b, _, _ in usable],
@@ -467,21 +419,16 @@ def reproduce_fig8(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
                 f"n2/n1 = {ratio:.4f} vs model {p:.4f} (3 sigma = {3*err:.4f})",
             )
         )
-    report = PresetReport("fig8", checks, files)
-    report.write(out_dir / "fig8_report.txt")
-    return report
+    return tables, checks
 
 
-def reproduce_fig9(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
+def fig9(seed: int):
     """Sync-conditioned histogram with the pulsed laser on (0.5 MHz, mu=10)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = profile_model(25.0e-6)
     stimulus = StimulusConfig.periodic(0.5e6, 10.0)
     stream = simulate(model, stimulus, 2.0, subseed(seed, 9))
     hist = analysis.conditional_histogram(stream, 2_000_000, 20_000)
-    files = [out_dir / "fig9_conditional.csv"]
-    analysis.write_histogram_csv(hist, files[0])
+    tables = {"conditional": functools.partial(analysis.write_histogram_csv, hist)}
 
     counts = hist.counts
     n_anchored = int(counts[0])
@@ -518,9 +465,7 @@ def reproduce_fig9(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
             f"baseline {baseline_total} counts vs expected {expected_total:.0f} in [1.5, 2.0) us",
         ),
     ]
-    report = PresetReport("fig9", checks, files)
-    report.write(out_dir / "fig9_report.txt")
-    return report
+    return tables, checks
 
 
 FIG10_BIAS = 24.9e-6
@@ -552,15 +497,12 @@ def run_double_pulse_sweep(
     return runs
 
 
-def reproduce_fig10(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
+def fig10(seed: int):
     """Double-pulse detection-efficiency recovery: dead below ~80 ns, an
     overshoot near 180 ns, settling back to the nominal value."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     runs = run_double_pulse_sweep(FIG10_SEPARATIONS_NS, seed=seed)
     curve = analysis.recovery_curve(runs)
-    files = [out_dir / "fig10_recovery.csv"]
-    analysis.write_recovery_csv(curve, files[0])
+    tables = {"recovery": functools.partial(analysis.write_recovery_csv, curve)}
 
     nominal = nominal_detection_probability()
     sep_ns = curve.separations_ps // 1000
@@ -589,24 +531,20 @@ def reproduce_fig10(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
             f"(3 sigma = {err[ilast]:.4f})",
         ),
     ]
-    report = PresetReport("fig10", checks, files)
-    report.write(out_dir / "fig10_report.txt")
-    return report
+    return tables, checks
 
 
-def reproduce_fig11(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
+def fig11(seed: int):
     """High-bias dark run with the wide-band amplifier: the readout
     overshoot collapses, taking the afterpulse peak with it."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     amps_per_volt, offset = overshoot_coupling()
     sp = circuit.DEFAULT_SAMPLE_PERIOD
     wide = circuit.design_bandpass(WIDE_BAND, sp)
     pulse = circuit.readout_pulse(profile_circuit(25.2e-6), sp, 2e-6, cascade=wide)
     kernel = circuit.overshoot_kernel(pulse, amps_per_volt=amps_per_volt, time_offset=offset)
-    stream, fine, fit = _fine_histogram_run(25.2e-6, (11,), seed, kernel=kernel)
-    files = [out_dir / "fig11_histogram.csv"]
-    analysis.write_histogram_csv(fine, files[0])
+    model = dataclasses.replace(profile_model(25.2e-6), kernel=kernel)
+    stream, fine, fit = _fine_histogram_run(model, (11,), seed)
+    tables = {"histogram": functools.partial(analysis.write_histogram_csv, fine)}
 
     lo_bin, hi_bin = 80_000 // 4_000, 500_000 // 4_000
     worst_excess = -math.inf
@@ -629,20 +567,34 @@ def reproduce_fig11(out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
             f"{(worst_bin + 0.5) * 4:.0f} ns",
         ),
     ]
-    report = PresetReport("fig11", checks, files)
-    report.write(out_dir / "fig11_report.txt")
+    return tables, checks
+
+
+# ---------------------------------------------------------------------------
+# the preset driver
+
+
+def run_figure(build, out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
+    """Run figure `build` at master seed `seed` and write its tables and
+    report into `out_dir`, named after the figure."""
+    tables, checks = build(seed)
+    figure = build.__name__
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = []
+    for name, table in tables.items():
+        path = out_dir / f"{figure}_{name}.csv"
+        if callable(table):
+            table(path)
+        else:
+            write_csv(path, *table)
+        files.append(path)
+    report = PresetReport(figure, checks, files)
+    report.write(out_dir / f"{figure}_report.txt")
     return report
 
 
 FIGURES = {
-    "figA2": reproduce_figA2,
-    "fig3": reproduce_fig3,
-    "fig4": reproduce_fig4,
-    "fig5": reproduce_fig5,
-    "fig6": reproduce_fig6,
-    "fig7": reproduce_fig7,
-    "fig8": reproduce_fig8,
-    "fig9": reproduce_fig9,
-    "fig10": reproduce_fig10,
-    "fig11": reproduce_fig11,
+    build.__name__: functools.partial(run_figure, build)
+    for build in (figA2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11)
 }

@@ -175,6 +175,22 @@ def test_analyze_conditional_and_recovery(tmp_path):
     assert len(lines) == 2
 
 
+def test_analyze_conditional_default_bin(tmp_path):
+    # without --bin the conditional histogram uses 20 ns bins over its 2000 ns window
+    from snspdsim.simulation import TimeTagStream
+
+    sync = 2_000_000 * np.arange(1, 11, dtype=np.int64)
+    det = np.sort(np.concatenate([sync + 1_000, sync[::2] + 180_000]))
+    run = tmp_path / "laser.nptt"
+    timetags.write_stream(TimeTagStream(det, sync, 30_000_000), run)
+    out = tmp_path / "cond.csv"
+    assert main(["analyze", "conditional", str(run), "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "bin_start_s,count"
+    assert len(lines) == 101
+    assert lines[1] == "0.0,10" and lines[10] == "1.8e-07,5"
+
+
 def test_unknown_analysis_is_usage_error(config_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "fourier", "whatever.nptt"])
