@@ -162,21 +162,15 @@ def corrected_dcr(events, duration_ps: int, window_ps: int = DEFAULT_WINDOW_PS):
     """(total_rate, corrected_rate) in counts/s.
 
     The corrected rate drops every click within `window_ps` of its
-    predecessor, i.e. the afterpulses. It is computed as
-    total * (1 - afterpulse_fraction) with the exact same float expression
-    as afterpulse_probability, so corrected = total * (1 - p) holds
-    bit-exactly.
+    predecessor, i.e. the afterpulses: it is total * (1 - p) with p from
+    afterpulse_probability (0 for an empty stream).
     """
     if duration_ps <= 0:
         raise ValueError("duration_ps must be positive")
     events = np.asarray(events, dtype=np.int64)
-    duration_s = duration_ps * PS
-    total = events.size / duration_s
-    if events.size < 2:
-        return total, total
-    gaps = np.diff(events)
-    close = int(np.count_nonzero(gaps < window_ps))
-    return total, total * (1.0 - close / events.size)
+    total = events.size / (duration_ps * PS)
+    p = afterpulse_probability(events, window_ps) or 0.0
+    return total, total * (1.0 - p)
 
 
 @dataclass(frozen=True, eq=False)

@@ -129,7 +129,7 @@ def _cmd_analyze(args) -> int:
     elif name == "conditional":
         hist = analysis.conditional_histogram(stream, _ps(args.conditional_window), bin_ps)
         analysis.write_histogram_csv(hist, out or "conditional.csv")
-        print(f"{hist.total_events} qualifying windows")
+        print(f"{hist.total_events} clicks in anchored windows")
     return 0
 
 

@@ -152,7 +152,7 @@ class PresetReport:
 
 
 def _line_fit(x, y, sigma):
-    """Weighted straight-line fit; returns slope, intercept, slope stderr, R^2."""
+    """Weighted straight-line fit; returns slope, intercept, R^2."""
     x, y = np.asarray(x, float), np.asarray(y, float)
     w = 1.0 / np.asarray(sigma, float) ** 2
     sw, sx, sy = w.sum(), (w * x).sum(), (w * y).sum()
@@ -160,13 +160,12 @@ def _line_fit(x, y, sigma):
     delta = sw * sxx - sx**2
     slope = (sw * sxy - sx * sy) / delta
     intercept = (sxx * sy - sx * sxy) / delta
-    slope_err = math.sqrt(sw / delta)
     y_hat = intercept + slope * x
     y_bar = sy / sw
     ss_res = (w * (y - y_hat) ** 2).sum()
     ss_tot = (w * (y - y_bar) ** 2).sum()
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return slope, intercept, slope_err, r2
+    return slope, intercept, r2
 
 
 def _dark_run(model: DetectorModel, duration, seed) -> TimeTagStream:
@@ -339,7 +338,7 @@ def fig6(seed: int):
     x = [b for b, _, _ in usable]
     y = [math.log(p) for _, p, _ in usable]
     sig = [s / p for _, p, s in usable]
-    slope, _, _, r2 = _line_fit(x, y, sig)
+    slope, _, r2 = _line_fit(x, y, sig)
     checks = [
         Check("positive-slope", slope > 0, f"slope {slope:.3e} /A"),
         Check("log-linear", r2 > 0.95, f"R^2 = {r2:.4f}"),
@@ -398,7 +397,7 @@ def fig8(seed: int):
         rows.append((bias, ratio, err, n1, n2))
     tables = {"ratio": ("bias_a,ratio,err", [(b, r, e) for b, r, e, _, _ in rows])}
     usable = [(b, r, e) for b, r, e, _, n2 in rows if n2 >= 10]
-    slope, _, _, r2 = _line_fit(
+    slope, _, r2 = _line_fit(
         [b for b, _, _ in usable],
         [math.log(r) for _, r, _ in usable],
         [e / r for _, r, e in usable],

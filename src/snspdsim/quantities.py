@@ -72,11 +72,3 @@ def parse_quantity(value, dimension: str, field: str = "value") -> float:
 
 def parse_time(value, field: str = "time") -> float:
     return parse_quantity(value, "time", field)
-
-
-def parse_frequency(value, field: str = "frequency") -> float:
-    return parse_quantity(value, "frequency", field)
-
-
-def parse_current(value, field: str = "current") -> float:
-    return parse_quantity(value, "current", field)

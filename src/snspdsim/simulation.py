@@ -308,14 +308,15 @@ def simulate(
     indicate internal corruption and raises SimulationError.
 
     Laser pulses are evaluated one by one while the detector recovers from
-    a click. Once it is quiescent -- no kernel live, and the last click at
-    least `CircuitParams.settle_time` ago, beyond which the float recovery
-    law returns exactly I_b -- every pulse clicks with the same probability
-    p_q until the next click. The engine then draws the index of the next
-    clicking pulse as one geometric variate and steps over the pulses before
-    it. A dark click that lands first ends the stretch; evaluation resumes
-    at the first pulse after it. This is exact: in a quiet stretch the pulse
-    outcomes are independent of each other and of the dark process.
+    a click. Once it is quiescent -- last click at least
+    `max(settle_time, kernel duration)` ago, so that no kernel is live and
+    the float recovery law returns exactly I_b -- every pulse clicks with
+    the same probability p_q until the next click. The engine then draws
+    the index of the next clicking pulse as one geometric variate and steps
+    over the pulses before it. A dark click that lands first ends the
+    stretch; evaluation resumes at the first pulse after it. This is exact:
+    in a quiet stretch the pulse outcomes are independent of each other and
+    of the dark process.
 
     `metadata["engine"]` carries deterministic work counters: uniforms
     drawn, pulses evaluated one by one, pulses stepped over by a geometric
@@ -369,7 +370,6 @@ def _run_engine(
     i_ss = circ.resistive_branch_current
     i_end = circ.hotspot_end_current
     t_hs = circ.hotspot_duration
-    t_settle = circ.settle_time
     tau_fall = circ.fall_tau
     tau_rec = circ.recovery_tau
     r_ref = rates.dark_rate_ref
@@ -380,7 +380,7 @@ def _run_engine(
     mu = stimulus.mean_photons
 
     kernel = model.kernel
-    if kernel is not None and kernel.peak == 0.0 and not np.any(kernel.samples):
+    if kernel is not None and not np.any(kernel.samples):
         kernel = None  # an identically zero kernel has no effect
     if kernel is not None:
         ksamp = kernel.samples.tolist()
@@ -392,6 +392,9 @@ def _run_engine(
         ksamp = kmaxrem = None
         ksp = kdur = 0.0
         klast = 0
+    # from this long after the last click the detector is quiescent: the
+    # current is exactly I_b, and no kernel is live, as every click starts one
+    t_quiet = max(circ.settle_time, kdur)
 
     can_latch = model.can_latch
     pulses_ps = train.pulse_times_ps
@@ -426,6 +429,12 @@ def _run_engine(
             return when_ps, when_ps * 1e-12
         return -1, math.inf
 
+    # the scalar form of the effective-bias law (circuit.nanowire_current
+    # plus the kernels), the engine's only one. It stays scalar math.exp in
+    # this operation order: that keeps dark streams byte-identical to the
+    # reference engine, and one NumPy call costs more than a whole proposal.
+    # `active` is pruned only at the loop top; the support test skips the
+    # clicks whose kernel ended since
     def bias_at(when: float) -> float:
         if t_last < 0:
             i = i_b
@@ -473,9 +482,7 @@ def _run_engine(
             if t - active[0] >= kdur:
                 active = [tc for tc in active if t - tc < kdur]
             for tc in active:
-                d = t - tc
-                if d < kdur:
-                    i_env += kmaxrem[int(d / ksp)]
+                i_env += kmaxrem[int((t - tc) / ksp)]
         envelope = r_ref * exp(g_dark * (i_env - i_ref))
         gap = -log(1.0 - next_uniform()) / envelope
         if gap <= 0.0:
@@ -486,9 +493,7 @@ def _run_engine(
             t = due_s
             t_ps = due_ps
             if not skipping:
-                if active and t - active[0] >= kdur:
-                    active = [tc for tc in active if t - tc < kdur]
-                if not active and (t_last < 0 or t - t_last >= t_settle):
+                if t_last < 0 or t - t_last >= t_quiet:
                     # quiescent: the number of quiet pulses before the next
                     # one that clicks is geometric in p_quiet
                     skipping = True
@@ -524,26 +529,7 @@ def _run_engine(
                 skipped += n_pulses - pulse_idx
             break
         t = proposal
-        # inline bias_at: this branch dominates the run time
-        if t_last < 0:
-            i_now = i_b
-        else:
-            s = t - t_last
-            if s <= t_hs:
-                i_now = i_ss + (i_b - i_ss) * exp(-s / tau_fall)
-            else:
-                i_now = i_b - (i_b - i_end) * exp(-(s - t_hs) / tau_rec)
-        if active:
-            if t - active[0] >= kdur:
-                active = [tc for tc in active if t - tc < kdur]
-            for tc in active:
-                d = t - tc
-                if d < kdur:
-                    x = d / ksp
-                    j = int(x)
-                    f = x - j
-                    i_now += ksamp[j] * (1.0 - f) + ksamp[j + 1] * f
-        rate = r_ref * exp(g_dark * (i_now - i_ref))
+        rate = r_ref * exp(g_dark * (bias_at(t) - i_ref))
         if rate > envelope * (1.0 + 1e-9):
             raise SimulationError(
                 f"thinning envelope violated at t={t:.6e}: rate {rate:.3e} "

@@ -175,20 +175,33 @@ def test_analyze_conditional_and_recovery(tmp_path):
     assert len(lines) == 2
 
 
-def test_analyze_conditional_default_bin(tmp_path):
-    # without --bin the conditional histogram uses 20 ns bins over its 2000 ns window
+def anchored_windows_run(tmp_path):
+    """10 sync windows anchored by a first-bin click, 5 of them with a
+    second click 180 ns later."""
     from snspdsim.simulation import TimeTagStream
 
     sync = 2_000_000 * np.arange(1, 11, dtype=np.int64)
     det = np.sort(np.concatenate([sync + 1_000, sync[::2] + 180_000]))
     run = tmp_path / "laser.nptt"
     timetags.write_stream(TimeTagStream(det, sync, 30_000_000), run)
+    return run
+
+
+def test_analyze_conditional_default_bin(tmp_path):
+    # without --bin the conditional histogram uses 20 ns bins over its 2000 ns window
+    run = anchored_windows_run(tmp_path)
     out = tmp_path / "cond.csv"
     assert main(["analyze", "conditional", str(run), "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "bin_start_s,count"
     assert len(lines) == 101
     assert lines[1] == "0.0,10" and lines[10] == "1.8e-07,5"
+
+
+def test_analyze_conditional_reports_clicks(tmp_path, capsys):
+    run = anchored_windows_run(tmp_path)
+    assert main(["analyze", "conditional", str(run), "--out", str(tmp_path / "c.csv")]) == 0
+    assert capsys.readouterr().out == "15 clicks in anchored windows\n"
 
 
 def test_unknown_analysis_is_usage_error(config_path, capsys):

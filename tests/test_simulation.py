@@ -1,6 +1,8 @@
 """Point-process engine tests: stimulus generation, effective bias,
 determinism, dead time, latching and the branching statistics."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -393,3 +395,76 @@ class TestEngineCounters:
     def test_zero_duration_counters(self):
         s = simulate(model_at(25.0e-6), StimulusConfig.periodic(1e6, 1.0), 0.0, 1)
         assert set(s.metadata["engine"].values()) == {0}
+
+
+# (model, stimulus, duration in s, seed) of each pinned run
+PINNED_RUNS = {
+    "periodic-0.5MHz-mu10": lambda: (
+        model_at(25.0e-6), StimulusConfig.periodic(0.5e6, 10.0), 0.02, 11),
+    "double-80ns": lambda: (
+        model_at(24.9e-6), StimulusConfig.double_pulse(80e-9, 1.0), 0.05, 8),
+    "double-180ns": lambda: (
+        model_at(24.9e-6), StimulusConfig.double_pulse(180e-9, 1.0), 0.05, 8),
+    "double-1000ns": lambda: (
+        model_at(24.9e-6), StimulusConfig.double_pulse(1000e-9, 1.0), 0.05, 8),
+    "unshunted-latching-1MHz": lambda: (
+        dataclasses.replace(model_at(25.2e-6), shunt_enabled=False,
+                            latch_policy="permanent-until-reset"),
+        StimulusConfig.periodic(1e6, 1.0), 0.01, 9),
+    "null-kernel-1MHz": lambda: (
+        model_at(25.0e-6, kernel_amplitude=0.0), StimulusConfig.periodic(1e6, 1.0), 0.02, 3),
+    # an identically zero kernel is dropped, so it gives the null-kernel run
+    "zero-kernel-1MHz": lambda: (
+        DetectorModel(presets.profile_circuit(25.0e-6), presets.profile_rates(),
+                      gaussian_kernel(0.0)),
+        StimulusConfig.periodic(1e6, 1.0), 0.02, 3),
+}
+
+# SHA-256 of detector_events.tobytes() and metadata["engine"] of each run
+PINNED = {
+    "double-1000ns": (
+        "4927e08f6b64496ed5320fb54ce50a4627b22e8040037b90febe84a90f26035c",
+        {"uniforms": 14326, "pulses_evaluated": 103, "pulses_skipped": 49897, "coincidences_dropped": 0},
+    ),
+    "double-180ns": (
+        "f90098a95c6adf48299ac22dbbf4ea332e9e4ab7b190cc9b7d0efd2e28967342",
+        {"uniforms": 16390, "pulses_evaluated": 277, "pulses_skipped": 49723, "coincidences_dropped": 0},
+    ),
+    "double-80ns": (
+        "46d5f2c06c0a7ac29869c830522fe66bbafa6eb27cc7de16b8d754b249ad0868",
+        {"uniforms": 17283, "pulses_evaluated": 276, "pulses_skipped": 49724, "coincidences_dropped": 0},
+    ),
+    "null-kernel-1MHz": (
+        "8833fe8b0e9c5248d72656c6ef64118e8fa96ca56edcc1df581701c50d9a5050",
+        {"uniforms": 1924, "pulses_evaluated": 63, "pulses_skipped": 19937, "coincidences_dropped": 0},
+    ),
+    "periodic-0.5MHz-mu10": (
+        "24454ea17fbb43d62371b1253b0a19924095fb7a08a0e34b70286e1ea55d694e",
+        {"uniforms": 84662, "pulses_evaluated": 18, "pulses_skipped": 9982, "coincidences_dropped": 0},
+    ),
+    "unshunted-latching-1MHz": (
+        "0af9b89223667ee5a809c0c115094f2be1fda816828c458a06454482c5b3a409",
+        {"uniforms": 3, "pulses_evaluated": 0, "pulses_skipped": 14, "coincidences_dropped": 0},
+    ),
+    "zero-kernel-1MHz": (
+        "8833fe8b0e9c5248d72656c6ef64118e8fa96ca56edcc1df581701c50d9a5050",
+        {"uniforms": 1924, "pulses_evaluated": 63, "pulses_skipped": 19937, "coincidences_dropped": 0},
+    ),
+}
+
+
+class TestPinnedRealizations:
+    @pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+    def test_laser_realization_pinned(self, case):
+        """Pins the exact realizations of engine runs with laser pulses.
+
+        The reference engine checks dark-only streams byte for byte; these
+        digests do the same for the pulse branch, the quiet-stretch skip,
+        latching under a laser and the null kernel. A change that consumes
+        the random stream differently on purpose must re-pin them and say
+        so in CHANGES.md.
+        """
+        model, stimulus, duration, seed = PINNED_RUNS[case]()
+        s = simulate(model, stimulus, duration, seed)
+        digest = hashlib.sha256(s.detector_events.tobytes()).hexdigest()
+        assert (digest, s.metadata["engine"]) == PINNED[case]
