@@ -227,3 +227,10 @@ def test_reproduce_figA2(tmp_path, capsys):
 
 def test_missing_input_file(capsys):
     assert main(["analyze", "interarrival", "no_such_file.nptt"]) == 2
+
+
+def test_analyze_malformed_csv_is_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# metadata={oops\nchannel,timestamp_ps\n0,5\n")
+    assert main(["analyze", "afterpulse", str(bad), "--out", str(tmp_path / "a.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error:")

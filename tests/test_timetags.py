@@ -1,6 +1,10 @@
 """Time-tag file format tests: round trips, canonical encoding, and
 rejection of corrupted inputs."""
 
+import hashlib
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,8 @@ from snspdsim.errors import FormatError, StreamValidationError
 from snspdsim.simulation import TimeTagStream
 from snspdsim.timetags import (
     HEADER_SIZE,
+    MAGIC,
+    VERSION,
     read_stream,
     write_stream,
     write_stream_csv,
@@ -32,6 +38,60 @@ def streams(draw):
         )
     )
     return TimeTagStream(det, sync, duration, meta)
+
+
+def pinned_stream():
+    """Seeded stream of 152,375 records (more than two CSV writer chunks),
+    375 of them sync records that share a timestamp with a detector record."""
+    rng = np.random.default_rng(2013)
+    det = np.cumsum(rng.integers(1, 2_000_000, 150_000))
+    sync = np.unique(np.concatenate([det[::400], rng.integers(0, det[-1], 2_000)]))
+    return TimeTagStream(det, sync, int(det[-1]) + 7, {"seed": 2013, "note": "pinned"})
+
+
+@pytest.mark.parametrize(
+    "writer, digest",
+    [
+        (write_stream, "a91a349739e23a19da8691858eb14885d3b16941a16713d737b6e13a98a0e087"),
+        (write_stream_csv, "941b4e0571baf42dec6047d7cecb79e37f6fe12e2f98095ab901762cbbd0477b"),
+    ],
+    ids=["nptt", "csv"],
+)
+def test_encodings_pinned(tmp_path, writer, digest):
+    # digests taken from the per-record writers: the array writers keep their bytes
+    path = tmp_path / "pinned"
+    stream = pinned_stream()
+    writer(stream, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert read_stream(path) == stream
+
+
+def nptt_with_metadata(meta: bytes) -> bytes:
+    """A record-free .nptt file whose metadata block passes the digest check."""
+    header = struct.pack(
+        "<4sIIQQI32s", MAGIC, VERSION, 2, 0, 100, len(meta), hashlib.sha256(meta).digest()
+    )
+    return header + meta
+
+
+@pytest.mark.parametrize(
+    "name, content, error",
+    [
+        ("duration.csv", b"# duration_ps=abc\nchannel,timestamp_ps\n0,5\n", FormatError),
+        ("json.csv", b"# metadata={oops\nchannel,timestamp_ps\n0,5\n", FormatError),
+        ("list.csv", b"# metadata=[1,2]\nchannel,timestamp_ps\n0,5\n", FormatError),
+        ("negative.csv", b"# duration_ps=-5\nchannel,timestamp_ps\n", StreamValidationError),
+        ("overflow.csv", b"channel,timestamp_ps\n0,12345678901234567890\n", FormatError),
+        ("utf8.nptt", nptt_with_metadata(b'{"k":"\xff"}'), FormatError),
+    ],
+    ids=["duration-abc", "metadata-bad-json", "metadata-list", "duration-negative",
+         "timestamp-overflow", "nptt-metadata-not-utf8"],
+)
+def test_malformed_file_raises_package_error(tmp_path, name, content, error):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(error):
+        read_stream(path)
 
 
 class TestBinaryFormat:
@@ -187,3 +247,28 @@ class TestCsvFormat:
         path.write_text("channel,timestamp_ps\n0,abc\n")
         with pytest.raises(FormatError):
             read_stream(path)
+
+    def test_header_only_is_empty_stream(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# duration_ps=10\nchannel,timestamp_ps\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream = read_stream(path)
+        assert stream == TimeTagStream(np.empty(0, np.int64), np.empty(0, np.int64), 10)
+
+    @pytest.mark.parametrize("row", ["0", "0,100,7"])
+    def test_wrong_field_count_rejected(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"channel,timestamp_ps\n0,50\n{row}\n")
+        with pytest.raises(FormatError, match="line 1 is the header"):
+            read_stream(path)
+
+    @pytest.mark.parametrize("field", ["5.7", "1e3", "12345678901234567890"])
+    def test_non_int64_timestamp_rejected_without_warning_filters(self, tmp_path, field):
+        # the CLI runs with Python's default filters, which ignore DeprecationWarning
+        path = tmp_path / "s.csv"
+        path.write_text(f"channel,timestamp_ps\n0,{field}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(FormatError):
+                read_stream(path)
