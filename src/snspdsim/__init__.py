@@ -6,6 +6,7 @@ from .circuit import (
     FilterSpec,
     PerturbationKernel,
     Waveform,
+    amplifier_kernel,
     apply_filter,
     design_bandpass,
     discriminate,

@@ -191,7 +191,6 @@ def readout_pulse(
     duration: float = 2e-6,
     click_time: float = 0.0,
     cascade: "BiquadCascade | None" = None,
-    amplified: bool = True,
 ) -> Waveform:
     """The detection pulse as it appears at the discriminator.
 
@@ -206,9 +205,7 @@ def readout_pulse(
     after = t >= click_time
     v[after] = -(
         params.bias_current - nanowire_current(params, t[after] - click_time)
-    ) * params.load_resistance
-    if amplified:
-        v *= params.amplifier_gain
+    ) * params.load_resistance * params.amplifier_gain
     wave = Waveform(v, sample_period)
     if cascade is not None:
         wave = apply_filter(cascade, wave)
@@ -383,7 +380,6 @@ def overshoot_kernel(
     filtered_pulse: Waveform,
     peak_amplitude: float | None = None,
     amps_per_volt: float | None = None,
-    click_time: float = 0.0,
     time_offset: float = 0.0,
 ) -> PerturbationKernel:
     """Bias perturbation derived from a filtered detection pulse.
@@ -415,7 +411,7 @@ def overshoot_kernel(
         scale = peak_amplitude / top
     else:
         scale = amps_per_volt
-    t_start = start * sp - click_time + time_offset
+    t_start = start * sp + time_offset
     lead = max(int(round(t_start / sp)), 0)
     samples = np.concatenate([np.zeros(lead), residual * scale])
     if (samples.size - 1) * sp > MAX_KERNEL_DURATION:
@@ -423,3 +419,18 @@ def overshoot_kernel(
     if samples.size < 2:
         samples = np.concatenate([samples, [0.0]])
     return PerturbationKernel(samples, sp)
+
+
+def amplifier_kernel(
+    params: CircuitParams,
+    spec: FilterSpec,
+    sample_period: float = DEFAULT_SAMPLE_PERIOD,
+    pulse_duration: float = 2e-6,
+    **scale,
+) -> PerturbationKernel:
+    """Bias perturbation of a click read out through the amplifier band
+    `spec`: the readout pulse through the band-pass design of `spec`, then
+    `overshoot_kernel(pulse, **scale)`."""
+    cascade = design_bandpass(spec, sample_period)
+    pulse = readout_pulse(params, sample_period, pulse_duration, cascade=cascade)
+    return overshoot_kernel(pulse, **scale)

@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 
 from . import analysis, presets, timetags
-from .config import load_run_config
+from .config import load_run_config, parse_count
 from .errors import SnspdSimError
-from .quantities import parse_time
+from .quantities import parse_quantity
 from .simulation import simulate
 from .tables import write_csv
 
@@ -36,11 +36,9 @@ DEFAULT_BIN = {"interarrival": "0.1ms", "expfit": "0.1ms", "conditional": "20ns"
 
 def _resolve_seed(flag_seed, fallback):
     if flag_seed is not None:
-        return flag_seed
+        return parse_count(flag_seed, "--seed")
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return fallback
+    return fallback if env is None else parse_count(env, SEED_ENV_VAR)
 
 
 def _cmd_simulate(args) -> int:
@@ -65,7 +63,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _ps(text) -> int:
-    return int(round(parse_time(text) * 1e12))
+    return int(round(parse_quantity(text, "time") * 1e12))
 
 
 def _cmd_analyze(args) -> int:
@@ -152,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a simulation from a YAML config")
     sim.add_argument("--config", required=True, help="YAML run configuration")
-    sim.add_argument("--seed", type=int, default=None, help="override the config seed")
+    sim.add_argument("--seed", default=None, help="override the config seed")
     sim.add_argument("--out", default=None, help="output time-tag file (.nptt or .csv)")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -181,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("reproduce", help="run a figure-reproduction preset")
     rep.add_argument("figure", choices=sorted(presets.FIGURES, key=lambda s: (len(s), s)))
     rep.add_argument("--out", default=None, help="output directory")
-    rep.add_argument("--seed", type=int, default=None, help="master seed")
+    rep.add_argument("--seed", default=None, help="master seed")
     rep.set_defaults(func=_cmd_reproduce)
     return parser
 

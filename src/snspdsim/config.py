@@ -5,6 +5,11 @@ Every physical value is either a bare number in SI base units or a string
 with an SI-prefixed unit ("25 uA", "180 ns", "0.5 MHz"). Unknown keys are
 rejected so typos cannot silently fall back to defaults.
 
+Each section builds one object: every key goes, parsed by its value rule,
+to the constructor argument of the same name. A key left out is left out of
+the call, so the defaults are the constructors' own and a key is required
+exactly when its argument has no default.
+
 Example:
 
     circuit:
@@ -39,7 +44,9 @@ Example:
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -49,177 +56,166 @@ from .errors import ConfigError
 from .quantities import parse_quantity
 from .simulation import DetectorModel, RateModel, StimulusConfig
 
-_SECTIONS = ("circuit", "rates", "kernel", "detector", "stimulus", "run")
-_REQUIRED = object()
+# Value rules: each takes the raw YAML value and the `section.key` field
+# name, and returns the constructor's value or raises ConfigError.
 
 
-def _take(section: dict, section_name: str, key: str, default=_REQUIRED):
-    if key in section:
-        return section.pop(key)
-    if default is _REQUIRED:
-        raise ConfigError(f"{section_name}: missing required key {key!r}")
-    return default
+def _quantity(dimension: str):
+    return lambda value, field: parse_quantity(value, dimension, field)
 
 
-def _reject_unknown(section: dict, section_name: str) -> None:
-    if section:
-        key = sorted(section)[0]
-        raise ConfigError(f"{section_name}: unknown key {key!r}")
+_NUMBER, _TIME, _CURRENT, _FREQUENCY = map(_quantity, ("number", "time", "current", "frequency"))
 
 
-def _q(section, section_name, key, dimension, default=_REQUIRED) -> float:
-    raw = _take(section, section_name, key, default)
-    return parse_quantity(raw, dimension, f"{section_name}.{key}")
+def parse_count(value, field: str = "value") -> int:
+    """A non-negative integer: a YAML integer or a string of digits."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    if isinstance(value, str) and re.fullmatch(r"\s*\+?[0-9]+\s*", value):
+        return int(value)
+    raise ConfigError(f"{field}: expected a non-negative integer, got {value!r}")
+
+
+def _instance(kind: type, expected: str):
+    def rule(value, field: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{field}: expected {expected}, got {value!r}")
+        return value
+    return rule
+
+
+_FLAG, _TEXT = _instance(bool, "true or false"), _instance(str, "a string")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     model: DetectorModel
     stimulus: StimulusConfig
-    duration: float
-    seed: int
-    output: str | None
     digest: str
+    duration: float
+    seed: int = 0
+    output: str | None = None
+
+    def __post_init__(self):
+        if self.duration < 0:
+            raise ConfigError("duration must be non-negative")
 
 
-def _build_circuit(section: dict) -> circ.CircuitParams:
-    name = "circuit"
-    params = circ.CircuitParams(
-        kinetic_inductance=_q(section, name, "kinetic_inductance", "inductance"),
-        hotspot_resistance=_q(section, name, "hotspot_resistance", "resistance"),
-        load_resistance=_q(section, name, "load_resistance", "resistance"),
-        bias_current=_q(section, name, "bias_current", "current"),
-        critical_current=_q(section, name, "critical_current", "current"),
-        amplifier_gain_db=_q(section, name, "amplifier_gain_db", "gain", 56.0),
-        hotspot_duration=_q(section, name, "hotspot_duration", "time", 1e-9),
-    )
-    _reject_unknown(section, name)
-    return params
+def _from_filter(circuit, passband_low, passband_high, order=4, **scale):
+    spec = circ.FilterSpec(order, passband_low, passband_high)
+    return circ.amplifier_kernel(circuit, spec, **scale)
 
 
-def _build_rates(section: dict) -> RateModel:
-    name = "rates"
-    rates = RateModel(
-        dark_rate_ref=_q(section, name, "dark_rate_ref", "frequency"),
-        dark_rate_slope=float(_take(section, name, "dark_rate_slope_per_amp")),
-        efficiency_max=float(_take(section, name, "efficiency_max")),
-        efficiency_slope=float(_take(section, name, "efficiency_slope_per_amp")),
-        reference_bias=_q(section, name, "reference_bias", "current"),
-    )
-    _reject_unknown(section, name)
-    return rates
+# A schema is (constructor, {config key: value rule}); a kernel type or a
+# stimulus mode picks one of several.
+_CIRCUIT = (circ.CircuitParams, {
+    "kinetic_inductance": _quantity("inductance"),
+    "hotspot_resistance": _quantity("resistance"),
+    "load_resistance": _quantity("resistance"),
+    "bias_current": _CURRENT,
+    "critical_current": _CURRENT,
+    "amplifier_gain_db": _quantity("gain"),
+    "hotspot_duration": _TIME,
+})
+_RATES = (RateModel, {
+    "dark_rate_ref": _FREQUENCY,
+    "dark_rate_slope_per_amp": _NUMBER,
+    "efficiency_max": _NUMBER,
+    "efficiency_slope_per_amp": _NUMBER,
+    "reference_bias": _CURRENT,
+})
+_KERNELS = {
+    "none": (lambda: None, {}),
+    "gaussian": (circ.gaussian_kernel, {"amplitude": _CURRENT, "center": _TIME, "width": _TIME}),
+    "from-filter": (_from_filter, {
+        "order": parse_count,
+        "passband_low": _FREQUENCY,
+        "passband_high": _FREQUENCY,
+        "sample_period": _TIME,
+        "pulse_duration": _TIME,
+        "peak_amplitude": _CURRENT,
+        "amps_per_volt": _NUMBER,
+        "time_offset": _TIME,
+    }),
+}
+_DETECTOR = (DetectorModel, {"shunt_enabled": _FLAG, "latch_policy": _TEXT})
+_STIMULI = {
+    "none": (StimulusConfig.none, {}),
+    "periodic": (StimulusConfig.periodic, {"rate": _FREQUENCY, "mean_photons": _NUMBER}),
+    "double-pulse": (StimulusConfig.double_pulse,
+                     {"separation": _TIME, "mean_photons": _NUMBER, "window": _TIME}),
+}
+_RUN = (RunConfig, {"duration": _TIME, "seed": parse_count, "output": _TEXT})
+_SECTIONS = ("circuit", "rates", "kernel", "detector", "stimulus", "run")
+
+# the config keys named apart from their constructor argument
+_ARGUMENT = {"dark_rate_slope_per_amp": "dark_rate_slope",
+             "efficiency_slope_per_amp": "efficiency_slope"}
 
 
-def _build_kernel(section: dict, circuit_params: circ.CircuitParams):
-    name = "kernel"
-    kind = str(_take(section, name, "type", "gaussian" if section else "none")).lower()
-    if kind == "none":
-        _reject_unknown(section, name)
-        return None
-    if kind == "gaussian":
-        kernel = circ.gaussian_kernel(
-            amplitude=_q(section, name, "amplitude", "current"),
-            center=_q(section, name, "center", "time", 180e-9),
-            width=_q(section, name, "width", "time", 40e-9),
-        )
-        _reject_unknown(section, name)
-        return kernel
-    if kind == "from-filter":
-        spec = circ.FilterSpec(
-            order=int(_take(section, name, "order", 4)),
-            passband_low=_q(section, name, "passband_low", "frequency"),
-            passband_high=_q(section, name, "passband_high", "frequency"),
-        )
-        sample_period = _q(section, name, "sample_period", "time", circ.DEFAULT_SAMPLE_PERIOD)
-        pulse_duration = _q(section, name, "pulse_duration", "time", 2e-6)
-        peak = section.pop("peak_amplitude", None)
-        coupling = section.pop("amps_per_volt", None)
-        offset = _q(section, name, "time_offset", "time", 0.0)
-        _reject_unknown(section, name)
-        cascade = circ.design_bandpass(spec, sample_period)
-        pulse = circ.readout_pulse(
-            circuit_params, sample_period, pulse_duration, cascade=cascade
-        )
-        return circ.overshoot_kernel(
-            pulse,
-            peak_amplitude=None if peak is None else parse_quantity(peak, "current", "kernel.peak_amplitude"),
-            amps_per_volt=None if coupling is None else float(coupling),
-            time_offset=offset,
-        )
-    raise ConfigError(f"kernel: unknown type {kind!r}")
+def _mapping(name: str, raw) -> dict:
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name}: expected a mapping of keys, got {raw!r}")
+    return dict(raw)
 
 
-def _build_stimulus(section: dict) -> StimulusConfig:
-    name = "stimulus"
-    mode = str(_take(section, name, "mode", "none")).lower()
-    if mode == "none":
-        _reject_unknown(section, name)
-        return StimulusConfig.none()
-    if mode == "periodic":
-        config = StimulusConfig.periodic(
-            rate=_q(section, name, "rate", "frequency"),
-            mean_photons=float(_take(section, name, "mean_photons")),
-        )
-        _reject_unknown(section, name)
-        return config
-    if mode == "double-pulse":
-        config = StimulusConfig.double_pulse(
-            separation=_q(section, name, "separation", "time"),
-            mean_photons=float(_take(section, name, "mean_photons")),
-            window=_q(section, name, "window", "time", 2e-6),
-        )
-        _reject_unknown(section, name)
-        return config
-    raise ConfigError(f"stimulus: unknown mode {mode!r}")
+def _variant(name: str, raw, selector: str, default: str, variants: dict):
+    """The keys of a section whose `selector` key picks its schema; an
+    empty section picks "none"."""
+    section = _mapping(name, raw)
+    kind = section.pop(selector, default if section else "none")
+    kind = _TEXT(kind, f"{name}.{selector}").lower()
+    if kind not in variants:
+        raise ConfigError(f"{name}: unknown {selector} {kind!r}")
+    return section, variants[kind]
+
+
+def _read(name: str, raw, schema, **built):
+    """Build one section: convert each key the file gives by its rule and
+    call the constructor with them, plus those objects of `built` (the
+    sections read before) that the constructor takes."""
+    build, rules = schema
+    section = _mapping(name, raw)
+    params = inspect.signature(build).parameters
+    kwargs = {key: value for key, value in built.items() if key in params}
+    for key, value in section.items():
+        if key not in rules:
+            raise ConfigError(f"{name}: unknown key {key!r}")
+        kwargs[_ARGUMENT.get(key, key)] = rules[key](value, f"{name}.{key}")
+    for key in rules:
+        param = params.get(_ARGUMENT.get(key, key))
+        if param is not None and param.default is param.empty and param.name not in kwargs:
+            raise ConfigError(f"{name}: missing required key {key!r}")
+    try:
+        return build(**kwargs)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path, "r") as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path, "r") as fh:
+            raw = yaml.safe_load(fh)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer of over 4300 digits
+        raise ConfigError(f"{path}: not a valid YAML file: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a mapping of sections")
-    digest = hashlib.sha256(
-        json.dumps(raw, sort_keys=True, separators=(",", ":"), default=str).encode()
-    ).hexdigest()[:16]
+    try:
+        canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"), default=str)
+    except TypeError:  # keys of mixed types cannot be sorted
+        raise ConfigError("config keys must be strings") from None
+    digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown section {sorted(unknown)[0]!r}")
-    for section_name in ("circuit", "rates", "run"):
-        if section_name not in raw:
-            raise ConfigError(f"missing required section {section_name!r}")
-    sections = {k: dict(raw.get(k) or {}) for k in _SECTIONS}
 
-    circuit_params = _build_circuit(sections["circuit"])
-    rates = _build_rates(sections["rates"])
-    kernel = _build_kernel(sections["kernel"], circuit_params)
-
-    det = sections["detector"]
-    shunt = bool(_take(det, "detector", "shunt_enabled", True))
-    latch = str(_take(det, "detector", "latch_policy", "none"))
-    _reject_unknown(det, "detector")
-
-    model = DetectorModel(
-        circuit=circuit_params,
-        rates=rates,
-        kernel=kernel,
-        shunt_enabled=shunt,
-        latch_policy=latch,
-    )
-    stimulus = _build_stimulus(sections["stimulus"])
-
-    run = sections["run"]
-    duration = _q(run, "run", "duration", "time")
-    seed = int(_take(run, "run", "seed", 0))
-    output = _take(run, "run", "output", None)
-    _reject_unknown(run, "run")
-    if duration < 0:
-        raise ConfigError("run.duration must be non-negative")
-
-    return RunConfig(
-        model=model,
-        stimulus=stimulus,
-        duration=duration,
-        seed=seed,
-        output=None if output is None else str(output),
-        digest=digest,
-    )
+    circuit = _read("circuit", raw.get("circuit"), _CIRCUIT)
+    rates = _read("rates", raw.get("rates"), _RATES)
+    kernel_keys = _variant("kernel", raw.get("kernel"), "type", "gaussian", _KERNELS)
+    kernel = _read("kernel", *kernel_keys, circuit=circuit)
+    model = _read("detector", raw.get("detector"), _DETECTOR,
+                  circuit=circuit, rates=rates, kernel=kernel)
+    stimulus = _read("stimulus", *_variant("stimulus", raw.get("stimulus"), "mode", "none", _STIMULI))
+    return _read("run", raw.get("run"), _RUN, model=model, stimulus=stimulus, digest=digest)

@@ -108,9 +108,7 @@ def overshoot_coupling(sample_period: float = circuit.DEFAULT_SAMPLE_PERIOD):
     readout overshoot reproduce the calibrated kernel: amplitude pinned to
     the profile value, peak moved to 180 ns (the readout transient and the
     bias perturbation peak at different times)."""
-    cascade = circuit.design_bandpass(NARROW_BAND, sample_period)
-    pulse = circuit.readout_pulse(profile_circuit(), sample_period, 2e-6, cascade=cascade)
-    raw = circuit.overshoot_kernel(pulse, amps_per_volt=1.0)
+    raw = circuit.amplifier_kernel(profile_circuit(), NARROW_BAND, sample_period, amps_per_volt=1.0)
     peak_volts = raw.peak
     peak_time = float(np.argmax(raw.samples)) * raw.sample_period
     return KERNEL_AMPLITUDE / peak_volts, KERNEL_CENTER - peak_time
@@ -537,10 +535,9 @@ def fig11(seed: int):
     """High-bias dark run with the wide-band amplifier: the readout
     overshoot collapses, taking the afterpulse peak with it."""
     amps_per_volt, offset = overshoot_coupling()
-    sp = circuit.DEFAULT_SAMPLE_PERIOD
-    wide = circuit.design_bandpass(WIDE_BAND, sp)
-    pulse = circuit.readout_pulse(profile_circuit(25.2e-6), sp, 2e-6, cascade=wide)
-    kernel = circuit.overshoot_kernel(pulse, amps_per_volt=amps_per_volt, time_offset=offset)
+    kernel = circuit.amplifier_kernel(
+        profile_circuit(25.2e-6), WIDE_BAND, amps_per_volt=amps_per_volt, time_offset=offset
+    )
     model = dataclasses.replace(profile_model(25.2e-6), kernel=kernel)
     stream, fine, fit = _fine_histogram_run(model, (11,), seed)
     tables = {"histogram": functools.partial(analysis.write_histogram_csv, fine)}

@@ -1,11 +1,13 @@
 """Parsing of unit-suffixed physical quantities ("0.1ms", "25 uA", "15 MHz").
 
 Config files and CLI flags accept either a bare number, interpreted in the
-SI base unit of the field, or a string with an SI-prefixed unit suffix.
+SI base unit of the field, or a string with an SI-prefixed unit suffix. The
+dimension "number" is a dimensionless value and takes no suffix.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ConfigError
@@ -24,8 +26,9 @@ _PREFIXES = {
     "T": 1e12,
 }
 
-# base-unit spellings accepted for each dimension
+# base-unit spellings accepted for each dimension; a bare number takes none
 _UNITS = {
+    "number": (),
     "time": ("s",),
     "frequency": ("Hz",),
     "current": ("A",),
@@ -44,13 +47,15 @@ def parse_quantity(value, dimension: str, field: str = "value") -> float:
     Bare numbers are taken as already being in the base unit.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        value = str(value)  # the exact decimal form; "inf" and "nan" do not parse
     if not isinstance(value, str):
         raise ConfigError(f"{field}: expected a number or quantity string, got {value!r}")
     m = _NUMBER.match(value)
     if m is None:
-        raise ConfigError(f"{field}: cannot parse quantity {value!r}")
+        raise ConfigError(f"{field}: cannot parse {value!r}")
     number, suffix = float(m.group(1)), m.group(2)
+    if not math.isfinite(number):  # "1e999", or an integer beyond float range
+        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
     if suffix == "":
         return number
     try:
@@ -66,9 +71,5 @@ def parse_quantity(value, dimension: str, field: str = "value") -> float:
                 return number * _PREFIXES[prefix]
     raise ConfigError(
         f"{field}: unit {suffix!r} does not match expected dimension "
-        f"{dimension!r} (base unit {_UNITS[dimension][0]!r})"
+        f"{dimension!r} (base units: {', '.join(units) or 'none'})"
     )
-
-
-def parse_time(value, field: str = "time") -> float:
-    return parse_quantity(value, "time", field)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CircuitParams, PerturbationKernel, nanowire_current
+from .circuit import MAX_KERNEL_DURATION, CircuitParams, PerturbationKernel, nanowire_current
 from .errors import ConfigError, SimulationError
 
 PS_PER_SECOND = 1e12
@@ -75,7 +75,7 @@ class DetectorModel:
     def __post_init__(self):
         if self.latch_policy not in (LATCH_NONE, LATCH_PERMANENT):
             raise ConfigError(f"unknown latch_policy {self.latch_policy!r}")
-        if self.kernel is not None and self.kernel.duration > 2e-6 * (1 + 1e-9):
+        if self.kernel is not None and self.kernel.duration > MAX_KERNEL_DURATION * (1 + 1e-9):
             raise ConfigError("kernel duration must not exceed 2 us")
 
     @property

@@ -170,6 +170,17 @@ def _read_binary(path) -> TimeTagStream:
     return _split_channels(records["channel"], stamps, int(duration_ps), metadata)
 
 
+def _load_int64(lines, dtype) -> np.ndarray:
+    """Comma-separated int64 fields by NumPy: the CSV twin's one integer rule."""
+    with warnings.catch_warnings():
+        # a header-only file is an empty stream, not a suspicious one
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # older NumPy parses "5.7" or a 20-digit integer as a float, truncates it
+        # and only warns; as an error the warning becomes loadtxt's ValueError
+        warnings.filterwarnings("error", category=DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", ndmin=1)
+
+
 def _read_csv(path) -> TimeTagStream:
     duration_ps = None
     metadata: dict = {}
@@ -180,7 +191,7 @@ def _read_csv(path) -> TimeTagStream:
                 body = line[1:].strip()
                 if body.startswith("duration_ps="):
                     try:
-                        duration_ps = int(body.split("=", 1)[1])
+                        (duration_ps,) = _load_int64([body.split("=", 1)[1]], np.int64).tolist()
                     except ValueError:
                         raise FormatError(f"line {lineno}: bad duration_ps") from None
                 elif body.startswith("metadata="):
@@ -194,13 +205,7 @@ def _read_csv(path) -> TimeTagStream:
         else:
             raise FormatError("missing 'channel,timestamp_ps' header line")
         try:
-            with warnings.catch_warnings():
-                # a header-only file is an empty stream, not a suspicious one
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                # older NumPy parses "5.7" or a 20-digit integer as a float, truncates it
-                # and only warns; as an error the warning becomes loadtxt's ValueError
-                warnings.filterwarnings("error", category=DeprecationWarning)
-                rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", ndmin=1)
+            rows = _load_int64(fh, _CSV_ROW)
         except ValueError as exc:
             msg = f"line {lineno} is the header; rows are counted after it: {exc}"
             raise FormatError(msg) from None

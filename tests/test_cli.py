@@ -73,6 +73,34 @@ def test_seed_env_var(config_path, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, env",
+    [
+        (["simulate", "--seed", "-2"], None),
+        (["reproduce", "figA2", "--seed", "-1"], None),
+        (["simulate"], "abc"),
+        (["reproduce", "figA2"], "abc"),
+    ],
+    ids=["simulate-flag-negative", "reproduce-flag-negative", "simulate-env-word",
+         "reproduce-env-word"],
+)
+def test_bad_seed_is_error(config_path, tmp_path, monkeypatch, capsys, command, env):
+    if env is not None:
+        monkeypatch.setenv("SNSPD_SIM_SEED", env)
+    if command[0] == "simulate":
+        command = command + ["--config", str(config_path)]
+    assert main(command + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-negative integer" in err
+
+
+def test_malformed_config_is_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(CONFIG.format(duration="[0.5 s"))
+    assert main(["simulate", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_zero_duration_gives_empty_stream(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(CONFIG.format(duration="0 s"))

@@ -78,14 +78,15 @@ def nptt_with_metadata(meta: bytes) -> bytes:
     "name, content, error",
     [
         ("duration.csv", b"# duration_ps=abc\nchannel,timestamp_ps\n0,5\n", FormatError),
+        ("underscore.csv", b"# duration_ps=1_000\nchannel,timestamp_ps\n0,5\n", FormatError),
         ("json.csv", b"# metadata={oops\nchannel,timestamp_ps\n0,5\n", FormatError),
         ("list.csv", b"# metadata=[1,2]\nchannel,timestamp_ps\n0,5\n", FormatError),
         ("negative.csv", b"# duration_ps=-5\nchannel,timestamp_ps\n", StreamValidationError),
         ("overflow.csv", b"channel,timestamp_ps\n0,12345678901234567890\n", FormatError),
         ("utf8.nptt", nptt_with_metadata(b'{"k":"\xff"}'), FormatError),
     ],
-    ids=["duration-abc", "metadata-bad-json", "metadata-list", "duration-negative",
-         "timestamp-overflow", "nptt-metadata-not-utf8"],
+    ids=["duration-abc", "duration-underscore", "metadata-bad-json", "metadata-list",
+         "duration-negative", "timestamp-overflow", "nptt-metadata-not-utf8"],
 )
 def test_malformed_file_raises_package_error(tmp_path, name, content, error):
     path = tmp_path / name
