@@ -10,19 +10,26 @@ import time
 from pathlib import Path
 
 from snspdsim import presets
+from snspdsim.config import parse_count
+from snspdsim.errors import ConfigError
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("out_dir", nargs="?", default="out/figures")
-    parser.add_argument("--seed", type=int, default=presets.DEFAULT_SEED)
+    parser.add_argument("--seed", default=presets.DEFAULT_SEED)
     args = parser.parse_args()
+    try:
+        seed = parse_count(args.seed, "--seed")
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     out_root = Path(args.out_dir)
     all_passed = True
     for figure, runner in presets.FIGURES.items():
         t0 = time.perf_counter()
-        report = runner(out_root / figure, seed=args.seed)
+        report = runner(out_root / figure, seed=seed)
         elapsed = time.perf_counter() - t0
         status = "ok" if report.passed else "FAILED"
         print(f"{figure:6s} {status:6s} ({elapsed:5.1f} s)")

@@ -109,6 +109,19 @@ class ExpFit:
         return c * (math.exp(-lam * lo_s) - math.exp(-lam * hi_s))
 
 
+def weighted_line_fit(x, y, w):
+    """Least-squares line y = intercept + slope * x with weights w (1/sigma^2);
+    returns slope, intercept and the weighted R^2."""
+    x, y, w = (np.asarray(a, dtype=np.float64) for a in (x, y, w))
+    slope, intercept = np.polyfit(x, y, 1, w=np.sqrt(w))
+    y_hat = intercept + slope * x
+    y_bar = np.average(y, weights=w)
+    ss_res = np.sum(w * (y - y_hat) ** 2)
+    ss_tot = np.sum(w * (y - y_bar) ** 2)
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, intercept, r2
+
+
 def fit_exponential(
     hist: Histogram, discard_first: int = 1, min_bin_count: int = 10
 ) -> ExpFit:
@@ -122,17 +135,13 @@ def fit_exponential(
         raise FitError(
             f"only {int(usable.sum())} usable bins after discards; need at least 5"
         )
-    x = hist.bin_centers_seconds[usable]
-    y = np.log(counts[usable].astype(np.float64))
-    w = counts[usable].astype(np.float64)
-    slope, intercept = np.polyfit(x, y, 1, w=np.sqrt(w))
+    slope, intercept, r2 = weighted_line_fit(
+        hist.bin_centers_seconds[usable],
+        np.log(counts[usable].astype(np.float64)),
+        counts[usable].astype(np.float64),
+    )
     if slope >= 0:
         raise FitError("histogram does not decay; fitted rate would be non-positive")
-    y_hat = intercept + slope * x
-    y_bar = np.average(y, weights=w)
-    ss_res = np.sum(w * (y - y_hat) ** 2)
-    ss_tot = np.sum(w * (y - y_bar) ** 2)
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     used = idx[usable]
     return ExpFit(
         rate=-float(slope),
@@ -265,10 +274,6 @@ class RecoveryCurve:
         object.__setattr__(self, "stat_error", np.asarray(self.stat_error, float))
         if sep.size and np.any(np.diff(sep) <= 0):
             raise ValueError("separations must be strictly increasing")
-
-    @property
-    def separations_seconds(self) -> np.ndarray:
-        return self.separations_ps * PS
 
 
 def second_pulse_efficiency(

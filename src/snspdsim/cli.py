@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="2000ns",
         help="sync window length for conditional/recovery analyses",
     )
-    ana.add_argument("--acceptance-bin", default="4ns", help="recovery acceptance bin (< 5 ns)")
+    ana.add_argument("--acceptance-bin", default="4ns", help="recovery acceptance bin (at most 5 ns)")
     ana.add_argument("--neighbors", type=int, default=2, help="background bins per side")
     ana.add_argument("--ratio", choices=("first-detected", "first-only"), default="first-detected")
     ana.add_argument("--discard-first", type=int, default=1)

@@ -38,8 +38,6 @@ from .simulation import (
 )
 from .tables import write_csv
 
-PROFILE_VERSION = "snspd-profile-1"
-
 CRITICAL_CURRENT = 25.3e-6
 REFERENCE_BIAS = 25.0e-6
 DARK_RATE_REF = 3200.0
@@ -147,23 +145,6 @@ class PresetReport:
         with open(path, "w") as fh:
             for line in self.lines():
                 fh.write(line + "\n")
-
-
-def _line_fit(x, y, sigma):
-    """Weighted straight-line fit; returns slope, intercept, R^2."""
-    x, y = np.asarray(x, float), np.asarray(y, float)
-    w = 1.0 / np.asarray(sigma, float) ** 2
-    sw, sx, sy = w.sum(), (w * x).sum(), (w * y).sum()
-    sxx, sxy = (w * x * x).sum(), (w * x * y).sum()
-    delta = sw * sxx - sx**2
-    slope = (sw * sxy - sx * sy) / delta
-    intercept = (sxx * sy - sx * sxy) / delta
-    y_hat = intercept + slope * x
-    y_bar = sy / sw
-    ss_res = (w * (y - y_hat) ** 2).sum()
-    ss_tot = (w * (y - y_bar) ** 2).sum()
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return slope, intercept, r2
 
 
 def _dark_run(model: DetectorModel, duration, seed) -> TimeTagStream:
@@ -335,8 +316,8 @@ def fig6(seed: int):
     usable = [(b, p, s) for b, p, s in rows if p > 0]
     x = [b for b, _, _ in usable]
     y = [math.log(p) for _, p, _ in usable]
-    sig = [s / p for _, p, s in usable]
-    slope, _, r2 = _line_fit(x, y, sig)
+    w = [(p / s) ** 2 for _, p, s in usable]
+    slope, _, r2 = analysis.weighted_line_fit(x, y, w)
     checks = [
         Check("positive-slope", slope > 0, f"slope {slope:.3e} /A"),
         Check("log-linear", r2 > 0.95, f"R^2 = {r2:.4f}"),
@@ -395,10 +376,10 @@ def fig8(seed: int):
         rows.append((bias, ratio, err, n1, n2))
     tables = {"ratio": ("bias_a,ratio,err", [(b, r, e) for b, r, e, _, _ in rows])}
     usable = [(b, r, e) for b, r, e, _, n2 in rows if n2 >= 10]
-    slope, _, r2 = _line_fit(
+    slope, _, r2 = analysis.weighted_line_fit(
         [b for b, _, _ in usable],
         [math.log(r) for _, r, _ in usable],
-        [e / r for _, r, e in usable],
+        [(r / e) ** 2 for _, r, e in usable],
     )
     checks = [
         Check("positive-slope", slope > 0, f"slope {slope:.3e} /A"),

@@ -102,6 +102,13 @@ class DetectorModel:
         }
 
 
+def _whole_ps(ps: float) -> int:
+    """A time in ps, rounded to whole ps; beyond float range it has none."""
+    if not math.isfinite(ps):
+        raise ConfigError(f"stimulus time of {ps!r} ps is out of range")
+    return round(ps)
+
+
 @dataclass(frozen=True)
 class StimulusConfig:
     mode: str = MODE_NONE
@@ -115,18 +122,31 @@ class StimulusConfig:
             raise ConfigError(f"unknown stimulus mode {self.mode!r}")
         if self.mean_photons < 0:
             raise ConfigError("mean_photons must be non-negative")
-        if self.mode == MODE_PERIODIC and self.rate <= 0:
-            raise ConfigError("periodic stimulus needs rate > 0")
+        # pulse times are whole ps, so each time is checked once rounded
+        if self.mode == MODE_PERIODIC and not (self.rate > 0 and self.period_ps >= 1):
+            raise ConfigError(
+                f"periodic stimulus needs a period of at least 1 ps, got rate {self.rate!r} Hz"
+            )
         if self.mode == MODE_DOUBLE_PULSE:
-            if self.separation <= 0:
-                raise ConfigError("double-pulse separation must be positive")
-            if self.window <= 0:
-                raise ConfigError("double-pulse window must be positive")
-            if self.separation >= self.window:
+            if self.window_ps < 1:
+                raise ConfigError(f"double-pulse window must be at least 1 ps, got {self.window!r} s")
+            if not 0 < self.separation_ps < self.window_ps:
                 raise ConfigError(
-                    f"separation {self.separation:.3e} s must be smaller than "
-                    f"the {self.window:.3e} s window"
+                    f"double-pulse separation must round to 1 ps or more and stay below "
+                    f"the {self.window_ps} ps window, got {self.separation!r} s"
                 )
+
+    @property
+    def period_ps(self) -> int:
+        return _whole_ps(PS_PER_SECOND / self.rate)
+
+    @property
+    def window_ps(self) -> int:
+        return _whole_ps(self.window * PS_PER_SECOND)
+
+    @property
+    def separation_ps(self) -> int:
+        return _whole_ps(self.separation * PS_PER_SECOND)
 
     @classmethod
     def none(cls) -> "StimulusConfig":
@@ -153,8 +173,8 @@ class StimulusConfig:
             out["rate_hz"] = self.rate
             out["mean_photons"] = self.mean_photons
         elif self.mode == MODE_DOUBLE_PULSE:
-            out["separation_ps"] = int(round(self.separation * PS_PER_SECOND))
-            out["window_ps"] = int(round(self.window * PS_PER_SECOND))
+            out["separation_ps"] = self.separation_ps
+            out["window_ps"] = self.window_ps
             out["mean_photons"] = self.mean_photons
         return out
 
@@ -177,19 +197,17 @@ def make_stimulus(config: StimulusConfig, duration: float) -> StimulusTrain:
         return StimulusTrain(empty, empty)
     duration_ps = int(round(duration * PS_PER_SECOND))
     if config.mode == MODE_PERIODIC:
-        period_ps = int(round(PS_PER_SECOND / config.rate))
+        period_ps = config.period_ps
         n = (duration_ps + period_ps - 1) // period_ps
         times = np.arange(n, dtype=np.int64) * period_ps
         times = times[times < duration_ps]
         return StimulusTrain(times, times)
     # double-pulse frames
-    window_ps = int(round(config.window * PS_PER_SECOND))
-    sep_ps = int(round(config.separation * PS_PER_SECOND))
-    n = duration_ps // window_ps
-    starts = np.arange(n, dtype=np.int64) * window_ps
+    n = duration_ps // config.window_ps
+    starts = np.arange(n, dtype=np.int64) * config.window_ps
     pulses = np.empty(2 * n, dtype=np.int64)
     pulses[0::2] = starts
-    pulses[1::2] = starts + sep_ps
+    pulses[1::2] = starts + config.separation_ps
     pulses = pulses[pulses < duration_ps]
     return StimulusTrain(pulses, starts[starts < duration_ps])
 
@@ -318,6 +336,12 @@ def simulate(
     in a quiet stretch the pulse outcomes are independent of each other and
     of the dark process.
 
+    Dark and laser clicks are recorded by one path with one rule: a click
+    rounds to a whole ps, and one that lands on or before the ps of the
+    previous click is a sub-ps coincidence the tagger cannot resolve, so it
+    is dropped; the click that is kept starts its kernel and, on an
+    unshunted detector, the latch scan.
+
     `metadata["engine"]` carries deterministic work counters: uniforms
     drawn, pulses evaluated one by one, pulses stepped over by a geometric
     draw (the clicking pulse it lands on included), and sub-ps coincident
@@ -408,9 +432,8 @@ def _run_engine(
     active: list[float] = []      # click times with a live kernel
     t_last = -1.0                 # most recent click, <0 means none yet
     t = 0.0
-    pulse_idx = 0                 # first pulse not yet resolved
     latched = False
-    evaluated = skipped = dropped = 0
+    evaluated = dropped = 0
 
     def click_probability(bias: float) -> float:
         eta = eta_max * exp(g_eta * (bias - i_ref))
@@ -422,12 +445,6 @@ def _run_engine(
     # stretch clicks with this one probability
     p_quiet = click_probability(i_b)
     log_miss = math.log1p(-p_quiet) if 0.0 < p_quiet < 1.0 else 0.0
-
-    def pulse_at(idx: int) -> tuple[int, float]:
-        if idx < n_pulses:
-            when_ps = int(pulses_ps[idx])
-            return when_ps, when_ps * 1e-12
-        return -1, math.inf
 
     # the scalar form of the effective-bias law (circuit.nanowire_current
     # plus the kernels), the engine's only one. It stays scalar math.exp in
@@ -453,8 +470,17 @@ def _run_engine(
                 i += ksamp[j] * (1.0 - f) + ksamp[j + 1] * f
         return i
 
-    def register_click(when: float, when_ps: int) -> None:
-        nonlocal t_last, latched
+    duration_ps = round(duration * PS_PER_SECOND)
+
+    # every click, dark or laser, is recorded here
+    def click(when: float, when_ps: int) -> None:
+        nonlocal t_last, latched, dropped
+        # sub-ps coincidences cannot be resolved; drop them
+        if out_ps and when_ps <= out_ps[-1]:
+            dropped += 1
+            return
+        if when_ps > duration_ps:
+            return
         out_ps.append(when_ps)
         t_last = when
         if kernel is not None:
@@ -466,13 +492,17 @@ def _run_engine(
                         latched = True
                         return
 
-    duration_ps = round(duration * PS_PER_SECOND)
+    def pulse_time(idx: int) -> float:
+        return int(pulses_ps[idx]) * 1e-12 if idx < n_pulses else math.inf
+
     next_uniform = uniforms.next
-    # the next pulse to act on: pulse_idx, or while skipping the pulse the
-    # geometric draw lands on (n_pulses when none of the rest clicks)
-    due = 0
-    due_ps, due_s = pulse_at(0)
-    skipping = False
+    # the pulse cursor: the next pulse to act on and its time. `landed`
+    # marks a quiet stretch: a geometric draw put the cursor on the pulse
+    # that clicks (or past the last pulse), and the pulses before it are
+    # stepped over
+    nxt = 0
+    nxt_s = pulse_time(0)
+    landed = False
 
     while not latched:
         # adaptive thinning envelope: recovery never exceeds I_b, and each
@@ -489,44 +519,35 @@ def _run_engine(
             continue
         proposal = t + gap
 
-        if due_s <= proposal:
-            t = due_s
-            t_ps = due_ps
-            if not skipping:
-                if t_last < 0 or t - t_last >= t_quiet:
-                    # quiescent: the number of quiet pulses before the next
-                    # one that clicks is geometric in p_quiet
-                    skipping = True
-                    if p_quiet <= 0.0:
-                        due = n_pulses
-                    elif p_quiet < 1.0:
-                        misses = log(1.0 - next_uniform()) / log_miss
-                        if misses < n_pulses - pulse_idx:
-                            due = pulse_idx + int(misses)
-                        else:
-                            due = n_pulses
-                    if due > pulse_idx:
-                        due_ps, due_s = pulse_at(due)
-                        continue
-            if skipping:
-                skipped += due + 1 - pulse_idx
-                skipping = False
+        if nxt_s <= proposal:
+            t = nxt_s
+            if not landed and (t_last < 0 or t - t_last >= t_quiet):
+                # quiescent: the number of quiet pulses before the next
+                # one that clicks is geometric in p_quiet
+                landed = True
+                if p_quiet <= 0.0:
+                    misses = math.inf
+                elif p_quiet < 1.0:
+                    misses = log(1.0 - next_uniform()) / log_miss
+                else:
+                    misses = 0.0
+                if misses >= 1.0:
+                    nxt = nxt + int(misses) if misses < n_pulses - nxt else n_pulses
+                    nxt_s = pulse_time(nxt)
+                    continue
+            if landed:
+                landed = False
                 clicked = True
             else:
                 evaluated += 1
                 clicked = next_uniform() < click_probability(bias_at(t))
-            pulse_idx = due = due + 1
-            due_ps, due_s = pulse_at(due)
             if clicked:
-                if not out_ps or t_ps > out_ps[-1]:
-                    register_click(t, t_ps)
-                else:
-                    dropped += 1
+                click(t, int(pulses_ps[nxt]))
+            nxt += 1
+            nxt_s = pulse_time(nxt)
             continue
 
         if proposal >= duration:
-            if skipping:
-                skipped += n_pulses - pulse_idx
             break
         t = proposal
         rate = r_ref * exp(g_dark * (bias_at(t) - i_ref))
@@ -536,20 +557,16 @@ def _run_engine(
                 f"> envelope {envelope:.3e}"
             )
         if next_uniform() * envelope <= rate:
-            t_ps = round(t * PS_PER_SECOND)
-            # sub-ps coincidences cannot be resolved; drop them
-            if out_ps and t_ps <= out_ps[-1]:
-                dropped += 1
-            elif t_ps <= duration_ps:
-                register_click(t, t_ps)
-        if skipping:
+            click(t, round(t * PS_PER_SECOND))
+        if landed:
             # the quiet pulses up to this dark event did not click; the
             # ones after it are evaluated afresh from the new state
-            resume = int(np.searchsorted(pulses_ps, round(t * PS_PER_SECOND), side="right"))
-            skipped += resume - pulse_idx
-            pulse_idx = due = resume
-            due_ps, due_s = pulse_at(due)
-            skipping = False
+            nxt = int(np.searchsorted(pulses_ps, round(t * PS_PER_SECOND), side="right"))
+            nxt_s = pulse_time(nxt)
+            landed = False
 
+    # every pulse before the cursor was evaluated or stepped over, and so
+    # is every pulse after it when the run ends inside a quiet stretch
+    skipped = (n_pulses if landed else nxt) - evaluated
     counters = dict(zip(ENGINE_COUNTERS, (uniforms.drawn, evaluated, skipped, dropped)))
     return np.asarray(out_ps, dtype=np.int64), counters

@@ -19,6 +19,7 @@ from snspdsim.analysis import (
     interarrival_histogram,
     recovery_curve,
     second_pulse_efficiency,
+    weighted_line_fit,
 )
 from snspdsim.errors import ConfigError, FitError
 from snspdsim.simulation import StimulusConfig, TimeTagStream, simulate
@@ -89,6 +90,28 @@ class TestInterarrivalHistogram:
         counts, total = naive_interarrival_histogram(events, 40_000, 1_000_000)
         assert hist.counts.tolist() == counts
         assert hist.total_events == total
+
+
+class TestWeightedLineFit:
+    def test_matches_normal_equations(self):
+        # a fig6-like sweep: bias in amps against a noisy log-probability
+        rng = np.random.default_rng(2)
+        x = 23.0e-6 + 0.2e-6 * np.arange(12)
+        y = -6.0 + 2.1e6 * (x - 23.0e-6) + rng.normal(0, 0.05, x.size)
+        w = rng.uniform(50, 400, x.size)
+        slope, intercept, r2 = weighted_line_fit(x, y, w)
+        sw, sx, sy = w.sum(), (w * x).sum(), (w * y).sum()
+        sxx, sxy = (w * x * x).sum(), (w * x * y).sum()
+        delta = sw * sxx - sx**2
+        assert slope == pytest.approx((sw * sxy - sx * sy) / delta, rel=1e-6)
+        assert intercept == pytest.approx((sxx * sy - sx * sxy) / delta, rel=1e-6)
+        ss_res = (w * (y - intercept - slope * x) ** 2).sum()
+        ss_tot = (w * (y - sy / sw) ** 2).sum()
+        assert r2 == pytest.approx(1 - ss_res / ss_tot, rel=1e-9)
+
+    def test_exact_line(self):
+        slope, intercept, r2 = weighted_line_fit([0, 1, 2, 3], [1, 3, 5, 7], [1, 2, 3, 4])
+        assert (slope, intercept, r2) == (pytest.approx(2.0), pytest.approx(1.0), pytest.approx(1.0))
 
 
 class TestFitExponential:

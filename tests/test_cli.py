@@ -1,12 +1,19 @@
-"""End-to-end CLI tests, run in-process through main()."""
+"""End-to-end CLI tests, run in-process through main(), and the scripts'
+argument checks, run as subprocesses."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snspdsim
 from snspdsim import timetags
 from snspdsim.cli import main
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 CONFIG = """
 circuit:
@@ -107,6 +114,13 @@ def test_zero_duration_gives_empty_stream(tmp_path):
     out = tmp_path / "run.nptt"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert timetags.read_stream(out).detector_events.size == 0
+
+
+def test_sub_ps_pulse_period_is_error(config_path, tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(config_path.read_text() + "stimulus:\n  mode: periodic\n  rate: 3 THz\n  mean_photons: 1\n")
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out.nptt")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_invalid_config_reports_field(config_path, tmp_path, capsys):
@@ -262,3 +276,32 @@ def test_analyze_malformed_csv_is_error(tmp_path, capsys):
     bad.write_text("# metadata={oops\nchannel,timestamp_ps\n0,5\n")
     assert main(["analyze", "afterpulse", str(bad), "--out", str(tmp_path / "a.csv")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def run_script(cwd, name, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(snspdsim.__file__).parents[1]))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          cwd=cwd, capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("reproduce_all.py", ["--seed", "-1"], "non-negative integer"),
+        ("afterpulse_bias_scan.py", ["--seed", "-1"], "non-negative integer"),
+        ("afterpulse_bias_scan.py", ["--events", "0"], "at least 1"),
+    ],
+)
+def test_script_bad_argument_is_error(tmp_path, script, args, message):
+    done = run_script(tmp_path, script, *args)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and message in done.stderr
+    assert not list(tmp_path.iterdir())  # reproduce_all.py wrote no out/
+
+
+def test_bias_scan_point_without_clicks(tmp_path):
+    # one target click per point: some points see none, and their
+    # afterpulse probability is undefined
+    done = run_script(tmp_path, "afterpulse_bias_scan.py", "--events", "1", "--seed", "1")
+    assert done.returncode == 0, done.stderr
+    assert " nan " in done.stdout

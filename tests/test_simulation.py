@@ -72,6 +72,24 @@ class TestStimulus:
         with pytest.raises(ConfigError):
             StimulusConfig.double_pulse(2.5e-6, 1.0, window=2e-6)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StimulusConfig.periodic(3e12, 1.0),
+            lambda: StimulusConfig.periodic(1e-300, 1.0),
+            lambda: StimulusConfig.double_pulse(0.2e-12, 1.0, window=0.4e-12),
+            lambda: StimulusConfig.double_pulse(0.4e-12, 1.0),
+            lambda: StimulusConfig.double_pulse(0.6e-12, 1.0, window=1e-12),
+        ],
+        ids=["period-0.33ps", "period-beyond-float", "window-0.4ps", "separation-0.4ps",
+             "separation-rounds-onto-window"],
+    )
+    def test_times_are_checked_in_whole_ps(self, make):
+        # pulse times are whole ps: a period or window under 1 ps, or a
+        # separation that rounds to 0 ps or onto the window, has no train
+        with pytest.raises(ConfigError):
+            make()
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             StimulusConfig(mode="strobe")
@@ -397,6 +415,23 @@ class TestEngineCounters:
         assert set(s.metadata["engine"].values()) == {0}
 
 
+def unshunted(bias):
+    return dataclasses.replace(model_at(bias), shunt_enabled=False,
+                               latch_policy="permanent-until-reset")
+
+
+def high_dark_rate(bias, kernel_amplitude=presets.KERNEL_AMPLITUDE):
+    m = model_at(bias, kernel_amplitude)
+    return dataclasses.replace(m, rates=dataclasses.replace(m.rates, dark_rate_ref=1e5))
+
+
+def two_us_kernel(bias):
+    # the profile bump followed by a zero tail out to the 2 us maximum
+    kernel = gaussian_kernel(presets.KERNEL_AMPLITUDE, presets.KERNEL_CENTER,
+                             presets.KERNEL_WIDTH, extent=1000.0)
+    return dataclasses.replace(model_at(bias), kernel=kernel)
+
+
 # (model, stimulus, duration in s, seed) of each pinned run
 PINNED_RUNS = {
     "periodic-0.5MHz-mu10": lambda: (
@@ -408,9 +443,7 @@ PINNED_RUNS = {
     "double-1000ns": lambda: (
         model_at(24.9e-6), StimulusConfig.double_pulse(1000e-9, 1.0), 0.05, 8),
     "unshunted-latching-1MHz": lambda: (
-        dataclasses.replace(model_at(25.2e-6), shunt_enabled=False,
-                            latch_policy="permanent-until-reset"),
-        StimulusConfig.periodic(1e6, 1.0), 0.01, 9),
+        unshunted(25.2e-6), StimulusConfig.periodic(1e6, 1.0), 0.01, 9),
     "null-kernel-1MHz": lambda: (
         model_at(25.0e-6, kernel_amplitude=0.0), StimulusConfig.periodic(1e6, 1.0), 0.02, 3),
     # an identically zero kernel is dropped, so it gives the null-kernel run
@@ -418,10 +451,33 @@ PINNED_RUNS = {
         DetectorModel(presets.profile_circuit(25.0e-6), presets.profile_rates(),
                       gaussian_kernel(0.0)),
         StimulusConfig.periodic(1e6, 1.0), 0.02, 3),
+    # p_quiet = 1: every quiet pulse clicks, no geometric draw
+    "periodic-0.5MHz-mu1e4": lambda: (
+        model_at(25.0e-6), StimulusConfig.periodic(0.5e6, 1e4), 0.004, 1),
+    # p_quiet = 0: a quiet stretch lasts until a dark event ends it
+    "periodic-0.5MHz-mu0": lambda: (
+        model_at(24.9e-6), StimulusConfig.periodic(0.5e6, 0.0), 0.05, 1),
+    # p_quiet ~ 1e-12 at 23.0 uA: dark clicks end the quiet stretches
+    "dark-1e5-23.0uA-0.5MHz": lambda: (
+        high_dark_rate(23.0e-6), StimulusConfig.periodic(0.5e6, 1.0), 0.1, 1),
+    "dark-1e5-23.0uA-0.5MHz-null-kernel": lambda: (
+        high_dark_rate(23.0e-6, 0.0), StimulusConfig.periodic(0.5e6, 1.0), 0.1, 1),
+    "unshunted-dark-24.0uA": lambda: (unshunted(24.0e-6), StimulusConfig.none(), 0.05, 1),
+    # the kernel outlives the 1 us pulse period: no pulse after the first is skipped
+    "kernel-2us-1MHz-mu1e4": lambda: (
+        two_us_kernel(25.0e-6), StimulusConfig.periodic(1e6, 1e4), 0.002, 1),
 }
 
 # SHA-256 of detector_events.tobytes() and metadata["engine"] of each run
 PINNED = {
+    "dark-1e5-23.0uA-0.5MHz": (
+        "eb51f37f753c40dab340c6593a56ef8f6c109c5028436ad295f523bf58e7edd0",
+        {"uniforms": 2075, "pulses_evaluated": 62, "pulses_skipped": 49938, "coincidences_dropped": 0},
+    ),
+    "dark-1e5-23.0uA-0.5MHz-null-kernel": (
+        "ed41cce90bc4e67ad1340ca590770c01e872971f83508641005d2b8256eea914",
+        {"uniforms": 773, "pulses_evaluated": 57, "pulses_skipped": 49943, "coincidences_dropped": 0},
+    ),
     "double-1000ns": (
         "4927e08f6b64496ed5320fb54ce50a4627b22e8040037b90febe84a90f26035c",
         {"uniforms": 14326, "pulses_evaluated": 103, "pulses_skipped": 49897, "coincidences_dropped": 0},
@@ -434,13 +490,29 @@ PINNED = {
         "46d5f2c06c0a7ac29869c830522fe66bbafa6eb27cc7de16b8d754b249ad0868",
         {"uniforms": 17283, "pulses_evaluated": 276, "pulses_skipped": 49724, "coincidences_dropped": 0},
     ),
+    "kernel-2us-1MHz-mu1e4": (
+        "161a3ab1daaf645f68b840cfbc380863224911a5353cc159520db7c5b19c843e",
+        {"uniforms": 68900, "pulses_evaluated": 1999, "pulses_skipped": 1, "coincidences_dropped": 0},
+    ),
     "null-kernel-1MHz": (
         "8833fe8b0e9c5248d72656c6ef64118e8fa96ca56edcc1df581701c50d9a5050",
         {"uniforms": 1924, "pulses_evaluated": 63, "pulses_skipped": 19937, "coincidences_dropped": 0},
     ),
+    "periodic-0.5MHz-mu0": (
+        "351e5e49206816fed31c6c5807f4a6bcd287547a0edd32c99dab09035978a6c8",
+        {"uniforms": 3043, "pulses_evaluated": 45, "pulses_skipped": 24955, "coincidences_dropped": 0},
+    ),
     "periodic-0.5MHz-mu10": (
         "24454ea17fbb43d62371b1253b0a19924095fb7a08a0e34b70286e1ea55d694e",
         {"uniforms": 84662, "pulses_evaluated": 18, "pulses_skipped": 9982, "coincidences_dropped": 0},
+    ),
+    "periodic-0.5MHz-mu1e4": (
+        "e696f0f1ad6d3d392b929fdd8e73f876d5a2ba51c13032db92ac82f864a02f21",
+        {"uniforms": 87102, "pulses_evaluated": 5, "pulses_skipped": 1995, "coincidences_dropped": 0},
+    ),
+    "unshunted-dark-24.0uA": (
+        "40fbce0ac6cfb3104c5ff732e2b8087ea35709b64f58295779160d547a12a6f1",
+        {"uniforms": 2, "pulses_evaluated": 0, "pulses_skipped": 0, "coincidences_dropped": 0},
     ),
     "unshunted-latching-1MHz": (
         "0af9b89223667ee5a809c0c115094f2be1fda816828c458a06454482c5b3a409",
