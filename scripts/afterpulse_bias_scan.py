@@ -27,13 +27,15 @@ def main() -> int:
         seed = parse_count(args.seed, "--seed")
         if args.events < 1:
             raise ConfigError(f"--events: expected at least 1, got {args.events}")
+        # an amplitude of exactly 0 means no kernel
+        models = [presets.profile_model(bias, kernel_amplitude=args.amplitude)
+                  for bias in presets.BIAS_SWEEP]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     print(f"{'bias_uA':>8s} {'total_cps':>10s} {'corrected':>10s} {'p_measured':>11s} {'p_model':>9s}")
-    for k, bias in enumerate(presets.BIAS_SWEEP):
-        model = presets.profile_model(bias, kernel_amplitude=args.amplitude)
+    for k, (bias, model) in enumerate(zip(presets.BIAS_SWEEP, models)):
         duration = args.events / float(model.rates.dark_rate(bias))
         stream = simulate(model, StimulusConfig.none(), duration, presets.subseed(seed, 77, k))
         total, corrected = corrected_dcr(stream.detector_events, stream.duration_ps)

@@ -31,11 +31,11 @@ class Histogram:
     def __post_init__(self):
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
         if self.bin_width_ps <= 0:
-            raise ValueError("bin_width_ps must be positive")
+            raise ConfigError("bin_width_ps must be positive")
         if np.any(self.counts < 0):
-            raise ValueError("counts must be non-negative")
+            raise ConfigError("counts must be non-negative")
         if int(self.counts.sum()) > self.total_events:
-            raise ValueError("sum(counts) cannot exceed total_events")
+            raise ConfigError("sum(counts) cannot exceed total_events")
 
     def __eq__(self, other):
         if not isinstance(other, Histogram):
@@ -68,7 +68,7 @@ def interarrival_histogram(events, bin_width_ps: int, max_time_ps: int) -> Histo
     """
     events = np.asarray(events, dtype=np.int64)
     if bin_width_ps <= 0 or max_time_ps <= 0:
-        raise ValueError("bin_width_ps and max_time_ps must be positive")
+        raise ConfigError("bin_width_ps and max_time_ps must be positive")
     n_bins = -(-max_time_ps // bin_width_ps)  # ceil
     if events.size < 2:
         return Histogram(bin_width_ps, 0, np.zeros(n_bins, np.int64), 0)
@@ -158,6 +158,8 @@ def afterpulse_probability(events, window_ps: int = DEFAULT_WINDOW_PS):
 
     Returns None for an empty stream (the quantity is undefined there).
     """
+    if window_ps <= 0:
+        raise ConfigError(f"afterpulse window must be positive, got {window_ps} ps")
     events = np.asarray(events, dtype=np.int64)
     if events.size == 0:
         return None
@@ -175,7 +177,7 @@ def corrected_dcr(events, duration_ps: int, window_ps: int = DEFAULT_WINDOW_PS):
     afterpulse_probability (0 for an empty stream).
     """
     if duration_ps <= 0:
-        raise ValueError("duration_ps must be positive")
+        raise ConfigError("duration_ps must be positive")
     events = np.asarray(events, dtype=np.int64)
     total = events.size / (duration_ps * PS)
     p = afterpulse_probability(events, window_ps) or 0.0
@@ -193,12 +195,12 @@ class TrainDistribution:
     def __post_init__(self):
         arr = np.asarray(self.counts_by_length, dtype=np.int64)
         if arr.shape != (6,):
-            raise ValueError("counts_by_length must have exactly 6 buckets")
+            raise ConfigError("counts_by_length must have exactly 6 buckets")
         object.__setattr__(self, "counts_by_length", arr)
 
     def count(self, n: int) -> int:
         if not 1 <= n <= 6:
-            raise ValueError("train length bucket must be 1..6 (6 means '6 or more')")
+            raise ConfigError("train length bucket must be 1..6 (6 means '6 or more')")
         return int(self.counts_by_length[n - 1])
 
     @property
@@ -213,6 +215,8 @@ def classify_trains(events, gap_ps: int = DEFAULT_WINDOW_PS) -> TrainDistributio
     of the train's current last click; every click belongs to exactly one
     train.
     """
+    if gap_ps <= 0:
+        raise ConfigError(f"train gap must be positive, got {gap_ps} ps")
     events = np.asarray(events, dtype=np.int64)
     counts = np.zeros(6, dtype=np.int64)
     if events.size:
@@ -273,7 +277,7 @@ class RecoveryCurve:
         object.__setattr__(self, "efficiency", np.asarray(self.efficiency, float))
         object.__setattr__(self, "stat_error", np.asarray(self.stat_error, float))
         if sep.size and np.any(np.diff(sep) <= 0):
-            raise ValueError("separations must be strictly increasing")
+            raise ConfigError("separations must be strictly increasing")
 
 
 def second_pulse_efficiency(

@@ -50,7 +50,7 @@ class CircuitParams:
             "hotspot_duration",
         ):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise ConfigError(f"{name} must be strictly positive")
         # bias_current >= critical_current is representable on purpose: an
         # over-biased detector exists physically (relaxation oscillations),
         # it is just not a valid operating point.
@@ -118,9 +118,9 @@ class Waveform:
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         if self.sample_period <= 0:
-            raise ValueError("sample_period must be strictly positive")
+            raise ConfigError("sample_period must be strictly positive")
         if self.samples.ndim != 1 or self.samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D sequence")
+            raise ConfigError("samples must be a non-empty 1-D sequence")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -149,7 +149,7 @@ def nanowire_current(params: CircuitParams, t):
     """
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0):
-        raise ValueError("time since click must be non-negative")
+        raise ConfigError("time since click must be non-negative")
     i_b = params.bias_current
     i_ss = params.resistive_branch_current
     t_hs = params.hotspot_duration
@@ -179,7 +179,7 @@ def load_voltage_waveform(
     """
     _check_grid(params, sample_period)
     if duration <= 0:
-        raise ValueError("duration must be strictly positive")
+        raise ConfigError("duration must be strictly positive")
     t = np.arange(int(round(duration / sample_period))) * sample_period
     v = (params.bias_current - nanowire_current(params, t)) * params.load_resistance
     return Waveform(v, sample_period)
@@ -199,7 +199,7 @@ def readout_pulse(
     """
     _check_grid(params, sample_period)
     if click_time < 0:
-        raise ValueError("click_time must be non-negative")
+        raise ConfigError("click_time must be non-negative")
     t = np.arange(int(round(duration / sample_period))) * sample_period
     v = np.zeros_like(t)
     after = t >= click_time
@@ -292,9 +292,9 @@ def discriminate(wave: Waveform, threshold: float, holdoff: float = 0.0) -> np.n
     crossings; crossings within `holdoff` of an accepted event are dropped.
     """
     if threshold == 0.0:
-        raise ValueError("threshold must be nonzero; its sign selects the pulse polarity")
+        raise ConfigError("threshold must be nonzero; its sign selects the pulse polarity")
     if holdoff < 0:
-        raise ValueError("holdoff must be non-negative")
+        raise ConfigError("holdoff must be non-negative")
     v = wave.samples
     if threshold < 0:
         armed = v[:-1] > threshold
@@ -366,9 +366,9 @@ def gaussian_kernel(
     extent: float = 5.0,
 ) -> PerturbationKernel:
     """Parametric Gaussian bump peaking `center` seconds after a click."""
-    if amplitude < 0:
-        raise ConfigError("kernel amplitude must be non-negative")
-    if width <= 0 or center < 0:
+    if not 0.0 <= amplitude < math.inf:
+        raise ConfigError(f"kernel amplitude must be finite and non-negative, got {amplitude!r}")
+    if not (width > 0 and center >= 0):
         raise ConfigError("kernel width must be positive and center non-negative")
     span = min(center + extent * width, MAX_KERNEL_DURATION)
     n = max(int(round(span / sample_period)) + 1, 2)

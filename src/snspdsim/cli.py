@@ -14,9 +14,9 @@ from pathlib import Path
 
 from . import analysis, presets, timetags
 from .config import load_run_config, parse_count
-from .errors import SnspdSimError
+from .errors import ConfigError, SnspdSimError
 from .quantities import parse_quantity
-from .simulation import simulate
+from .simulation import PS_PER_SECOND, simulate, whole_ps
 from .tables import write_csv
 
 SEED_ENV_VAR = "SNSPD_SIM_SEED"
@@ -62,8 +62,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _ps(text) -> int:
-    return int(round(parse_quantity(text, "time") * 1e12))
+def _ps(text, flag: str) -> int:
+    return whole_ps(parse_quantity(text, "time", flag) * PS_PER_SECOND, flag)
 
 
 def _cmd_analyze(args) -> int:
@@ -75,15 +75,14 @@ def _cmd_analyze(args) -> int:
     if name == "recovery":
         runs = []
         for path, stream in zip(paths, streams):
-            sep = stream.metadata.get("separation_ps")
-            if sep is None:
-                print(f"error: {path} has no separation_ps metadata", file=sys.stderr)
-                return 2
-            runs.append((int(sep), stream))
+            if "separation_ps" not in stream.metadata:
+                raise ConfigError(f"{path} has no separation_ps metadata")
+            separation_ps = parse_count(stream.metadata["separation_ps"], f"{path}: separation_ps")
+            runs.append((separation_ps, stream))
         curve = analysis.recovery_curve(
             runs,
-            acceptance_bin_ps=_ps(args.acceptance_bin),
-            window_ps=_ps(args.conditional_window),
+            acceptance_bin_ps=_ps(args.acceptance_bin, "--acceptance-bin"),
+            window_ps=_ps(args.conditional_window, "--conditional-window"),
             neighbors_per_side=args.neighbors,
             ratio=args.ratio,
         )
@@ -93,20 +92,19 @@ def _cmd_analyze(args) -> int:
         return 0
 
     if len(streams) != 1:
-        print(f"error: analysis {name!r} takes exactly one input file", file=sys.stderr)
-        return 2
+        raise ConfigError(f"analysis {name!r} takes exactly one input file")
     stream = streams[0]
     events = stream.detector_events
-    window_ps = _ps(args.window)
+    window_ps = _ps(args.window, "--window")
     if name in DEFAULT_BIN:
-        bin_ps = _ps(DEFAULT_BIN[name] if args.bin is None else args.bin)
+        bin_ps = _ps(DEFAULT_BIN[name] if args.bin is None else args.bin, "--bin")
 
     if name == "interarrival":
-        hist = analysis.interarrival_histogram(events, bin_ps, _ps(args.max_time))
+        hist = analysis.interarrival_histogram(events, bin_ps, _ps(args.max_time, "--max-time"))
         analysis.write_histogram_csv(hist, out or "interarrival.csv")
         print(f"{hist.total_events} gaps, {int(hist.counts.sum())} binned")
     elif name == "expfit":
-        hist = analysis.interarrival_histogram(events, bin_ps, _ps(args.max_time))
+        hist = analysis.interarrival_histogram(events, bin_ps, _ps(args.max_time, "--max-time"))
         fit = analysis.fit_exponential(hist, args.discard_first, args.min_bin_count)
         analysis.write_expfit_csv(hist, fit, out or "expfit.csv")
         print(f"rate: {fit.rate:.2f} /s  R^2: {fit.r_squared:.5f}")
@@ -125,7 +123,8 @@ def _cmd_analyze(args) -> int:
         analysis.write_trains_csv(dist, out or "trains.csv")
         print("trains by length:", {n: dist.count(n) for n in range(1, 7)})
     elif name == "conditional":
-        hist = analysis.conditional_histogram(stream, _ps(args.conditional_window), bin_ps)
+        window = _ps(args.conditional_window, "--conditional-window")
+        hist = analysis.conditional_histogram(stream, window, bin_ps)
         analysis.write_histogram_csv(hist, out or "conditional.csv")
         print(f"{hist.total_events} clicks in anchored windows")
     return 0
@@ -189,10 +188,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SnspdSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SnspdSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

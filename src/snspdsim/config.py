@@ -96,10 +96,6 @@ class RunConfig:
     seed: int = 0
     output: str | None = None
 
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ConfigError("duration must be non-negative")
-
 
 def _from_filter(circuit, passband_low, passband_high, order=4, **scale):
     spec = circ.FilterSpec(order, passband_low, passband_high)
@@ -190,7 +186,7 @@ def _read(name: str, raw, schema, **built):
             raise ConfigError(f"{name}: missing required key {key!r}")
     try:
         return build(**kwargs)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:  # a ConfigError, or a foreign ValueError under the constructor
         raise ConfigError(f"{name}: {exc}") from None
 
 

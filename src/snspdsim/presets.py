@@ -93,7 +93,7 @@ def profile_model(
     bias_current: float = REFERENCE_BIAS,
     kernel_amplitude: float = KERNEL_AMPLITUDE,
 ) -> DetectorModel:
-    kernel = profile_kernel(kernel_amplitude) if kernel_amplitude > 0 else None
+    kernel = profile_kernel(kernel_amplitude) if kernel_amplitude != 0 else None
     return DetectorModel(
         circuit=profile_circuit(bias_current),
         rates=profile_rates(),

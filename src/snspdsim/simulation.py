@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import MAX_KERNEL_DURATION, CircuitParams, PerturbationKernel, nanowire_current
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, StreamValidationError
 
 PS_PER_SECOND = 1e12
+INT64_MAX = 2**63 - 1
 
 MODE_NONE = "none"
 MODE_PERIODIC = "periodic"
@@ -102,10 +103,11 @@ class DetectorModel:
         }
 
 
-def _whole_ps(ps: float) -> int:
-    """A time in ps, rounded to whole ps; beyond float range it has none."""
-    if not math.isfinite(ps):
-        raise ConfigError(f"stimulus time of {ps!r} ps is out of range")
+def whole_ps(ps: float, name: str) -> int:
+    """The time `name`, in ps, rounded to whole ps: the package's one rounding
+    rule from seconds. A time beyond int64 ps, or not finite, has no timestamp."""
+    if not -INT64_MAX <= ps <= INT64_MAX:
+        raise ConfigError(f"{name}: {ps!r} ps is beyond the int64 timestamp range")
     return round(ps)
 
 
@@ -138,15 +140,15 @@ class StimulusConfig:
 
     @property
     def period_ps(self) -> int:
-        return _whole_ps(PS_PER_SECOND / self.rate)
+        return whole_ps(PS_PER_SECOND / self.rate, "pulse period")
 
     @property
     def window_ps(self) -> int:
-        return _whole_ps(self.window * PS_PER_SECOND)
+        return whole_ps(self.window * PS_PER_SECOND, "window")
 
     @property
     def separation_ps(self) -> int:
-        return _whole_ps(self.separation * PS_PER_SECOND)
+        return whole_ps(self.separation * PS_PER_SECOND, "separation")
 
     @classmethod
     def none(cls) -> "StimulusConfig":
@@ -191,11 +193,10 @@ class StimulusTrain:
     sync_times_ps: np.ndarray
 
 
-def make_stimulus(config: StimulusConfig, duration: float) -> StimulusTrain:
+def make_stimulus(config: StimulusConfig, duration_ps: int) -> StimulusTrain:
     empty = np.empty(0, dtype=np.int64)
-    if config.mode == MODE_NONE or duration <= 0:
+    if config.mode == MODE_NONE or duration_ps <= 0:
         return StimulusTrain(empty, empty)
-    duration_ps = int(round(duration * PS_PER_SECOND))
     if config.mode == MODE_PERIODIC:
         period_ps = config.period_ps
         n = (duration_ps + period_ps - 1) // period_ps
@@ -227,11 +228,11 @@ class TimeTagStream:
             object.__setattr__(self, name, arr)
             if arr.size:
                 if np.any(np.diff(arr) <= 0):
-                    raise ValueError(f"{name} must be strictly increasing")
+                    raise StreamValidationError(f"{name} must be strictly increasing")
                 if arr[0] < 0 or arr[-1] > self.duration_ps:
-                    raise ValueError(f"{name} must lie within [0, duration]")
+                    raise StreamValidationError(f"{name} must lie within [0, duration]")
         if self.duration_ps < 0:
-            raise ValueError("duration_ps must be non-negative")
+            raise StreamValidationError("duration_ps must be non-negative")
 
     def __eq__(self, other):
         if not isinstance(other, TimeTagStream):
@@ -348,9 +349,9 @@ def simulate(
     clicks dropped.
     """
     if duration < 0:
-        raise ValueError("duration must be non-negative")
-    duration_ps = int(round(duration * PS_PER_SECOND))
-    train = make_stimulus(stimulus, duration)
+        raise ConfigError(f"duration must be non-negative, got {duration!r} s")
+    duration_ps = whole_ps(duration * PS_PER_SECOND, "duration")
+    train = make_stimulus(stimulus, duration_ps)
     metadata = _run_metadata(model, stimulus, duration_ps, seed)
     if duration_ps == 0:
         metadata["engine"] = dict.fromkeys(ENGINE_COUNTERS, 0)
@@ -358,7 +359,7 @@ def simulate(
             np.empty(0, np.int64), np.empty(0, np.int64), 0, metadata
         )
     rng = np.random.default_rng(seed)
-    detector, metadata["engine"] = _run_engine(model, stimulus, train, duration, rng)
+    detector, metadata["engine"] = _run_engine(model, stimulus, train, duration, duration_ps, rng)
     return TimeTagStream(detector, train.sync_times_ps, duration_ps, metadata)
 
 
@@ -385,6 +386,7 @@ def _run_engine(
     stimulus: StimulusConfig,
     train: StimulusTrain,
     duration: float,
+    duration_ps: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, dict]:
     circ = model.circuit
@@ -469,8 +471,6 @@ def _run_engine(
                 f = x - j
                 i += ksamp[j] * (1.0 - f) + ksamp[j + 1] * f
         return i
-
-    duration_ps = round(duration * PS_PER_SECOND)
 
     # every click, dark or laser, is recorded here
     def click(when: float, when_ps: int) -> None:

@@ -132,15 +132,9 @@ def _split_channels(channels, stamps, duration_ps, metadata) -> TimeTagStream:
         raise StreamValidationError(
             f"record {idx}: timestamp {stamps[idx]} breaks file-order monotonicity"
         )
-    try:
-        return TimeTagStream(
-            stamps[channels == CHANNEL_DETECTOR],
-            stamps[channels == CHANNEL_SYNC],
-            duration_ps,
-            metadata,
-        )
-    except ValueError as exc:
-        raise StreamValidationError(str(exc)) from None
+    return TimeTagStream(
+        stamps[channels == CHANNEL_DETECTOR], stamps[channels == CHANNEL_SYNC], duration_ps, metadata
+    )
 
 
 def _read_binary(path) -> TimeTagStream:

@@ -179,6 +179,16 @@ class TestAfterpulseProbability:
     def test_single_event(self):
         assert afterpulse_probability(np.array([7])) == 0.0
 
+    @pytest.mark.parametrize("window_ps", [0, -1_000])
+    @pytest.mark.parametrize("events", [[], [0, 180_000, 1 * MS]], ids=["empty", "three"])
+    def test_window_must_be_positive(self, events, window_ps):
+        # a window of no length would count no afterpulse at all
+        events = np.array(events, dtype=np.int64)
+        with pytest.raises(ConfigError, match="window"):
+            afterpulse_probability(events, window_ps)
+        with pytest.raises(ConfigError, match="window"):
+            corrected_dcr(events, 2 * MS, window_ps)
+
     @given(event_streams)
     @settings(max_examples=50, deadline=None)
     def test_matches_naive(self, events):
@@ -256,6 +266,12 @@ class TestTrains:
         # a gap of exactly the window starts a new train
         dist = classify_trains(np.array([0, 1_000_000]))
         assert dist.count(1) == 2
+
+    @pytest.mark.parametrize("gap_ps", [0, -1_000])
+    def test_gap_must_be_positive(self, gap_ps):
+        # with no gap every click would be a train of its own
+        with pytest.raises(ConfigError, match="gap"):
+            classify_trains(np.array([0, 180_000, 360_000]), gap_ps)
 
     @given(event_streams)
     @settings(max_examples=50, deadline=None)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run in-process through main(), and the scripts'
 argument checks, run as subprocesses."""
 
+import json
 import os
 import subprocess
 import sys
@@ -217,15 +218,16 @@ def test_analyze_conditional_and_recovery(tmp_path):
     assert len(lines) == 2
 
 
-def anchored_windows_run(tmp_path):
+def anchored_windows_run(tmp_path, name="laser.nptt", metadata=None):
     """10 sync windows anchored by a first-bin click, 5 of them with a
-    second click 180 ns later."""
+    second click 180 ns later; written as CSV when `name` ends in .csv."""
     from snspdsim.simulation import TimeTagStream
 
     sync = 2_000_000 * np.arange(1, 11, dtype=np.int64)
     det = np.sort(np.concatenate([sync + 1_000, sync[::2] + 180_000]))
-    run = tmp_path / "laser.nptt"
-    timetags.write_stream(TimeTagStream(det, sync, 30_000_000), run)
+    run = tmp_path / name
+    write = timetags.write_stream_csv if run.suffix == ".csv" else timetags.write_stream
+    write(TimeTagStream(det, sync, 30_000_000, metadata or {}), run)
     return run
 
 
@@ -271,6 +273,67 @@ def test_missing_input_file(capsys):
     assert main(["analyze", "interarrival", "no_such_file.nptt"]) == 2
 
 
+def zero_duration_run(tmp_path):
+    cfg = tmp_path / "zero.yaml"
+    cfg.write_text(CONFIG.format(duration="0 s"))
+    run = tmp_path / "zero.nptt"
+    assert main(["simulate", "--config", str(cfg), "--out", str(run)]) == 0
+    return run
+
+
+def recovery_runs(tmp_path, *separations):
+    """One anchored-windows CSV per separation_ps metadata value."""
+    return [anchored_windows_run(tmp_path, f"dp{k}.csv", {"separation_ps": sep})
+            for k, sep in enumerate(separations)]
+
+
+def huge_duration_config(tmp_path):
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(CONFIG.format(duration="1e300 s"))
+    return cfg
+
+
+def a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file"
+
+
+BAD_VALUES = {
+    "bin-rounds-to-0ps": lambda tmp: ["analyze", "interarrival", anchored_windows_run(tmp),
+                                      "--bin", "0.4ps"],
+    "max-time-0": lambda tmp: ["analyze", "expfit", anchored_windows_run(tmp), "--max-time", "0s"],
+    "bin-beyond-int64": lambda tmp: ["analyze", "interarrival", anchored_windows_run(tmp),
+                                     "--bin", "1e300s"],
+    "window-beyond-int64": lambda tmp: ["analyze", "corrected-dcr", anchored_windows_run(tmp),
+                                        "--window", "1e300s"],
+    "conditional-window-beyond-int64": lambda tmp: ["analyze", "conditional", anchored_windows_run(tmp),
+                                                    "--conditional-window", "1e300s"],
+    "simulate-duration-beyond-int64": lambda tmp: ["simulate", "--config", huge_duration_config(tmp)],
+    "duplicate-separations": lambda tmp: ["analyze", "recovery",
+                                          *recovery_runs(tmp, 180_000, 180_000)],
+    "input-is-directory": lambda tmp: ["analyze", "interarrival", tmp],
+    "out-under-a-file": lambda tmp: ["analyze", "interarrival", anchored_windows_run(tmp),
+                                     "--out", a_file(tmp) / "hist.csv"],
+    "corrected-dcr-zero-duration": lambda tmp: ["analyze", "corrected-dcr", zero_duration_run(tmp)],
+    "afterpulse-window-negative": lambda tmp: ["analyze", "afterpulse", anchored_windows_run(tmp),
+                                               "--window=-1ns"],
+    "trains-window-rounds-to-0ps": lambda tmp: ["analyze", "trains", anchored_windows_run(tmp),
+                                                "--window", "0.1ps"],
+    "separation-word": lambda tmp: ["analyze", "recovery", *recovery_runs(tmp, "abc")],
+    "separation-fraction": lambda tmp: ["analyze", "recovery", *recovery_runs(tmp, 180_000.5)],
+}
+
+
+@pytest.mark.parametrize("case", BAD_VALUES)
+def test_bad_value_is_error(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)  # where an analysis writes by default
+    argv = [str(arg) for arg in BAD_VALUES[case](tmp_path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_analyze_malformed_csv_is_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("# metadata={oops\nchannel,timestamp_ps\n0,5\n")
@@ -290,6 +353,7 @@ def run_script(cwd, name, *args):
         ("reproduce_all.py", ["--seed", "-1"], "non-negative integer"),
         ("afterpulse_bias_scan.py", ["--seed", "-1"], "non-negative integer"),
         ("afterpulse_bias_scan.py", ["--events", "0"], "at least 1"),
+        ("afterpulse_bias_scan.py", ["--amplitude", "nan"], "non-negative"),
     ],
 )
 def test_script_bad_argument_is_error(tmp_path, script, args, message):
@@ -305,3 +369,17 @@ def test_bias_scan_point_without_clicks(tmp_path):
     done = run_script(tmp_path, "afterpulse_bias_scan.py", "--events", "1", "--seed", "1")
     assert done.returncode == 0, done.stderr
     assert " nan " in done.stdout
+
+
+def test_gate_sweep_counts_every_check(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import gate_sweep
+
+    result = gate_sweep.sweep([0, 1], ["figA2"])
+    assert json.loads(json.dumps(result)) == result
+    assert result["seeds"] == [0, 1]
+    assert result["python"] and result["numpy"]
+    names = list(result["checks"])
+    assert len(names) == 5 and all(name.startswith("figA2/") for name in names)
+    for entry in result["checks"].values():
+        assert entry == {"passes": 2, "runs": 2, "failed_seeds": []}

@@ -15,11 +15,19 @@ from scipy import stats
 
 from reference_engine import _run_engine as reference_engine
 from snspdsim import presets
-from snspdsim.simulation import DetectorModel, RateModel, StimulusConfig, make_stimulus, simulate
+from snspdsim.simulation import (
+    PS_PER_SECOND,
+    DetectorModel,
+    RateModel,
+    StimulusConfig,
+    make_stimulus,
+    simulate,
+    whole_ps,
+)
 
 
 def reference_stream(model, stimulus, duration, seed):
-    train = make_stimulus(stimulus, duration)
+    train = make_stimulus(stimulus, whole_ps(duration * PS_PER_SECOND, "duration"))
     return reference_engine(model, stimulus, train, duration, np.random.default_rng(seed))
 
 
@@ -67,7 +75,7 @@ def test_double_pulse_counts_agree(separation_ns):
     model = presets.profile_model(24.9e-6)
     stimulus = StimulusConfig.double_pulse(separation_ns * 1e-9, 20.0)
     duration = 0.1  # 50k frames
-    train = make_stimulus(stimulus, duration)
+    train = make_stimulus(stimulus, 100_000_000_000)
     first, second = train.pulse_times_ps[0::2], train.pulse_times_ps[1::2]
     new = simulate(model, stimulus, duration, 31).detector_events
     ref = reference_stream(model, stimulus, duration, 32)
@@ -101,7 +109,7 @@ def test_dark_clicks_end_quiet_stretches():
     )
     stimulus = StimulusConfig.periodic(1e6, 1.0)
     duration = 0.1
-    pulses = make_stimulus(stimulus, duration).pulse_times_ps
+    pulses = make_stimulus(stimulus, 100_000_000_000).pulse_times_ps
     new = simulate(model, stimulus, duration, 51).detector_events
     ref = reference_stream(model, stimulus, duration, 52)
     n_new = int(np.count_nonzero(np.isin(new, pulses)))

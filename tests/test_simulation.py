@@ -51,13 +51,13 @@ class TestRateModel:
 
 class TestStimulus:
     def test_periodic_spacing(self):
-        train = make_stimulus(StimulusConfig.periodic(0.5e6, 10.0), 0.1)
+        train = make_stimulus(StimulusConfig.periodic(0.5e6, 10.0), 100_000_000_000)
         assert train.sync_times_ps.size == 50_000
         assert np.all(np.diff(train.sync_times_ps) == 2_000_000)
         assert np.array_equal(train.pulse_times_ps, train.sync_times_ps)
 
     def test_double_pulse_pairs(self):
-        train = make_stimulus(StimulusConfig.double_pulse(180e-9, 1.0), 10e-6)
+        train = make_stimulus(StimulusConfig.double_pulse(180e-9, 1.0), 10_000_000)
         assert train.sync_times_ps.size == 5
         assert train.pulse_times_ps.size == 10
         assert np.all(train.pulse_times_ps[1::2] - train.pulse_times_ps[0::2] == 180_000)
@@ -65,7 +65,7 @@ class TestStimulus:
         assert np.array_equal(train.sync_times_ps, train.pulse_times_ps[0::2])
 
     def test_zero_duration_empty(self):
-        train = make_stimulus(StimulusConfig.periodic(1e6, 1.0), 0.0)
+        train = make_stimulus(StimulusConfig.periodic(1e6, 1.0), 0)
         assert train.pulse_times_ps.size == 0
 
     def test_separation_must_fit_window(self):
@@ -77,16 +77,18 @@ class TestStimulus:
         [
             lambda: StimulusConfig.periodic(3e12, 1.0),
             lambda: StimulusConfig.periodic(1e-300, 1.0),
+            lambda: StimulusConfig.periodic(1e-12, 1.0),
             lambda: StimulusConfig.double_pulse(0.2e-12, 1.0, window=0.4e-12),
             lambda: StimulusConfig.double_pulse(0.4e-12, 1.0),
             lambda: StimulusConfig.double_pulse(0.6e-12, 1.0, window=1e-12),
         ],
-        ids=["period-0.33ps", "period-beyond-float", "window-0.4ps", "separation-0.4ps",
-             "separation-rounds-onto-window"],
+        ids=["period-0.33ps", "period-beyond-float", "period-beyond-int64", "window-0.4ps",
+             "separation-0.4ps", "separation-rounds-onto-window"],
     )
     def test_times_are_checked_in_whole_ps(self, make):
-        # pulse times are whole ps: a period or window under 1 ps, or a
-        # separation that rounds to 0 ps or onto the window, has no train
+        # pulse times are whole int64 ps: a period or window under 1 ps or
+        # beyond int64 ps, or a separation that rounds to 0 ps or onto the
+        # window, has no train
         with pytest.raises(ConfigError):
             make()
 
@@ -369,7 +371,7 @@ class TestEngineCounters:
     def test_every_pulse_evaluated_or_skipped(self, stimulus):
         s = simulate(model_at(24.9e-6), stimulus, 0.05, 12)
         engine = s.metadata["engine"]
-        n_pulses = make_stimulus(stimulus, 0.05).pulse_times_ps.size
+        n_pulses = make_stimulus(stimulus, 50_000_000_000).pulse_times_ps.size
         assert engine["pulses_evaluated"] + engine["pulses_skipped"] == n_pulses
         # a recovered detector is the rule, so skipping is too
         assert engine["pulses_skipped"] > 0.9 * n_pulses
