@@ -128,9 +128,13 @@ def fit_exponential(
     """Fit A*exp(-rate*t) to histogram bins, skipping the first
     `discard_first` bins and every bin with fewer than `min_bin_count`
     counts (the sparse tail)."""
+    if discard_first < 0:
+        raise ConfigError(f"discard_first must be non-negative, got {discard_first}")
+    if min_bin_count < 1:
+        raise ConfigError(f"min_bin_count must be at least 1, got {min_bin_count}")
     counts = hist.counts
     idx = np.arange(counts.size)
-    usable = (idx >= discard_first) & (counts >= max(min_bin_count, 1))
+    usable = (idx >= discard_first) & (counts >= min_bin_count)
     if usable.sum() < 5:
         raise FitError(
             f"only {int(usable.sum())} usable bins after discards; need at least 5"

@@ -348,8 +348,9 @@ class PerturbationKernel:
     def max_remaining(self) -> np.ndarray:
         """For each sample index i, max of the positive part over [i:].
 
-        This table bounds future kernel contributions and only ever decays,
-        which is what makes it usable as a thinning envelope.
+        This table bounds future kernel contributions and only ever decays:
+        the thinning envelope of the reference engine in the tests.
+        `simulate` bounds a kernel by segments instead.
         """
         positive = np.maximum(self.samples, 0.0)
         return np.maximum.accumulate(positive[::-1])[::-1]

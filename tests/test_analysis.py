@@ -158,6 +158,11 @@ class TestFitExponential:
         with pytest.raises(FitError):
             fit_exponential(hist, discard_first=1, min_bin_count=10)
 
+    @pytest.mark.parametrize("discard_first, min_bin_count", [(-1, 10), (1, 0), (1, -3)])
+    def test_arguments_out_of_range_rejected(self, discard_first, min_bin_count):
+        with pytest.raises(ConfigError):
+            fit_exponential(self.synthetic(), discard_first, min_bin_count)
+
     def test_growing_histogram_rejected(self):
         counts = np.array([10, 20, 40, 80, 160, 320, 640])
         with pytest.raises(FitError):

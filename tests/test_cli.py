@@ -13,6 +13,7 @@ import pytest
 import snspdsim
 from snspdsim import timetags
 from snspdsim.cli import main
+from snspdsim.simulation import TimeTagStream
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -146,8 +147,6 @@ def test_analyze_interarrival(config_path, tmp_path, capsys):
 
 
 def test_analyze_empty_input(tmp_path):
-    from snspdsim.simulation import TimeTagStream
-
     empty = tmp_path / "empty.nptt"
     timetags.write_stream(
         TimeTagStream(np.empty(0, np.int64), np.empty(0, np.int64), 0), empty
@@ -221,8 +220,6 @@ def test_analyze_conditional_and_recovery(tmp_path):
 def anchored_windows_run(tmp_path, name="laser.nptt", metadata=None):
     """10 sync windows anchored by a first-bin click, 5 of them with a
     second click 180 ns later; written as CSV when `name` ends in .csv."""
-    from snspdsim.simulation import TimeTagStream
-
     sync = 2_000_000 * np.arange(1, 11, dtype=np.int64)
     det = np.sort(np.concatenate([sync + 1_000, sync[::2] + 180_000]))
     run = tmp_path / name
@@ -293,6 +290,15 @@ def huge_duration_config(tmp_path):
     return cfg
 
 
+def dark_run(tmp_path):
+    """Poisson clicks at 3200/s: a histogram that `analyze expfit` fits."""
+    gaps = np.random.default_rng(4).exponential(1 / 3200.0, 10_000)
+    det = np.cumsum(np.round(gaps * 1e12).astype(np.int64))
+    run = tmp_path / "dark.nptt"
+    timetags.write_stream(TimeTagStream(det, np.empty(0, np.int64), int(det[-1])), run)
+    return run
+
+
 def a_file(tmp_path):
     (tmp_path / "file").write_text("")
     return tmp_path / "file"
@@ -321,6 +327,10 @@ BAD_VALUES = {
                                                 "--window", "0.1ps"],
     "separation-word": lambda tmp: ["analyze", "recovery", *recovery_runs(tmp, "abc")],
     "separation-fraction": lambda tmp: ["analyze", "recovery", *recovery_runs(tmp, 180_000.5)],
+    "expfit-discard-first-negative": lambda tmp: ["analyze", "expfit", dark_run(tmp),
+                                                  "--discard-first", "-5"],
+    "expfit-min-bin-count-0": lambda tmp: ["analyze", "expfit", dark_run(tmp),
+                                           "--min-bin-count", "0"],
 }
 
 

@@ -1,10 +1,12 @@
 """The engine against its pre-fast-forward copy in reference_engine.py.
 
-Without laser pulses the two consume the random stream identically, so
-their streams must be equal byte for byte. With pulses the engine steps
-over quiet pulses with one geometric draw, so realizations differ and the
-two are compared statistically: counts within 4 sigma, gap distributions
-by a two-sample KS test.
+Without laser pulses and without a live kernel the two consume the random
+stream identically, so their streams must be equal byte for byte. A live
+kernel is thinned against segment bounds instead of remaining maxima, and
+laser runs step over quiet pulses with one geometric draw, so those
+realizations differ and the two are compared statistically: counts within
+4 sigma, gap distributions by a two-sample KS test, train lengths by a
+chi-squared test.
 """
 
 import math
@@ -15,6 +17,7 @@ from scipy import stats
 
 from reference_engine import _run_engine as reference_engine
 from snspdsim import presets
+from snspdsim.analysis import classify_trains
 from snspdsim.simulation import (
     PS_PER_SECOND,
     DetectorModel,
@@ -41,10 +44,12 @@ def unshunted_latching_model():
     )
 
 
+def primary_duration(model, counts):
+    """Run length that holds `counts` primary dark counts."""
+    return counts / float(model.rates.dark_rate(model.circuit.bias_current))
+
+
 DARK_CASES = {
-    "kernel-23.0uA": lambda: presets.profile_model(23.0e-6),
-    "kernel-25.0uA": lambda: presets.profile_model(25.0e-6),
-    "kernel-25.2uA": lambda: presets.profile_model(25.2e-6),
     "null-kernel-25.0uA": lambda: presets.profile_model(25.0e-6, kernel_amplitude=0.0),
     "unshunted-latching": unshunted_latching_model,
 }
@@ -54,12 +59,49 @@ DARK_CASES = {
 @pytest.mark.parametrize("case", sorted(DARK_CASES))
 def test_dark_streams_byte_identical(case, seed):
     model = DARK_CASES[case]()
-    # about 1500 primary dark counts
-    duration = 1500 / float(model.rates.dark_rate(model.circuit.bias_current))
+    duration = primary_duration(model, 1500)
     got = simulate(model, StimulusConfig.none(), duration, seed).detector_events
     expected = reference_stream(model, StimulusConfig.none(), duration, seed)
     assert got.size > 0
     assert got.tobytes() == expected.tobytes()
+
+
+# The 9 kernel comparisons below make 18 tests (KS and chi-squared) of a
+# true null hypothesis; at this per-test level a correct engine fails one
+# or more of them with probability at most 1% (Bonferroni).
+KERNEL_ALPHA = 0.01 / 18
+
+
+def train_length_table(new, ref):
+    """2 x k table of train lengths, the longest buckets merged until every
+    expected count is at least 5."""
+    table = np.array([classify_trains(new).counts_by_length,
+                      classify_trains(ref).counts_by_length], dtype=np.float64)
+    while table.shape[1] > 2:
+        expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+        if expected.min() >= 5:
+            break
+        table = np.column_stack([table[:, :-2], table[:, -2:].sum(axis=1)])
+    return table
+
+
+KERNEL_BIASES_UA = {"kernel-23.0uA": 23.0, "kernel-25.0uA": 25.0, "kernel-25.2uA": 25.2}
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+@pytest.mark.parametrize("case", sorted(KERNEL_BIASES_UA))
+def test_kernel_dark_streams_agree(case, seed):
+    bias_ua = KERNEL_BIASES_UA[case]
+    model = presets.profile_model(bias_ua * 1e-6)
+    duration = primary_duration(model, 8000)
+    new = simulate(model, StimulusConfig.none(), duration, seed).detector_events
+    ref = reference_stream(model, StimulusConfig.none(), duration, seed + 1)
+    assert_counts_agree(new.size, ref.size, f"clicks at {bias_ua} uA")
+    _, p_gaps = stats.ks_2samp(np.diff(new), np.diff(ref))
+    assert p_gaps > KERNEL_ALPHA, f"waiting times at {bias_ua} uA: KS p = {p_gaps:.2g}"
+    table = train_length_table(new, ref)
+    p_trains = stats.chi2_contingency(table, correction=False).pvalue
+    assert p_trains > KERNEL_ALPHA, f"train lengths at {bias_ua} uA: {table}, p = {p_trains:.2g}"
 
 
 def assert_counts_agree(n_new, n_ref, label):

@@ -13,7 +13,7 @@ from scipy import stats
 
 from snspdsim import presets
 from snspdsim.circuit import CircuitParams, gaussian_kernel, nanowire_current
-from snspdsim.errors import ConfigError
+from snspdsim.errors import ConfigError, StreamValidationError
 from snspdsim.simulation import (
     DetectorModel,
     RateModel,
@@ -277,6 +277,14 @@ class TestBranching:
         sigma = math.sqrt(pooled * (1 - pooled) * (1 / n1 + 1 / n2))
         assert abs(p1 - p2) <= 3 * sigma
 
+    def test_supercritical_model_is_refused(self):
+        # 25.2 uA at 1e5/s: a click has about 5 further clicks on average, so
+        # its trains never end and a 100 us run does not finish in minutes
+        m = high_dark_rate(25.2e-6)
+        assert -math.log1p(-branching_probability(m)) > 1.0
+        with pytest.raises(ConfigError, match="supercritical"):
+            simulate(m, StimulusConfig.none(), 1e-5, 1)
+
     def test_dark_rate_monotone_in_bias(self):
         rates = []
         for k, bias in enumerate([23.0e-6, 23.6e-6, 24.2e-6, 24.8e-6, 25.2e-6]):
@@ -300,6 +308,11 @@ class TestTimeTagStream:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             TimeTagStream(np.array([11]), np.array([], np.int64), 10)
+
+    def test_rejects_duration_beyond_int64(self):
+        with pytest.raises(StreamValidationError, match="duration_ps"):
+            TimeTagStream(np.array([5]), np.array([], np.int64), 2**63)
+        assert TimeTagStream(np.array([5]), np.array([], np.int64), 2**63 - 1).duration_ps == 2**63 - 1
 
     def test_metadata_records_config(self):
         s = simulate(model_at(25.0e-6), StimulusConfig.none(), 0.01, 42)
@@ -412,6 +425,24 @@ class TestEngineCounters:
         # two draws per accepted proposal, one for the proposal past the end
         assert engine["uniforms"] == 2 * accepted + 1
 
+    def test_null_kernel_crosses_no_segment_end(self):
+        s = simulate(model_at(25.2e-6, kernel_amplitude=0.0), StimulusConfig.periodic(0.5e6, 1.0),
+                     0.02, 6)
+        assert s.detector_events.size > 0
+        assert s.metadata["engine"]["crossings"] == 0
+
+    def test_segment_envelope_draws_few_uniforms_per_click(self):
+        # the fig4 regime: an afterpulse on the peak of the earlier kernel
+        # used to cost ~39 proposals against the sum of remaining maxima
+        m = model_at(25.2e-6)
+        s = simulate(m, StimulusConfig.none(), 3000 / float(m.rates.dark_rate(25.2e-6)), 7)
+        engine, clicks = s.metadata["engine"], s.detector_events.size
+        assert clicks > 3000
+        assert engine["uniforms"] <= 3 * clicks
+        # each click's kernel crosses at least its last segment end, the last
+        # click's perhaps after the run
+        assert engine["crossings"] >= clicks - 1
+
     def test_zero_duration_counters(self):
         s = simulate(model_at(25.0e-6), StimulusConfig.periodic(1e6, 1.0), 0.0, 1)
         assert set(s.metadata["engine"].values()) == {0}
@@ -473,56 +504,56 @@ PINNED_RUNS = {
 # SHA-256 of detector_events.tobytes() and metadata["engine"] of each run
 PINNED = {
     "dark-1e5-23.0uA-0.5MHz": (
-        "eb51f37f753c40dab340c6593a56ef8f6c109c5028436ad295f523bf58e7edd0",
-        {"uniforms": 2075, "pulses_evaluated": 62, "pulses_skipped": 49938, "coincidences_dropped": 0},
+        "53754d1ec1af940b812a1821bbd45f26ab246771c82c78832a2e70ac9d8f70d1",
+        {"uniforms": 869, "pulses_evaluated": 65, "pulses_skipped": 49935, "coincidences_dropped": 0, "crossings": 708},
     ),
     "dark-1e5-23.0uA-0.5MHz-null-kernel": (
         "ed41cce90bc4e67ad1340ca590770c01e872971f83508641005d2b8256eea914",
-        {"uniforms": 773, "pulses_evaluated": 57, "pulses_skipped": 49943, "coincidences_dropped": 0},
+        {"uniforms": 773, "pulses_evaluated": 57, "pulses_skipped": 49943, "coincidences_dropped": 0, "crossings": 0},
     ),
     "double-1000ns": (
-        "4927e08f6b64496ed5320fb54ce50a4627b22e8040037b90febe84a90f26035c",
-        {"uniforms": 14326, "pulses_evaluated": 103, "pulses_skipped": 49897, "coincidences_dropped": 0},
+        "b9700f9f91e1c821359e8dc19253a7ea6b46bcb58337a7ce7ca886beb36a5800",
+        {"uniforms": 2048, "pulses_evaluated": 107, "pulses_skipped": 49893, "coincidences_dropped": 0, "crossings": 2595},
     ),
     "double-180ns": (
-        "f90098a95c6adf48299ac22dbbf4ea332e9e4ab7b190cc9b7d0efd2e28967342",
-        {"uniforms": 16390, "pulses_evaluated": 277, "pulses_skipped": 49723, "coincidences_dropped": 0},
+        "39b94df4be068efba2ffc27faab7927db98196dc95fd04a587ff572a53135688",
+        {"uniforms": 2438, "pulses_evaluated": 295, "pulses_skipped": 49705, "coincidences_dropped": 0, "crossings": 2685},
     ),
     "double-80ns": (
-        "46d5f2c06c0a7ac29869c830522fe66bbafa6eb27cc7de16b8d754b249ad0868",
-        {"uniforms": 17283, "pulses_evaluated": 276, "pulses_skipped": 49724, "coincidences_dropped": 0},
+        "515e594ef8eb5ee0d87bafdb23b3182db06d25fe5784d229ccc9da4b1b0884f1",
+        {"uniforms": 2662, "pulses_evaluated": 327, "pulses_skipped": 49673, "coincidences_dropped": 0, "crossings": 2920},
     ),
     "kernel-2us-1MHz-mu1e4": (
-        "161a3ab1daaf645f68b840cfbc380863224911a5353cc159520db7c5b19c843e",
-        {"uniforms": 68900, "pulses_evaluated": 1999, "pulses_skipped": 1, "coincidences_dropped": 0},
+        "09ad27ec0ce8df4269f6ed0fe8af6507b20c83e9709e5ec7bcb2cbb7c48aac26",
+        {"uniforms": 5628, "pulses_evaluated": 1999, "pulses_skipped": 1, "coincidences_dropped": 0, "crossings": 13385},
     ),
     "null-kernel-1MHz": (
         "8833fe8b0e9c5248d72656c6ef64118e8fa96ca56edcc1df581701c50d9a5050",
-        {"uniforms": 1924, "pulses_evaluated": 63, "pulses_skipped": 19937, "coincidences_dropped": 0},
+        {"uniforms": 1924, "pulses_evaluated": 63, "pulses_skipped": 19937, "coincidences_dropped": 0, "crossings": 0},
     ),
     "periodic-0.5MHz-mu0": (
-        "351e5e49206816fed31c6c5807f4a6bcd287547a0edd32c99dab09035978a6c8",
-        {"uniforms": 3043, "pulses_evaluated": 45, "pulses_skipped": 24955, "coincidences_dropped": 0},
+        "99e6d35493d5c5683bb24b16a78e5d1da7aada002a061b79928baaa736c4635a",
+        {"uniforms": 621, "pulses_evaluated": 67, "pulses_skipped": 24933, "coincidences_dropped": 0, "crossings": 735},
     ),
     "periodic-0.5MHz-mu10": (
-        "24454ea17fbb43d62371b1253b0a19924095fb7a08a0e34b70286e1ea55d694e",
-        {"uniforms": 84662, "pulses_evaluated": 18, "pulses_skipped": 9982, "coincidences_dropped": 0},
+        "2e40e4322543d2a499f9ec5d57f33e1bb34dd03abc0e422f28ed236c12a6a023",
+        {"uniforms": 7839, "pulses_evaluated": 19, "pulses_skipped": 9981, "coincidences_dropped": 0, "crossings": 12790},
     ),
     "periodic-0.5MHz-mu1e4": (
-        "e696f0f1ad6d3d392b929fdd8e73f876d5a2ba51c13032db92ac82f864a02f21",
-        {"uniforms": 87102, "pulses_evaluated": 5, "pulses_skipped": 1995, "coincidences_dropped": 0},
+        "f6d016b2882f7c81dcd5c377eac68a78ddd9c5d34551ee319b6c7e03d9221d50",
+        {"uniforms": 3314, "pulses_evaluated": 7, "pulses_skipped": 1993, "coincidences_dropped": 0, "crossings": 11255},
     ),
     "unshunted-dark-24.0uA": (
         "40fbce0ac6cfb3104c5ff732e2b8087ea35709b64f58295779160d547a12a6f1",
-        {"uniforms": 2, "pulses_evaluated": 0, "pulses_skipped": 0, "coincidences_dropped": 0},
+        {"uniforms": 2, "pulses_evaluated": 0, "pulses_skipped": 0, "coincidences_dropped": 0, "crossings": 0},
     ),
     "unshunted-latching-1MHz": (
         "0af9b89223667ee5a809c0c115094f2be1fda816828c458a06454482c5b3a409",
-        {"uniforms": 3, "pulses_evaluated": 0, "pulses_skipped": 14, "coincidences_dropped": 0},
+        {"uniforms": 3, "pulses_evaluated": 0, "pulses_skipped": 14, "coincidences_dropped": 0, "crossings": 0},
     ),
     "zero-kernel-1MHz": (
         "8833fe8b0e9c5248d72656c6ef64118e8fa96ca56edcc1df581701c50d9a5050",
-        {"uniforms": 1924, "pulses_evaluated": 63, "pulses_skipped": 19937, "coincidences_dropped": 0},
+        {"uniforms": 1924, "pulses_evaluated": 63, "pulses_skipped": 19937, "coincidences_dropped": 0, "crossings": 0},
     ),
 }
 
@@ -532,9 +563,10 @@ class TestPinnedRealizations:
     def test_laser_realization_pinned(self, case):
         """Pins the exact realizations of engine runs with laser pulses.
 
-        The reference engine checks dark-only streams byte for byte; these
-        digests do the same for the pulse branch, the quiet-stretch skip,
-        latching under a laser and the null kernel. A change that consumes
+        The reference engine checks dark-only streams without a live kernel
+        byte for byte; these digests do the same for the pulse branch, the
+        quiet-stretch skip, latching under a laser, the null kernel and the
+        segment-bounded kernel thinning. A change that consumes
         the random stream differently on purpose must re-pin them and say
         so in CHANGES.md.
         """

@@ -190,6 +190,17 @@ class TestBinaryFormat:
         with pytest.raises(FormatError, match="channel"):
             read_stream(path)
 
+    def test_duration_beyond_int64_rejected(self, tmp_path):
+        # the u64 header field can hold a duration no int64 timestamp can
+        stream = TimeTagStream(np.array([10]), np.empty(0, np.int64), 100)
+        path = tmp_path / "s.nptt"
+        write_stream(stream, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<Q", raw, 20, 2**64 - 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StreamValidationError, match="duration_ps"):
+            read_stream(path)
+
     @given(stream=streams(), rnd=st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_header_mutations_never_pass_silently(self, tmp_path_factory, stream, rnd):
