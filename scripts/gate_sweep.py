@@ -3,8 +3,8 @@
 
 Runs each figure of `presets.FIGURES` once per master seed, one process per
 available core, and writes a JSON file with the passes and runs of every
-`figure/check`, the seeds that failed it, the seeds swept, and the Python
-and NumPy versions:
+`figure/check`, the seeds that failed it, the seeds swept, the cores used,
+the wall time, and the Python and NumPy versions:
 
     python scripts/gate_sweep.py GATES.json --seeds 20
 
@@ -38,7 +38,8 @@ def _run(task):
 def sweep(seeds, figures=tuple(presets.FIGURES)) -> dict:
     """Run each of `figures` at each master seed; passes and runs per check."""
     tasks = [(figure, seed) for seed in seeds for figure in figures]
-    with multiprocessing.Pool(len(os.sched_getaffinity(0))) as pool:
+    cores = len(os.sched_getaffinity(0))
+    with multiprocessing.Pool(cores) as pool:
         results = pool.map(_run, tasks, chunksize=1)
     checks = {}
     for (_, seed), result in zip(tasks, results):
@@ -50,6 +51,7 @@ def sweep(seeds, figures=tuple(presets.FIGURES)) -> dict:
                 entry["failed_seeds"].append(seed)
     return {
         "seeds": list(seeds),
+        "cores": cores,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "checks": checks,
@@ -71,13 +73,14 @@ def main() -> int:
 
     t0 = time.perf_counter()
     result = sweep(range(n))
+    result["wall_s"] = round(time.perf_counter() - t0, 1)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
     for name, entry in result["checks"].items():
         flag = "" if entry["passes"] >= 0.95 * entry["runs"] else "  < 95%"
         print(f"{entry['passes']:3d}/{entry['runs']:<3d} {name}{flag}")
-    print(f"wrote {args.out} ({time.perf_counter() - t0:.0f} s)")
+    print(f"wrote {args.out} ({result['wall_s']:.0f} s)")
     return 0
 
 

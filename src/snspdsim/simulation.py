@@ -338,8 +338,11 @@ def simulate(
     violation raises SimulationError. The envelope holds until the nearest
     segment end of any live kernel. There the unit-exponential mass it
     used is subtracted and the rest carries over: exact by memorylessness,
-    and a crossing draws no uniform. Without a live kernel the envelope is
-    dark_rate(I_b) and each proposal draws its own exponential.
+    and a crossing draws no uniform. A mass that outlasts the one kernel
+    live, which ends before the next pulse and the run end, crosses all
+    its segment ends in one step, from a per-run table of segment masses.
+    Without a live kernel the envelope is dark_rate(I_b) and each proposal
+    draws its own exponential; a zero envelope proposes nothing.
 
     A model with a live kernel whose click has a mean of one or more
     further clicks, -log(1 - branching_probability(model)) >= 1, is
@@ -499,6 +502,13 @@ def _run_engine(
         seg_bound, seg_end = _kernel_segments(kernel.samples, g_dark, rate_b * ksp, branching)
         seg_end_s = [b * ksp for b in seg_end]  # segment ends, s after the click
         n_segs = len(seg_end)
+        # with one kernel alone live: its envelope in each segment (the float
+        # operations of envelope_now, so the value is the same either way)
+        # and the mass of the segments after each
+        seg_env = [r_ref * exp(g_dark * (i_b + bound - i_ref)) for bound in seg_bound]
+        tail = [0.0] * n_segs
+        for k in range(n_segs - 2, -1, -1):
+            tail[k] = tail[k + 1] + seg_env[k + 1] * ((seg_end[k + 1] - seg_end[k]) * ksp)
     else:
         ksamp = None
         ksp = kdur = 0.0
@@ -559,8 +569,10 @@ def _run_engine(
 
     # the thinning envelope: recovery never exceeds I_b, and each live
     # kernel contributes the bound of its current segment, up to the nearest
-    # segment end `horizon`
+    # segment end `horizon`; one kernel alone reads it from `seg_env`
     def envelope_now() -> tuple[float, float]:
+        if len(segs) == 1:
+            return seg_env[segs[0]], seg_ends[0]
         i_env = i_b
         for k in segs:
             i_env += seg_bound[k]
@@ -607,7 +619,8 @@ def _run_engine(
     while not latched:
         if mass <= 0.0:
             mass = -log(1.0 - next_uniform())
-        gap = mass / envelope
+        # a zero envelope proposes nothing: the next event is a pulse or the end
+        gap = mass / envelope if envelope > 0.0 else math.inf
         if gap <= 0.0:
             mass = 0.0
             continue
@@ -616,6 +629,22 @@ def _run_engine(
         # and the run end, the mass the envelope used up to it is spent and
         # the rest carries over, which is exact by memorylessness
         while horizon < proposal and horizon < nxt_s and horizon < duration:
+            if len(segs) == 1:
+                # one kernel alone: the mass of its remaining segments, in
+                # time since its click. A mass that outlasts it, with the
+                # kernel ending before the next pulse and the run end,
+                # crosses all its segment ends in one step
+                k = segs[0]
+                tc = active[0]
+                spent = envelope * (seg_end_s[k] - (t - tc)) + tail[k]
+                if mass > spent and tc + kdur < nxt_s and tc + kdur < duration:
+                    mass -= spent
+                    t = tc + kdur
+                    crossings += n_segs - k
+                    del active[0], segs[0], seg_ends[0]
+                    envelope, horizon = rate_b, math.inf
+                    proposal = t + mass / envelope if envelope > 0.0 else math.inf
+                    break
             mass -= envelope * (horizon - t)
             if mass < 0.0:
                 mass = 0.0  # rounding: the proposal is at the segment end
@@ -631,9 +660,10 @@ def _run_engine(
             else:
                 del active[idx], segs[idx], seg_ends[idx]
             envelope, horizon = envelope_now() if segs else (rate_b, math.inf)
-            proposal = t + mass / envelope
+            proposal = t + mass / envelope if envelope > 0.0 else math.inf
 
-        if nxt_s <= proposal:
+        # past the last pulse, nxt_s is inf, and so is a proposal of a zero envelope
+        if nxt_s <= proposal and nxt < n_pulses:
             mass = 0.0
             t = nxt_s
             if not landed and (t_last < 0 or t - t_last >= t_quiet):

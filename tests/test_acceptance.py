@@ -342,6 +342,17 @@ def test_criterion_7_train_statistics(train_sweep_streams, sweep_streams):
         assert abs(slope_trains - slope_prob) <= 3 * math.hypot(err_trains, err_prob)
 
 
+def test_fig8_checks_are_chosen_by_the_model(monkeypatch):
+    # a tenth of the counts: most points realize far fewer than 100
+    # two-click trains, but the model still expects 100 or more at
+    # 23.4 uA and above, so fig8 checks the same points at every seed
+    sweep = presets._sweep_runs
+    monkeypatch.setattr(presets, "_sweep_runs", lambda seed, tag, n: sweep(seed, tag, n // 10))
+    _, checks = presets.fig8(3)
+    names = [c.name for c in checks if c.name.startswith("branching-")]
+    assert names == [f"branching-{bias*1e6:.1f}uA" for bias in presets.BIAS_SWEEP[2:]]
+
+
 def test_criterion_8_conditional_histogram(laser_stream):
     stream, sim_elapsed = laser_stream
     with criterion(8, "sync-conditioned histogram with laser on"):

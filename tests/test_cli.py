@@ -393,3 +393,48 @@ def test_gate_sweep_counts_every_check(monkeypatch):
     assert len(names) == 5 and all(name.startswith("figA2/") for name in names)
     for entry in result["checks"].values():
         assert entry == {"passes": 2, "runs": 2, "failed_seeds": []}
+
+
+def _bench_output(items_per_s, wall_s, correct=True):
+    metrics = {"items_per_s": {"value": items_per_s, "unit": "1/s"},
+               "wall_s": {"value": wall_s, "unit": "s"}}
+    last = json.dumps({"correct": correct, "attempted": 9, "failed": 1 - correct, "metrics": metrics})
+    return f"run record: {{}}\nclicks_per_s = {items_per_s!r} 1/s\n{last}\n"
+
+
+def test_bench_pairs_summary(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    parse = bench_pairs.parse_result
+    assert parse(_bench_output(100.0, 2.0)) == {"correct": True, "items_per_s": 100.0, "wall_s": 2.0}
+    assert parse("Traceback (most recent call last):\n") == {"correct": False}
+    assert parse("") == {"correct": False}
+    runs = [
+        {"parent": parse(_bench_output(p, w)), "change": parse(_bench_output(c, v))}
+        for p, c, w, v in [(100.0, 150.0, 2.0, 1.5), (110.0, 160.0, 2.0, 2.5), (90.0, 80.0, 3.0, 1.0)]
+    ]
+    runs.append({"parent": parse(_bench_output(1.0, 1.0)), "change": parse(_bench_output(9.0, 9.0, False))})
+    end_to_end = [{"name": "items_per_s", "better": "higher"}, {"name": "wall_s", "better": "lower"},
+                  {"name": "peak_rss_mb", "better": "lower"}]
+    summary = bench_pairs.summarize(runs, end_to_end)
+    assert json.loads(json.dumps(summary)) == summary
+    # the failed run drops out with its pair; a metric no run printed is absent
+    assert summary["pairs"] == 4 and summary["failed_runs"] == 1
+    assert "peak_rss_mb" not in summary
+    items = summary["items_per_s"]
+    assert (items["parent_median"], items["change_median"]) == (100.0, 150.0)
+    assert items["ratio"] == 1.5
+    assert (items["pairs_won"], items["pairs"]) == (2, 3)
+    wall = summary["wall_s"]
+    assert (wall["parent_median"], wall["change_median"], wall["pairs_won"]) == (2.0, 1.5, 2)
+    assert wall["parent_quartiles"][0] <= 2.0 <= wall["parent_quartiles"][1]
+
+
+def test_bench_pairs_reads_preset_times(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    out = ("figA2  ok     (  0.2 s)\n   [PASS] figA2/recovery-tau: x\n"
+           "fig4   FAILED ( 12.5 s)\nall presets passed\n")
+    assert bench_pairs.parse_presets(out) == {"figA2": 0.2, "fig4": 12.5}

@@ -443,6 +443,57 @@ class TestEngineCounters:
         # click's perhaps after the run
         assert engine["crossings"] >= clicks - 1
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize(
+        "stimulus",
+        [StimulusConfig.none(), StimulusConfig.periodic(0.5e6, 10.0),
+         StimulusConfig.double_pulse(180e-9, 1.0)],
+        ids=["dark", "periodic", "double-180ns"],
+    )
+    def test_longer_run_keeps_the_prefix(self, stimulus, seed):
+        # a longer run keeps the clicks of a shorter one before it ends (a
+        # pulse at exactly its end exists only in the longer run)
+        m = model_at(25.2e-6)
+        short = simulate(m, stimulus, 0.05, seed)
+        longer = simulate(m, stimulus, 0.1, seed)
+        cut = short.duration_ps
+        a, b = short.detector_events, longer.detector_events
+        assert a.size > 100
+        assert np.array_equal(a[a < cut], b[b < cut])
+
+    def test_run_end_inside_a_kernel_stops_its_crossings(self):
+        # a run that ends 1 ns before an isolated click's kernel ends has not
+        # crossed its last segment end, even where the mass outlasts the
+        # kernel and a later end would cross them all in one step (the pulse
+        # guard of that step is held by the pinned laser runs' counters)
+        m = model_at(25.2e-6)
+        kdur_ps = round(m.kernel.duration * 1e12)
+        events = simulate(m, StimulusConfig.none(), 0.005, 3).detector_events
+        gaps = np.diff(events)
+        isolated = events[1:-1][(gaps[:-1] > kdur_ps + 10_000) & (gaps[1:] > kdur_ps + 10_000)][:5]
+        assert isolated.size == 5
+        for click in isolated.tolist():
+            inside = simulate(m, StimulusConfig.none(), (click + kdur_ps - 1000) * 1e-12, 3)
+            past = simulate(m, StimulusConfig.none(), (click + kdur_ps + 1000) * 1e-12, 3)
+            assert inside.detector_events[-1] == past.detector_events[-1] == click
+            assert inside.metadata["engine"]["crossings"] < past.metadata["engine"]["crossings"]
+
+    def test_zero_dark_rate_laser_only(self):
+        m = model_at(25.0e-6)
+        m = dataclasses.replace(m, rates=dataclasses.replace(m.rates, dark_rate_ref=0.0))
+        s = simulate(m, StimulusConfig.periodic(1e6, 1.0), 0.001, 1)
+        # no dark proposal: every click is a laser click, on a pulse
+        assert s.detector_events.size > 0
+        assert np.isin(s.detector_events, s.sync_events).all()
+        assert s.metadata["engine"]["pulses_skipped"] > 0
+
+    def test_zero_dark_rate_dark_only_is_empty(self):
+        m = model_at(25.0e-6)
+        m = dataclasses.replace(m, rates=dataclasses.replace(m.rates, dark_rate_ref=0.0))
+        s = simulate(m, StimulusConfig.none(), 0.001, 1)
+        assert s.detector_events.size == 0
+        assert s.duration_ps == 1_000_000_000
+
     def test_zero_duration_counters(self):
         s = simulate(model_at(25.0e-6), StimulusConfig.periodic(1e6, 1.0), 0.0, 1)
         assert set(s.metadata["engine"].values()) == {0}
