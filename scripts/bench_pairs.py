@@ -3,20 +3,23 @@
 
     python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR BENCH.json
 
-PARENT_DIR and CHANGE_DIR are the roots of two checkouts. For each workload
-of BENCHMARK.json, each of 10 pairs runs `perfbench/run.py --seed i+1` once
-in each checkout for the benchmark's `run_seconds`, the parent first in
-even pairs and the change first in odd ones, so that a drift of the host's
-speed does not favour one side. The file records every run's end-to-end
-metrics; per metric, the median and
-quartiles of each side, the change-over-parent ratio of the medians and the
-pairs the change won; and the number of failed runs. It then runs
-`scripts/reproduce_all.py --seed 3` twice in each checkout, alternating
-sides, and records the wall time of each preset and of the battery. `nproc`, the
-Python and NumPy versions and both commits are recorded too.
+PARENT_DIR and CHANGE_DIR are the roots of two checkouts. The script first
+times `import snspdsim` in 5 fresh processes per side, alternating sides,
+and records each time and the median. For each workload of BENCHMARK.json,
+each of 10 pairs then runs `perfbench/run.py --seed i+1` once in each
+checkout for the benchmark's `run_seconds`, the parent first in even pairs
+and the change first in odd ones, so that a drift of the host's speed does
+not favour one side. The file records every run's end-to-end metrics; per
+metric, the median and quartiles of each side, the change-over-parent ratio
+of the medians and the pairs the change won; and the number of failed runs.
+It then runs `scripts/reproduce_all.py --seed 3` twice in each checkout,
+alternating sides, and records the wall time of each preset and of the
+battery. Last, it runs the Tier-1 suite once in each checkout, the parent
+first, and records its wall time and summary line. `nproc`, the Python and
+NumPy versions and both commits are recorded too.
 
 Times come from `perfbench/run.py`, which scales host time by its reference
-loop (`perfbench/clock.py`); preset times are host seconds.
+loop (`perfbench/clock.py`); preset, import and Tier-1 times are host seconds.
 """
 
 import argparse
@@ -36,6 +39,7 @@ import numpy as np
 SIDES = ("parent", "change")
 PAIRS = 10
 BATTERY_ROUNDS = 2
+IMPORT_ROUNDS = 5
 PRESET_SEED = 3
 RUN_TIMEOUT_S = 1800
 # one line of reproduce_all.py per preset: "fig4   ok     (  1.6 s)"
@@ -132,6 +136,27 @@ def _battery(root: Path) -> dict:
     return {"passed": done.returncode == 0, "battery_s": wall, "presets_s": parse_presets(done.stdout)}
 
 
+def _import_s(root: Path) -> float:
+    """Seconds a fresh interpreter takes to import snspdsim from `root`."""
+    code = "import time; t0 = time.perf_counter(); import snspdsim; print(time.perf_counter() - t0)"
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=RUN_TIMEOUT_S, check=True)
+    return float(done.stdout)
+
+
+def _tier1(root: Path) -> dict:
+    """One run of the Tier-1 suite (ROADMAP.md) in `root`."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=root, capture_output=True, text=True, env=env, timeout=RUN_TIMEOUT_S,
+    )
+    wall = time.perf_counter() - t0
+    lines = done.stdout.strip().splitlines()
+    return {"passed": done.returncode == 0, "wall_s": wall, "summary": lines[-1] if lines else ""}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="root of the parent checkout")
@@ -154,6 +179,13 @@ def main() -> int:
         "seconds": seconds,
         "workloads": {},
     }
+    # first, so that a checkout that cannot import fails the script at once
+    imports = {side: [] for side in SIDES}
+    for i in range(IMPORT_ROUNDS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            imports[side].append(_import_s(roots[side]))
+    result["import_s"] = {side: {"median": statistics.median(runs), "runs": runs}
+                          for side, runs in imports.items()}
     for workload in (w["name"] for w in spec["workloads"]):
         runs = []
         for i in range(PAIRS):
@@ -180,6 +212,8 @@ def main() -> int:
         } for side, runs in batteries.items() if runs
     }}
 
+    result["tier1"] = {side: _tier1(roots[side]) for side in SIDES}
+
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
@@ -188,6 +222,9 @@ def main() -> int:
             if isinstance(m, dict):
                 print(f"{workload} {name}: {m['parent_median']:.4g} -> {m['change_median']:.4g} "
                       f"({m['pairs_won']}/{m['pairs']} pairs won)")
+    for side in SIDES:
+        print(f"{side}: import {result['import_s'][side]['median']:.3f} s, "
+              f"Tier-1 {result['tier1'][side]['wall_s']:.1f} s ({result['tier1'][side]['summary']})")
     print(f"wrote {args.out}")
     return 0
 

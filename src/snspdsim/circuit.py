@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .errors import ConfigError, PrecisionError
 from .tables import write_csv
@@ -231,7 +230,7 @@ class FilterSpec:
 class BiquadCascade:
     """Discrete-time second-order sections tied to a design sample period."""
 
-    sos: np.ndarray           # (n_sections, 6), scipy layout
+    sos: np.ndarray           # (n_sections, 6), rows (b0, b1, b2, 1, a1, a2)
     sample_period: float
 
     @property
@@ -255,7 +254,17 @@ class BiquadCascade:
 
 def design_bandpass(spec: FilterSpec, sample_period: float) -> BiquadCascade:
     """Butterworth band-pass realized by bilinear transform with prewarped
-    band edges, returned as cascaded second-order sections."""
+    band edges, returned as cascaded second-order sections.
+
+    The steps and their floating-point operations are those of SciPy's
+    `signal.butter(spec.order // 2, band, "bandpass", output="sos", fs=...)`,
+    so the sections equal SciPy's bit for bit (the tests check this).
+    Poles are paired into sections by SciPy's default "nearest" rule: the
+    pole nearest the unit circle is taken first, with its conjugate (a real
+    pole with the real pole next nearest the unit circle), and given the
+    nearest two of the remaining zeros; the first section pulled out comes
+    last in the cascade, and the overall gain goes into the first.
+    """
     if sample_period <= 0:
         raise ConfigError("sample_period must be strictly positive")
     nyquist = 0.5 / sample_period
@@ -264,25 +273,110 @@ def design_bandpass(spec: FilterSpec, sample_period: float) -> BiquadCascade:
             f"passband_high {spec.passband_high:.3e} Hz is at or above the "
             f"Nyquist frequency {nyquist:.3e} Hz"
         )
-    sos = signal.butter(
-        spec.order // 2,
-        [spec.passband_low, spec.passband_high],
-        btype="bandpass",
-        output="sos",
-        fs=1.0 / sample_period,
-    )
-    return BiquadCascade(np.asarray(sos, dtype=np.float64), sample_period)
+    n = spec.order // 2
+    fs = 1.0 / sample_period
+    # prewarped band edges, for the bilinear transform at fs = 2
+    band = np.array([spec.passband_low, spec.passband_high]) / (fs / 2)
+    warped = 4.0 * np.tan(np.pi * band / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    # analog low-pass prototype poles, shifted to +-wo (the band-pass
+    # transform), which leaves n zeros at s = 0 and n at infinity
+    prototype = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2, dtype=np.float64) / (2 * n))
+    p_lp = prototype * bw / 2
+    root = np.sqrt(p_lp**2 - wo**2)
+    analog = np.concatenate((p_lp + root, p_lp - root))
+    # bilinear transform at fs = 2, s -> 4 (z - 1) / (z + 1): the zeros at
+    # s = 0 go to z = 1, those at infinity to z = -1
+    gain = bw**n * np.real(4.0**n / np.prod(4.0 - analog))
+    zeros = np.repeat([-1.0, 1.0], n)
+    poles = np.concatenate(_conjugate_halves((4.0 + analog) / (4.0 - analog)))
+    # Every zero is real, so SciPy's nearest zero and nearest real zero are
+    # the same pick, and real poles come in pairs (both roots of one real
+    # prototype pole, or a pair within the realness tolerance), so its
+    # cases for a lone real pole or a lone real zero never arise.
+    sos = np.zeros((n, 6))
+    for section in range(n - 1, -1, -1):
+        i = _nearest_unit_circle(poles)
+        p1 = poles[i]
+        poles = np.delete(poles, i)
+        if np.isreal(p1):
+            real = np.flatnonzero(np.isreal(poles))
+            j = real[_nearest_unit_circle(poles[real])]
+            p2 = poles[j]
+            poles = np.delete(poles, j)
+        else:
+            p2 = p1.conj()
+        pair = []
+        for _ in range(2):
+            j = np.argsort(np.abs(zeros - p1))[0]
+            pair.append(zeros[j])
+            zeros = np.delete(zeros, j)
+        sos[section, :3] = _poly(np.array(pair))
+        sos[section, 3:] = _poly(np.array([p1, p2]))
+    sos[0, :3] *= gain
+    return BiquadCascade(sos, sample_period)
+
+
+def _nearest_unit_circle(poles: np.ndarray) -> int:
+    return int(np.argmin(np.abs(1 - np.abs(poles))))
+
+
+def _conjugate_halves(z: np.ndarray):
+    """SciPy's `_cplxreal`: the upper half of each conjugate pair (the pair
+    averaged), sorted by real part and then imaginary part, and the real
+    values (imaginary part within 100 eps of the modulus), sorted."""
+    tol = 100 * np.finfo(np.float64).eps
+    z = z[np.lexsort((abs(z.imag), z.real))]
+    real = abs(z.imag) <= tol * abs(z)
+    zr = z[real].real
+    if len(zr) == len(z):
+        return np.array([]), zr
+    z = z[~real]
+    zp = z[z.imag > 0]
+    zn = z[z.imag < 0]
+    # runs of (nearly) equal real part are sorted by imaginary part
+    same_real = np.diff(zp.real) <= tol * abs(zp[:-1])
+    edges = np.diff(np.concatenate(([0], same_real, [0])))
+    for start, stop in zip(np.nonzero(edges > 0)[0], np.nonzero(edges < 0)[0] + 1):
+        for chunk in (zp[start:stop], zn[start:stop]):
+            chunk[...] = chunk[np.lexsort([abs(chunk.imag)])]
+    return (zp + zn.conj()) / 2, zr
+
+
+def _poly(roots: np.ndarray) -> np.ndarray:
+    """Real polynomial coefficients of conjugate-closed roots, one
+    convolution per root in the order SciPy's `zpk2tf` takes them."""
+    coeffs = np.ones(1, dtype=roots.dtype)
+    for root in roots:
+        coeffs = np.convolve(coeffs, np.array([1, -root], dtype=roots.dtype))
+    return coeffs.real
 
 
 def apply_filter(cascade: BiquadCascade, wave: Waveform) -> Waveform:
-    """Causal filtering; output keeps the input's length and grid."""
+    """Causal filtering from rest; output keeps the input's length and grid.
+
+    Each section in turn runs over the whole signal in transposed direct
+    form II, with the operations of SciPy's `sosfilt` in the same order, so
+    the output equals it bit for bit.
+    """
     if not math.isclose(cascade.sample_period, wave.sample_period, rel_tol=1e-9):
         raise ConfigError(
             f"waveform sample period {wave.sample_period:.3e} s does not match "
             f"the filter design period {cascade.sample_period:.3e} s"
         )
-    out = signal.sosfilt(cascade.sos, wave.samples)
-    return Waveform(out, wave.sample_period, wave.t0)
+    x = wave.samples.tolist()
+    for b0, b1, b2, _, a1, a2 in cascade.sos.tolist():
+        y = []
+        append = y.append
+        s1 = s2 = 0.0
+        for xn in x:
+            yn = b0 * xn + s1
+            s1 = b1 * xn - a1 * yn + s2
+            s2 = b2 * xn - a2 * yn
+            append(yn)
+        x = y
+    return Waveform(np.array(x), wave.sample_period, wave.t0)
 
 
 def discriminate(wave: Waveform, threshold: float, holdoff: float = 0.0) -> np.ndarray:

@@ -353,6 +353,15 @@ def test_fig8_checks_are_chosen_by_the_model(monkeypatch):
     assert names == [f"branching-{bias*1e6:.1f}uA" for bias in presets.BIAS_SWEEP[2:]]
 
 
+@pytest.mark.parametrize("mu", np.geomspace(0.5, 50.0, 11).tolist())
+def test_poisson_upper_tail_matches_scipy(mu):
+    # k = 0, k around mu, and k at 10x mu, where the tail is down to 1e-306
+    assert presets.poisson_upper_tail(0, mu) == 1.0
+    for k in (1, math.floor(mu), math.ceil(mu) + 1, math.ceil(10 * mu)):
+        expected = stats.poisson.sf(k - 1, mu)
+        assert presets.poisson_upper_tail(k, mu) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_criterion_8_conditional_histogram(laser_stream):
     stream, sim_elapsed = laser_stream
     with criterion(8, "sync-conditioned histogram with laser on"):

@@ -1,6 +1,7 @@
 """Circuit-model tests: current dynamics, filter design, discrimination,
 perturbation kernels. Expected values come from closed-form oracles
-evaluated inside the tests."""
+evaluated inside the tests; the band-pass design and the filter loop are
+also held bit for bit to SciPy's `butter` and `sosfilt`."""
 
 import math
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
+from snspdsim import presets
 from snspdsim.circuit import (
     DEFAULT_SAMPLE_PERIOD,
     BiquadCascade,
@@ -208,6 +211,71 @@ class TestBandpassDesign:
     def test_inverted_band_rejected(self):
         with pytest.raises(ConfigError):
             FilterSpec(4, 580e6, 15e6)
+
+
+def scipy_sos(spec, sample_period):
+    return signal.butter(
+        spec.order // 2,
+        [spec.passband_low, spec.passband_high],
+        btype="bandpass",
+        output="sos",
+        fs=1.0 / sample_period,
+    )
+
+
+SHIPPED_SPECS = [
+    FilterSpec(order, band.passband_low, band.passband_high)
+    for band in (presets.NARROW_BAND, presets.WIDE_BAND)
+    for order in (2, 4, 6, 8)
+]
+
+
+@st.composite
+def valid_specs(draw):
+    """An even order up to 8 and a band strictly inside (0, Nyquist), on
+    the default grid or a coarser one."""
+    sample_period = draw(st.sampled_from([DEFAULT_SAMPLE_PERIOD, 1e-9, 1e-6]))
+    nyquist = 0.5 / sample_period
+    low = nyquist * 10 ** draw(st.floats(-8.0, -0.05))
+    high = low + (0.99 * nyquist - low) * 10 ** draw(st.floats(-4.0, 0.0))
+    return FilterSpec(draw(st.sampled_from([2, 4, 6, 8])), low, high), sample_period
+
+
+class TestScipyOracle:
+    """The design and the filter loop are SciPy's operations in SciPy's
+    order, so they must match it exactly, not to a tolerance. Orders 2 and
+    6 on the wide band have real poles and exercise the rest of the
+    nearest-pairing rule."""
+
+    @pytest.mark.parametrize("spec", SHIPPED_SPECS, ids=str)
+    def test_sections_equal_butter(self, spec):
+        sos = design_bandpass(spec, DEFAULT_SAMPLE_PERIOD).sos
+        assert np.array_equal(sos, scipy_sos(spec, DEFAULT_SAMPLE_PERIOD))
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_specs())
+    def test_sections_equal_butter_on_valid_specs(self, drawn):
+        spec, sample_period = drawn
+        assert np.array_equal(design_bandpass(spec, sample_period).sos, scipy_sos(spec, sample_period))
+
+    @pytest.mark.parametrize("band", [presets.NARROW_BAND, presets.WIDE_BAND], ids=["narrow", "wide"])
+    def test_readout_pulse_equals_sosfilt(self, band):
+        raw = readout_pulse(fig_a2_params(25.2e-6), DEFAULT_SAMPLE_PERIOD, 2e-6)
+        cascade = design_bandpass(band, DEFAULT_SAMPLE_PERIOD)
+        out = apply_filter(cascade, raw).samples
+        expected = signal.sosfilt(cascade.sos, raw.samples)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+    @settings(max_examples=50, deadline=None)
+    @given(valid_specs(), st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=300))
+    def test_filter_equals_sosfilt(self, drawn, samples):
+        spec, sample_period = drawn
+        cascade = design_bandpass(spec, sample_period)
+        out = apply_filter(cascade, Waveform(samples, sample_period)).samples
+        expected = signal.sosfilt(cascade.sos, samples)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
 
 
 class TestApplyFilter:

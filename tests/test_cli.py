@@ -357,6 +357,20 @@ def run_script(cwd, name, *args):
                           cwd=cwd, capture_output=True, text=True, env=env, timeout=120)
 
 
+def test_runtime_imports_no_scipy():
+    # SciPy is a test dependency only: the package, its CLI and the presets
+    # must import and build the parser without it
+    code = (
+        "import sys, snspdsim, snspdsim.cli, snspdsim.presets, snspdsim.config, snspdsim.circuit\n"
+        "snspdsim.cli.build_parser()\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(snspdsim.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "script, args, message",
     [
@@ -429,6 +443,13 @@ def test_bench_pairs_summary(monkeypatch):
     wall = summary["wall_s"]
     assert (wall["parent_median"], wall["change_median"], wall["pairs_won"]) == (2.0, 1.5, 2)
     assert wall["parent_quartiles"][0] <= 2.0 <= wall["parent_quartiles"][1]
+
+
+def test_bench_pairs_times_a_fresh_import(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    assert bench_pairs._import_s(Path(snspdsim.__file__).parents[2]) > 0.0
 
 
 def test_bench_pairs_reads_preset_times(monkeypatch):

@@ -5,8 +5,10 @@ output format drift. The digests below were taken from the outputs before
 every table went through `write_csv`; a change to the number format, a
 schema or a file name shows up here. Nothing pinned here goes through
 `simulate`, whose realizations change whenever its RNG consumption does.
-The figA2 waveforms and the exponential fit are full-precision floats from
-SciPy and LAPACK, so another NumPy/SciPy build may move their last bits.
+The figA2 waveforms come from the package's own filter: a NumPy band-pass
+design and a pure-Python section loop, which is plain IEEE arithmetic. The
+design's NumPy transcendentals and the exponential fit's LAPACK solve are
+full-precision floats, so another NumPy build may move their last bits.
 """
 
 import hashlib
