@@ -14,9 +14,12 @@ metric, the median and quartiles of each side, the change-over-parent ratio
 of the medians and the pairs the change won; and the number of failed runs.
 It then runs `scripts/reproduce_all.py --seed 3` twice in each checkout,
 alternating sides, and records the wall time of each preset and of the
-battery. Last, it runs the Tier-1 suite once in each checkout, the parent
-first, and records its wall time and summary line. `nproc`, the Python and
-NumPy versions and both commits are recorded too.
+battery. It counts the engine's deterministic work once in each checkout:
+clicks, uniforms and segment-end crossings, and both per click, over the
+seed-3 runs of fig4, fig8, fig9 and fig10 and over dark runs at 23.0 and
+25.2 uA (`engine_work`). Last, it runs the Tier-1 suite once in each
+checkout, the parent first, and records its wall time and summary line.
+`nproc`, the Python and NumPy versions and both commits are recorded too.
 
 Times come from `perfbench/run.py`, which scales host time by its reference
 loop (`perfbench/clock.py`); preset, import and Tier-1 times are host seconds.
@@ -42,6 +45,12 @@ BATTERY_ROUNDS = 2
 IMPORT_ROUNDS = 5
 PRESET_SEED = 3
 RUN_TIMEOUT_S = 1800
+# the engine work counted on each side (engine_work): presets at
+# PRESET_SEED, and dark runs of WORK_DARK_COUNTS primary counts per seed
+WORK_FIGURES = ("fig4", "fig8", "fig9", "fig10")
+WORK_DARK_UA = (23.0, 25.2)
+WORK_DARK_COUNTS = 10_000
+WORK_DARK_SEEDS = (11, 12, 13)
 # one line of reproduce_all.py per preset: "fig4   ok     (  1.6 s)"
 PRESET_LINE = re.compile(r"^(\S+)\s+(ok|FAILED)\s+\(\s*([\d.]+) s\)$")
 
@@ -104,6 +113,52 @@ def summarize(runs, end_to_end) -> dict:
             "pairs": len(pairs),
         }
     return out
+
+
+def engine_work(figures=WORK_FIGURES, dark_ua=WORK_DARK_UA, seeds=WORK_DARK_SEEDS,
+                counts=WORK_DARK_COUNTS) -> dict:
+    """Clicks, uniforms and crossings (`metadata["engine"]`) summed over the
+    `simulate` calls of each preset of `figures` at PRESET_SEED and of the
+    dark runs of `counts` primary counts at each bias of `dark_ua` (uA) and
+    each seed, with uniforms and crossings per click. It runs the snspdsim
+    that is first on sys.path."""
+    from snspdsim import presets
+    from snspdsim.simulation import StimulusConfig, simulate
+
+    totals = {}
+
+    def count(name, stream):
+        entry = totals.setdefault(name, {"clicks": 0, "uniforms": 0, "crossings": 0})
+        entry["clicks"] += int(stream.detector_events.size)
+        entry["uniforms"] += stream.metadata["engine"]["uniforms"]
+        entry["crossings"] += stream.metadata["engine"]["crossings"]
+        return stream
+
+    for name in figures:
+        presets.simulate = lambda *args, _name=name, **kwargs: count(_name, simulate(*args, **kwargs))
+        try:
+            with tempfile.TemporaryDirectory() as out_dir:
+                presets.FIGURES[name](out_dir, seed=PRESET_SEED)
+        finally:
+            presets.simulate = simulate
+    for bias_ua in dark_ua:
+        model = presets.profile_model(bias_ua * 1e-6)
+        duration = counts / float(model.rates.dark_rate(bias_ua * 1e-6))
+        for seed in seeds:
+            count(f"dark-{bias_ua}uA", simulate(model, StimulusConfig.none(), duration, seed))
+    for entry in totals.values():
+        for key in ("uniforms", "crossings"):
+            entry[f"{key}_per_click"] = entry[key] / entry["clicks"] if entry["clicks"] else None
+    return totals
+
+
+def _engine_work(root: Path) -> dict:
+    """engine_work() in a fresh process on the snspdsim of `root`."""
+    code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+            "import bench_pairs; print(json.dumps(bench_pairs.engine_work()))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=RUN_TIMEOUT_S, check=True)
+    return json.loads(done.stdout)
 
 
 def _commit(root: Path) -> str:
@@ -212,6 +267,7 @@ def main() -> int:
         } for side, runs in batteries.items() if runs
     }}
 
+    result["engine_work"] = {side: _engine_work(roots[side]) for side in SIDES}
     result["tier1"] = {side: _tier1(roots[side]) for side in SIDES}
 
     with open(args.out, "w") as fh:
@@ -222,6 +278,10 @@ def main() -> int:
             if isinstance(m, dict):
                 print(f"{workload} {name}: {m['parent_median']:.4g} -> {m['change_median']:.4g} "
                       f"({m['pairs_won']}/{m['pairs']} pairs won)")
+    for name, entry in result["engine_work"]["change"].items():
+        before = result["engine_work"]["parent"].get(name, {})
+        print(f"{name}: uniforms per click {before.get('uniforms_per_click')} -> {entry['uniforms_per_click']}, "
+              f"crossings per click {before.get('crossings_per_click')} -> {entry['crossings_per_click']}")
     for side in SIDES:
         print(f"{side}: import {result['import_s'][side]['median']:.3f} s, "
               f"Tier-1 {result['tier1'][side]['wall_s']:.1f} s ({result['tier1'][side]['summary']})")

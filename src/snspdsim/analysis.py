@@ -251,10 +251,13 @@ def conditional_histogram(
     sync = stream.sync_events
     sync = sync[sync + window_ps <= stream.duration_ps]  # complete windows only
     n_bins = -(-window_ps // bin_ps)
+    # a window is kept when its trigger's first click, at or after it, lies
+    # in the first bin; only the kept ones are searched for their end
     lo = np.searchsorted(det, sync)
-    hi = np.searchsorted(det, sync + window_ps)
-    accepted = np.searchsorted(det, sync + bin_ps) > lo
-    lo, hi, anchors = lo[accepted], hi[accepted], sync[accepted]
+    accepted = lo < det.size
+    accepted[accepted] = det[lo[accepted]] - sync[accepted] < bin_ps
+    lo, anchors = lo[accepted], sync[accepted]
+    hi = np.searchsorted(det, anchors + window_ps)
     per_window = hi - lo
     total = int(per_window.sum())
     if total == 0:

@@ -417,7 +417,10 @@ class PerturbationKernel:
     sample_period: float
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        # a read-only copy: a model keeps tables built from the samples
+        samples = np.array(self.samples, dtype=np.float64)
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
         if self.sample_period <= 0:
             raise ConfigError("kernel sample_period must be strictly positive")
         if self.samples.ndim != 1 or self.samples.size < 2:

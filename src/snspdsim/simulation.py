@@ -9,10 +9,12 @@ is what produces the dead time.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +89,12 @@ class DetectorModel:
             raise ConfigError(f"unknown latch_policy {self.latch_policy!r}")
         if self.kernel is not None and self.kernel.duration > MAX_KERNEL_DURATION * (1 + 1e-9):
             raise ConfigError("kernel duration must not exceed 2 us")
+
+    @functools.cached_property
+    def _tables(self) -> "_KernelTables | None":
+        # the thinning tables are constants of the model, which is frozen,
+        # so they are built on its first run and kept for every later one
+        return _kernel_tables(self)
 
     @property
     def can_latch(self) -> bool:
@@ -330,41 +338,53 @@ def simulate(
 ) -> TimeTagStream:
     """Generate a reproducible TimeTagStream for the given model and drive.
 
+    The engine keeps the last click as an integer-ps epoch and every other
+    time -- the proposals, the live kernels, the next pulse, the run end --
+    as float seconds since it, so a realization does not depend on where
+    it falls in time: shifting the start shifts every click by exactly as
+    many ps. A pulse's time since the epoch comes from an integer ps
+    difference. One path records every click, dark or laser, and re-bases
+    the clock on it: a click `n` ps after the epoch is stamped `epoch + n`;
+    with n <= 0 it lands on or before the previous click's ps, a sub-ps
+    coincidence the tagger cannot resolve, and is dropped; one stamped
+    past the run's last ps is not recorded. A click that is kept starts
+    its kernel and, on an unshunted detector, the latch scan.
+
     Dark counts are thinned against a piecewise-constant envelope (Ogata's
-    local bound). Once per run the kernel is split into index segments
+    local bound). The kernel is split into index segments
     (`_kernel_segments`), and the envelope is dark_rate(I_b + sum of the
     current segment bounds of the live kernels). Recovery never exceeds
     I_b, so the envelope dominates the true rate by construction; a
     violation raises SimulationError. The envelope holds until the nearest
-    segment end of any live kernel. There the unit-exponential mass it
-    used is subtracted and the rest carries over: exact by memorylessness,
-    and a crossing draws no uniform. A mass that outlasts the one kernel
-    live, which ends before the next pulse and the run end, crosses all
-    its segment ends in one step, from a per-run table of segment masses.
-    Without a live kernel the envelope is dark_rate(I_b) and each proposal
-    draws its own exponential; a zero envelope proposes nothing.
+    segment end of any live kernel, or the next pulse. There the
+    unit-exponential mass it used is subtracted and the rest carries over:
+    exact by memorylessness, and neither a crossing nor a pulse draws a
+    uniform. A mass that outlasts the one kernel live, which ends before
+    the next pulse and the run end, crosses all its segment ends in one
+    step, from a table of segment masses. Without a live kernel the
+    envelope is dark_rate(I_b); a zero envelope proposes nothing. A dark
+    proposal with no kernel live on a quiescent detector (see below) is
+    accepted without a uniform: there the rate is dark_rate(I_b) bit for
+    bit, so the thinning test cannot fail: a click with no other within
+    that time takes one uniform, its proposal. The segment tables and the
+    branching probability are constants of the model, built on its first
+    run.
 
     A model with a live kernel whose click has a mean of one or more
     further clicks, -log(1 - branching_probability(model)) >= 1, is
     supercritical: its afterpulse trains never end, so it is refused with
-    a ConfigError before the run.
+    a ConfigError before every run.
 
     Laser pulses are evaluated one by one while the detector recovers from
     a click. Once it is quiescent -- last click at least
-    `max(settle_time, kernel duration)` ago, so that no kernel is live and
-    the float recovery law returns exactly I_b -- every pulse clicks with
-    the same probability p_q until the next click. The engine then draws
-    the index of the next clicking pulse as one geometric variate and steps
-    over the pulses before it. A dark click that lands first ends the
-    stretch; evaluation resumes at the first pulse after it. This is exact:
-    in a quiet stretch the pulse outcomes are independent of each other and
-    of the dark process.
-
-    Dark and laser clicks are recorded by one path with one rule: a click
-    rounds to a whole ps, and one that lands on or before the ps of the
-    previous click is a sub-ps coincidence the tagger cannot resolve, so it
-    is dropped; the click that is kept starts its kernel and, on an
-    unshunted detector, the latch scan.
+    `max(settle_time, kernel duration)` ago, or none yet, so that no kernel
+    is live and the float recovery law returns exactly I_b -- every pulse
+    clicks with the same probability p_q until the next click. The engine
+    then draws the index of the next clicking pulse as one geometric
+    variate and steps over the pulses before it. A dark click that lands
+    first ends the stretch; evaluation resumes at the first pulse after it.
+    This is exact: in a quiet stretch the pulse outcomes are independent of
+    each other and of the dark process.
 
     `metadata["engine"]` carries deterministic work counters: uniforms
     drawn, pulses evaluated one by one, pulses stepped over by a geometric
@@ -373,15 +393,13 @@ def simulate(
     """
     if duration < 0:
         raise ConfigError(f"duration must be non-negative, got {duration!r} s")
-    branching = 0.0
-    if model.kernel is not None and np.any(model.kernel.samples):
-        branching = branching_probability(model)
-        # a mean of -log(1 - p) >= 1 further clicks per click
-        if branching >= 1.0 - math.exp(-1.0):
-            raise ConfigError(
-                f"supercritical model: a click is followed by another with probability "
-                f"{branching:.4g}, a mean of one or more further clicks per click"
-            )
+    tables = model._tables
+    # a mean of -log(1 - p) >= 1 further clicks per click
+    if tables is not None and tables.branching >= 1.0 - math.exp(-1.0):
+        raise ConfigError(
+            f"supercritical model: a click is followed by another with probability "
+            f"{tables.branching:.4g}, a mean of one or more further clicks per click"
+        )
     duration_ps = whole_ps(duration * PS_PER_SECOND, "duration")
     train = make_stimulus(stimulus, duration_ps)
     metadata = _run_metadata(model, stimulus, duration_ps, seed)
@@ -391,9 +409,7 @@ def simulate(
             np.empty(0, np.int64), np.empty(0, np.int64), 0, metadata
         )
     rng = np.random.default_rng(seed)
-    detector, metadata["engine"] = _run_engine(
-        model, stimulus, train, duration, duration_ps, rng, branching
-    )
+    detector, metadata["engine"] = _run_engine(model, stimulus, train, duration_ps, rng)
     return TimeTagStream(detector, train.sync_times_ps, duration_ps, metadata)
 
 
@@ -462,15 +478,55 @@ def _kernel_segments(samples: np.ndarray, g_dark: float, rate_dt: float, branchi
     return bounds, ends
 
 
+class _KernelTables(NamedTuple):
+    """A live kernel's thinning tables: constants of the model."""
+
+    branching: float        # branching_probability(model)
+    samples: list           # the kernel samples, A
+    sample_period: float    # s
+    duration: float         # s from the click to the last sample
+    bounds: list            # each segment's bound, A
+    ends_s: list            # each segment's end, s after the click
+    envs: list              # the envelope, 1/s, of one kernel alone in each segment
+    tails: list             # the envelope mass of the segments after each
+
+
+def _kernel_tables(model: DetectorModel) -> _KernelTables | None:
+    """The thinning tables of the model's kernel; None without a kernel or
+    with an identically zero one, which has no effect."""
+    kernel = model.kernel
+    if kernel is None or not np.any(kernel.samples):
+        return None
+    rates, i_b = model.rates, model.circuit.bias_current
+    r_ref, g_dark, i_ref = rates.dark_rate_ref, rates.dark_rate_slope, rates.reference_bias
+    rate_b = r_ref * math.exp(g_dark * (i_b - i_ref))
+    branching = branching_probability(model)
+    ksp = kernel.sample_period
+    bounds, ends = _kernel_segments(kernel.samples, g_dark, rate_b * ksp, branching)
+    # with one kernel alone live: its envelope in each segment (the float
+    # operations of the engine's envelope_now, so the value is the same
+    # either way) and the mass of the segments after each
+    envs = [r_ref * math.exp(g_dark * (i_b + bound - i_ref)) for bound in bounds]
+    tails = [0.0] * len(ends)
+    for k in range(len(ends) - 2, -1, -1):
+        tails[k] = tails[k + 1] + envs[k + 1] * ((ends[k + 1] - ends[k]) * ksp)
+    samples = kernel.samples.tolist()
+    return _KernelTables(
+        branching, samples, ksp, (len(samples) - 1) * ksp,
+        bounds, [b * ksp for b in ends], envs, tails,
+    )
+
+
 def _run_engine(
     model: DetectorModel,
     stimulus: StimulusConfig,
     train: StimulusTrain,
-    duration: float,
-    duration_ps: int,
+    end_ps: int,
     rng: np.random.Generator,
-    branching: float,
+    start_ps: int = 0,
 ) -> tuple[np.ndarray, dict]:
+    """One realization from `start_ps` to `end_ps`, in the ps of the pulse
+    train; `simulate` starts every run at 0."""
     circ = model.circuit
     rates = model.rates
     i_b = circ.bias_current
@@ -490,25 +546,13 @@ def _run_engine(
     exp = math.exp
     log = math.log
 
-    kernel = model.kernel
-    if kernel is not None and not np.any(kernel.samples):
-        kernel = None  # an identically zero kernel has no effect
+    tables = model._tables
     rate_b = r_ref * exp(g_dark * (i_b - i_ref))  # the dark rate with no kernel live
-    if kernel is not None:
-        ksamp = kernel.samples.tolist()
-        ksp = kernel.sample_period
+    if tables is not None:
+        ksamp, ksp, kdur = tables.samples, tables.sample_period, tables.duration
         klast = len(ksamp) - 1
-        kdur = klast * ksp
-        seg_bound, seg_end = _kernel_segments(kernel.samples, g_dark, rate_b * ksp, branching)
-        seg_end_s = [b * ksp for b in seg_end]  # segment ends, s after the click
-        n_segs = len(seg_end)
-        # with one kernel alone live: its envelope in each segment (the float
-        # operations of envelope_now, so the value is the same either way)
-        # and the mass of the segments after each
-        seg_env = [r_ref * exp(g_dark * (i_b + bound - i_ref)) for bound in seg_bound]
-        tail = [0.0] * n_segs
-        for k in range(n_segs - 2, -1, -1):
-            tail[k] = tail[k + 1] + seg_env[k + 1] * ((seg_end[k + 1] - seg_end[k]) * ksp)
+        seg_bound, seg_end_s, seg_env, tail = tables.bounds, tables.ends_s, tables.envs, tables.tails
+        n_segs = len(seg_end_s)
     else:
         ksamp = None
         ksp = kdur = 0.0
@@ -523,13 +567,17 @@ def _run_engine(
 
     uniforms = _BlockUniforms(rng)
 
+    # the clock: `epoch` is the ps of the last click, or of the start before
+    # the first. Every other time is float s since the epoch ("local")
+    epoch = start_ps
     out_ps: list[int] = []
     # the live kernels: click time, current segment and that segment's end
     active: list[float] = []
     segs: list[int] = []
     seg_ends: list[float] = []
-    t_last = -1.0                 # most recent click, <0 means none yet
+    quiet_at = 0.0                # quiescent from here; at once before any click
     t = 0.0
+    end = (end_ps - epoch) / PS_PER_SECOND
     latched = False
     evaluated = dropped = crossings = 0
 
@@ -546,18 +594,16 @@ def _run_engine(
 
     # the scalar form of the effective-bias law (circuit.nanowire_current
     # plus the kernels), the engine's only one. It stays scalar math.exp in
-    # this operation order: that keeps dark streams without a live kernel
-    # byte-identical to the reference engine, and one NumPy call costs more
-    # than a whole proposal. The support test skips a kernel that has ended
+    # this operation order, as one NumPy call costs more than a whole
+    # proposal. From `quiet_at` on the law returns exactly I_b
+    # (CircuitParams.settle_time). The support test skips a kernel that has ended
     def bias_at(when: float) -> float:
-        if t_last < 0:
+        if when >= quiet_at:
             i = i_b
+        elif when <= t_hs:
+            i = i_ss + (i_b - i_ss) * exp(-when / tau_fall)
         else:
-            s = when - t_last
-            if s <= t_hs:
-                i = i_ss + (i_b - i_ss) * exp(-s / tau_fall)
-            else:
-                i = i_b - (i_b - i_end) * exp(-(s - t_hs) / tau_rec)
+            i = i_b - (i_b - i_end) * exp(-(when - t_hs) / tau_rec)
         for tc in active:
             d = when - tc
             if 0.0 <= d < kdur:
@@ -580,31 +626,47 @@ def _run_engine(
 
     envelope, horizon = rate_b, math.inf
 
-    # every click, dark or laser, is recorded here
-    def click(when: float, when_ps: int) -> None:
-        nonlocal t_last, latched, dropped, envelope, horizon
+    def pulse_time(idx: int) -> float:
+        # an integer ps difference, so a pulse's local time is exact
+        return (int(pulses_ps[idx]) - epoch) / PS_PER_SECOND if idx < n_pulses else math.inf
+
+    # every click, dark or laser, is recorded here, `when_ps` ps after the
+    # epoch, and the clock is re-based on it
+    def click(when_ps: int) -> None:
+        nonlocal epoch, quiet_at, t, nxt_s, end, latched, dropped, envelope, horizon
         # sub-ps coincidences cannot be resolved; drop them
-        if out_ps and when_ps <= out_ps[-1]:
+        if when_ps <= 0 and out_ps:
             dropped += 1
             return
-        if when_ps > duration_ps:
+        stamp = epoch + when_ps
+        if stamp > end_ps:
             return
-        out_ps.append(when_ps)
-        t_last = when
-        if kernel is not None:
-            active.append(when)
+        out_ps.append(stamp)
+        epoch = stamp
+        quiet_at = t_quiet
+        t = 0.0
+        if nxt < n_pulses:
+            nxt_s = (int(pulses_ps[nxt]) - stamp) / PS_PER_SECOND
+        end = (end_ps - stamp) / PS_PER_SECOND
+        if tables is not None:
+            active.append(0.0)
             segs.append(0)
-            seg_ends.append(when + seg_end_s[0])
-            envelope, horizon = envelope_now()
+            seg_ends.append(seg_end_s[0])
+            if len(segs) == 1:
+                envelope, horizon = seg_env[0], seg_end_s[0]
+            else:
+                # the kernels live before it now started that much earlier
+                shift = when_ps / PS_PER_SECOND
+                for idx in range(len(segs) - 1):
+                    active[idx] -= shift
+                    seg_ends[idx] = active[idx] + seg_end_s[segs[idx]]
+                envelope, horizon = envelope_now()
             if can_latch:
                 # scan the kernel horizon for the first crossing of I_c
                 for j in range(klast + 1):
-                    if bias_at(when + j * ksp) >= i_c:
+                    if bias_at(j * ksp) >= i_c:
                         latched = True
                         return
-
-    def pulse_time(idx: int) -> float:
-        return int(pulses_ps[idx]) * 1e-12 if idx < n_pulses else math.inf
 
     next_uniform = uniforms.next
     # the pulse cursor: the next pulse to act on and its time. `landed`
@@ -628,7 +690,7 @@ def _run_engine(
         # at a segment end that comes before the proposal, the next pulse
         # and the run end, the mass the envelope used up to it is spent and
         # the rest carries over, which is exact by memorylessness
-        while horizon < proposal and horizon < nxt_s and horizon < duration:
+        while horizon < proposal and horizon < nxt_s and horizon < end:
             if len(segs) == 1:
                 # one kernel alone: the mass of its remaining segments, in
                 # time since its click. A mass that outlasts it, with the
@@ -637,7 +699,7 @@ def _run_engine(
                 k = segs[0]
                 tc = active[0]
                 spent = envelope * (seg_end_s[k] - (t - tc)) + tail[k]
-                if mass > spent and tc + kdur < nxt_s and tc + kdur < duration:
+                if mass > spent and tc + kdur < nxt_s and tc + kdur < end:
                     mass -= spent
                     t = tc + kdur
                     crossings += n_segs - k
@@ -664,9 +726,11 @@ def _run_engine(
 
         # past the last pulse, nxt_s is inf, and so is a proposal of a zero envelope
         if nxt_s <= proposal and nxt < n_pulses:
-            mass = 0.0
+            # the mass the envelope used up to the pulse is spent and the
+            # rest carries over, as at a segment end
+            mass -= envelope * (nxt_s - t)
             t = nxt_s
-            if not landed and (t_last < 0 or t - t_last >= t_quiet):
+            if not landed and t >= quiet_at:
                 # quiescent: the number of quiet pulses before the next
                 # one that clicks is geometric in p_quiet
                 landed = True
@@ -687,27 +751,33 @@ def _run_engine(
                 evaluated += 1
                 clicked = next_uniform() < click_probability(bias_at(t))
             if clicked:
-                click(t, int(pulses_ps[nxt]))
+                click(int(pulses_ps[nxt]) - epoch)
             nxt += 1
             nxt_s = pulse_time(nxt)
             continue
 
-        if proposal >= duration:
+        if proposal >= end:
             break
         mass = 0.0
         t = proposal
-        rate = r_ref * exp(g_dark * (bias_at(t) - i_ref))
-        if rate > envelope * (1.0 + 1e-9):
-            raise SimulationError(
-                f"thinning envelope violated at t={t:.6e}: rate {rate:.3e} "
-                f"> envelope {envelope:.3e}"
-            )
-        if next_uniform() * envelope <= rate:
-            click(t, round(t * PS_PER_SECOND))
+        # with no kernel live on a quiescent detector the rate is the
+        # envelope, rate_b, bit for bit: the proposal is a click
+        if segs or t < quiet_at:
+            rate = r_ref * exp(g_dark * (bias_at(t) - i_ref))
+            if rate > envelope * (1.0 + 1e-9):
+                raise SimulationError(
+                    f"thinning envelope violated {t:.6e} s after ps {epoch}: "
+                    f"rate {rate:.3e} > envelope {envelope:.3e}"
+                )
+            accepted = next_uniform() * envelope <= rate
+        else:
+            accepted = True
+        if accepted:
+            click(round(t * PS_PER_SECOND))
         if landed:
             # the quiet pulses up to this dark event did not click; the
             # ones after it are evaluated afresh from the new state
-            nxt = int(np.searchsorted(pulses_ps, round(t * PS_PER_SECOND), side="right"))
+            nxt = int(np.searchsorted(pulses_ps, epoch + round(t * PS_PER_SECOND), side="right"))
             nxt_s = pulse_time(nxt)
             landed = False
 

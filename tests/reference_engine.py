@@ -1,8 +1,8 @@
 """The scalar click engine as it stood before the quiescent fast-forward.
 
 `_run_engine` and `_BlockUniforms` are kept verbatim as a test oracle:
-dark-only streams of the current engine must equal this one's byte for
-byte, and stimulus runs must agree with it statistically.
+the current engine's streams must agree with it statistically, and a run
+that latches on its first click byte for byte.
 """
 
 from __future__ import annotations

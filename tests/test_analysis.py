@@ -331,6 +331,27 @@ class TestConditionalHistogram:
         assert hist.counts.tolist() == counts
         assert hist.total_events == total
 
+    @pytest.mark.parametrize(
+        "det, sync, anchored",
+        [
+            # 2 us windows on triggers 0.5 us apart: a click lies in up to
+            # four windows, and anchors the one of its own trigger only
+            ([0, 300_000, 500_000, 1_510_000, 2_000_000, 2_900_000, 4_019_999],
+             [0, 500_000, 1_000_000, 1_500_000, 2_000_000, 4_000_000], 5),
+            # a click exactly one bin after its trigger is in bin 1: it cannot
+            # anchor, while one a ps earlier can
+            ([3 * US + 20_000, 5 * US + 19_999, 5 * US + 20_000], [3 * US, 5 * US], 1),
+        ],
+        ids=["windows-wider-than-spacing", "click-at-first-bin-end"],
+    )
+    def test_edge_cases_match_naive(self, det, sync, anchored):
+        s = self.stream(det, sync, 20 * US)
+        hist = conditional_histogram(s, 2 * US, 20_000)
+        counts, total = naive_conditional_histogram(det, sync, 20 * US, 2 * US, 20_000)
+        assert hist.counts.tolist() == counts
+        assert hist.total_events == total
+        assert hist.counts[0] == anchored
+
 
 class TestRecovery:
     def worked_histogram(self, one_sided=False):

@@ -459,3 +459,18 @@ def test_bench_pairs_reads_preset_times(monkeypatch):
     out = ("figA2  ok     (  0.2 s)\n   [PASS] figA2/recovery-tau: x\n"
            "fig4   FAILED ( 12.5 s)\nall presets passed\n")
     assert bench_pairs.parse_presets(out) == {"figA2": 0.2, "fig4": 12.5}
+
+
+def test_bench_pairs_counts_engine_work(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    from snspdsim import presets, simulation
+
+    work = bench_pairs.engine_work(figures=("fig4",), dark_ua=(23.0,), seeds=(1, 2), counts=200)
+    assert presets.simulate is simulation.simulate
+    assert set(work) == {"fig4", "dark-23.0uA"}
+    for entry in work.values():
+        assert entry["clicks"] > 0
+        assert entry["uniforms_per_click"] == entry["uniforms"] / entry["clicks"]
+        assert entry["crossings_per_click"] == entry["crossings"] / entry["clicks"]

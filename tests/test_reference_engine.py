@@ -1,10 +1,11 @@
 """The engine against its pre-fast-forward copy in reference_engine.py.
 
-Without laser pulses and without a live kernel the two consume the random
-stream identically, so their streams must be equal byte for byte. A live
-kernel is thinned against segment bounds instead of remaining maxima, and
-laser runs step over quiet pulses with one geometric draw, so those
-realizations differ and the two are compared statistically: counts within
+A run that latches on its first click draws one proposal in both, so its
+stream must be equal byte for byte. Every other run consumes the random
+stream differently -- the engine accepts a quiescent proposal without a
+uniform, carries its exponential mass across pulses, thins a live kernel
+against segment bounds and steps over quiet pulses with one geometric
+draw -- so those realizations are compared statistically: counts within
 4 sigma, gap distributions by a two-sample KS test, train lengths by a
 chi-squared test.
 """
@@ -49,10 +50,7 @@ def primary_duration(model, counts):
     return counts / float(model.rates.dark_rate(model.circuit.bias_current))
 
 
-DARK_CASES = {
-    "null-kernel-25.0uA": lambda: presets.profile_model(25.0e-6, kernel_amplitude=0.0),
-    "unshunted-latching": unshunted_latching_model,
-}
+DARK_CASES = {"unshunted-latching": unshunted_latching_model}
 
 
 @pytest.mark.parametrize("seed", [1, 7, 2024])
@@ -67,9 +65,10 @@ def test_dark_streams_byte_identical(case, seed):
 
 
 # The 9 kernel comparisons below make 18 tests (KS and chi-squared) of a
-# true null hypothesis; at this per-test level a correct engine fails one
-# or more of them with probability at most 1% (Bonferroni).
-KERNEL_ALPHA = 0.01 / 18
+# true null hypothesis, and the 3 null-kernel ones 3 more (KS); at this
+# per-test level a correct engine fails one or more of the 21 with
+# probability at most 21 * 0.01/18, 1.2% (Bonferroni).
+TEST_ALPHA = 0.01 / 18
 
 
 def train_length_table(new, ref):
@@ -98,10 +97,23 @@ def test_kernel_dark_streams_agree(case, seed):
     ref = reference_stream(model, StimulusConfig.none(), duration, seed + 1)
     assert_counts_agree(new.size, ref.size, f"clicks at {bias_ua} uA")
     _, p_gaps = stats.ks_2samp(np.diff(new), np.diff(ref))
-    assert p_gaps > KERNEL_ALPHA, f"waiting times at {bias_ua} uA: KS p = {p_gaps:.2g}"
+    assert p_gaps > TEST_ALPHA, f"waiting times at {bias_ua} uA: KS p = {p_gaps:.2g}"
     table = train_length_table(new, ref)
     p_trains = stats.chi2_contingency(table, correction=False).pvalue
-    assert p_trains > KERNEL_ALPHA, f"train lengths at {bias_ua} uA: {table}, p = {p_trains:.2g}"
+    assert p_trains > TEST_ALPHA, f"train lengths at {bias_ua} uA: {table}, p = {p_trains:.2g}"
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+def test_null_kernel_dark_streams_agree(seed):
+    # no kernel: a dead time, then a flat rate; a correct engine leaves no
+    # train to compare, so the waiting times carry the test
+    model = presets.profile_model(25.0e-6, kernel_amplitude=0.0)
+    duration = primary_duration(model, 8000)
+    new = simulate(model, StimulusConfig.none(), duration, seed).detector_events
+    ref = reference_stream(model, StimulusConfig.none(), duration, seed + 1)
+    assert_counts_agree(new.size, ref.size, "null-kernel clicks")
+    _, p_gaps = stats.ks_2samp(np.diff(new), np.diff(ref))
+    assert p_gaps > TEST_ALPHA, f"null-kernel waiting times: KS p = {p_gaps:.2g}"
 
 
 def assert_counts_agree(n_new, n_ref, label):
