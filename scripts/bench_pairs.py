@@ -12,6 +12,8 @@ and the change first in odd ones, so that a drift of the host's speed does
 not favour one side. The file records every run's end-to-end metrics; per
 metric, the median and quartiles of each side, the change-over-parent ratio
 of the medians and the pairs the change won; and the number of failed runs.
+One traced run per side (`--trace 1 --seed 1`) then gives each workload's
+per-layer metrics (`layers`), which show where a change's saving lands.
 It then runs `scripts/reproduce_all.py --seed 3` twice in each checkout,
 alternating sides, and records the wall time of each preset and of the
 battery. It counts the engine's deterministic work once in each checkout:
@@ -170,10 +172,10 @@ def _commit(root: Path) -> str:
     return head + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def _bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def _bench(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
     )
     return parse_result(done.stdout) if done.returncode == 0 else {"correct": False}
@@ -251,7 +253,9 @@ def main() -> int:
             runs.append(run)
             print(f"{workload} pair {i}: " + "  ".join(
                 f"{side} {run[side].get('items_per_s', float('nan')):.4g}/s" for side in SIDES))
-        result["workloads"][workload] = {"summary": summarize(runs, spec["end_to_end"]), "runs": runs}
+        layers = {side: _bench(roots[side], workload, 1, seconds, trace=1) for side in SIDES}
+        result["workloads"][workload] = {"summary": summarize(runs, spec["end_to_end"]), "runs": runs,
+                                         "layers": layers}
 
     batteries = {side: [] for side in SIDES}
     for i in range(BATTERY_ROUNDS):
@@ -278,6 +282,9 @@ def main() -> int:
             if isinstance(m, dict):
                 print(f"{workload} {name}: {m['parent_median']:.4g} -> {m['change_median']:.4g} "
                       f"({m['pairs_won']}/{m['pairs']} pairs won)")
+        parent, change = entry["layers"]["parent"], entry["layers"]["change"]
+        for name in sorted(set(parent) & set(change) - {"correct"}):
+            print(f"{workload} traced {name}: {parent[name]:.4g} -> {change[name]:.4g}")
     for name, entry in result["engine_work"]["change"].items():
         before = result["engine_work"]["parent"].get(name, {})
         print(f"{name}: uniforms per click {before.get('uniforms_per_click')} -> {entry['uniforms_per_click']}, "

@@ -20,8 +20,13 @@ is exactly the 64-byte header.
 
 The CSV twin has the schema `channel,timestamp_ps` with a one-line header;
 run duration and metadata ride along in `#`-comment lines before the header
-so the text form round-trips too; later `#` lines are comments. A malformed
-file raises `FormatError`, a broken stream invariant `StreamValidationError`.
+so the text form round-trips too; later `#` lines are comments. The writer
+builds its rows as NumPy byte blocks. A body in the writer's own form (rows
+`[0-9],[0-9]{1,19}\n`, no stamp with a leading zero, rows never shorter
+than the one before) is parsed in NumPy blocks; every other body goes through NumPy's
+`loadtxt` rule unchanged, which reads a writer-form body to the same rows,
+so the set of accepted files is the same. A malformed file raises
+`FormatError`, a broken stream invariant `StreamValidationError`.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import warnings
 import numpy as np
 
 from .errors import FormatError, StreamValidationError
-from .simulation import TimeTagStream
+from .simulation import INT64_MAX, TimeTagStream
 
 MAGIC = b"NPTT"
 VERSION = 1
@@ -46,8 +51,19 @@ _RECORD = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
 HEADER_SIZE = _HEADER.size  # 64
 
 _CSV_ROW = np.dtype([("channel", "<i8"), ("timestamp", "<i8")])
-# records formatted per string-format call; bounds the text held in memory
-_CSV_CHUNK = 65_536
+# records per writer slice: bounds the text held in memory, and a slice's
+# digit arrays stay in cache
+_CSV_CHUNK = 16_384
+# body bytes per reader block (then completed to its line's end): bounds
+# the text held in memory beside the parsed rows
+_CSV_BLOCK = 1 << 20
+# the longest row the writer makes: channel digit, comma, 19 digits, newline
+_CSV_LINE_MAX = 22
+# the first stamp of each digit count from 2 to 19: 10, 100, ..., 10**18
+_POW10 = 10 ** np.arange(1, 19, dtype=np.uint64)
+# _DIGITS4[n] holds the four ASCII digits of n, leading zeros included, as
+# the bytes of one uint32
+_DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).view(np.uint32)[:, 0]
 
 
 def _canonical_metadata(metadata: dict) -> bytes:
@@ -95,15 +111,36 @@ def write_stream_csv(stream: TimeTagStream, path) -> None:
     """CSV twin of the binary format (see module docstring)."""
     meta = _canonical_metadata(stream.metadata)
     records = _merged_records(stream)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# duration_ps={stream.duration_ps}\n")
+    with open(path, "wb") as fh:
+        fh.write(b"# duration_ps=%d\n" % stream.duration_ps)
         if meta:
-            fh.write("# metadata=" + meta.decode("utf-8") + "\n")
-        fh.write("channel,timestamp_ps\n")
+            fh.write(b"# metadata=" + meta + b"\n")
+        fh.write(b"channel,timestamp_ps\n")
         for start in range(0, records.size, _CSV_CHUNK):
             chunk = records[start : start + _CSV_CHUNK]
-            pairs = np.column_stack((chunk["channel"], chunk["timestamp"])).ravel().tolist()
-            fh.write("%d,%d\n" * chunk.size % tuple(pairs))
+            stamps = np.ascontiguousarray(chunk["timestamp"])
+            # stamps are sorted, so the rows of each digit count are one run
+            edges = [0, *np.searchsorted(stamps, _POW10).tolist(), chunk.size]
+            for digits, (lo, hi) in enumerate(zip(edges, edges[1:]), start=1):
+                if lo < hi:
+                    fh.write(_csv_rows(chunk["channel"][lo:hi], stamps[lo:hi], digits))
+
+
+def _csv_rows(channels, stamps, digits) -> np.ndarray:
+    """The text rows `channel,stamp\\n` of stamps that all have `digits`
+    digits, as a uint8 array with one row per line."""
+    limbs = -(-digits // 4)
+    text = np.empty((stamps.size, limbs), np.uint32)  # four digits each, most significant first
+    for i in range(limbs - 1, -1, -1):
+        high = stamps // 10_000
+        text[:, i] = _DIGITS4[stamps - high * 10_000]
+        stamps = high
+    rows = np.empty((text.shape[0], digits + 3), np.uint8)
+    rows[:, 0] = channels + ord("0")
+    rows[:, 1] = ord(",")
+    rows[:, 2:-1] = text.view(np.uint8)[:, 4 * limbs - digits :]
+    rows[:, -1] = ord("\n")
+    return rows
 
 
 def read_stream(path) -> TimeTagStream:
@@ -175,11 +212,56 @@ def _load_int64(lines, dtype) -> np.ndarray:
         return np.loadtxt(lines, dtype=dtype, delimiter=",", ndmin=1)
 
 
+def _writer_rows(path, offset):
+    """Channels and stamps of the CSV body that starts at byte `offset`, or
+    None when a block of it is not in the writer's own form: rows
+    `[0-9],[0-9]{1,19}\\n`, no stamp with a leading zero or above INT64_MAX,
+    and rows that never get shorter (stamps in file order never do)."""
+    channels, stamps = [np.empty(0, np.uint8)], [np.empty(0, np.uint64)]
+    width = 4  # the shortest row, "0,0\n"
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        while block := fh.read(_CSV_BLOCK) + fh.readline(_CSV_LINE_MAX):
+            if block[-1] != ord("\n"):
+                return None  # a row too long, or no final newline
+            raw = np.frombuffer(block, np.uint8)
+            digit = raw - ord("0")  # a digit is 0..9; every other byte wraps above 9
+            ends = np.flatnonzero(raw == ord("\n"))
+            widths = np.diff(ends, prepend=-1)
+            starts = ends - widths + 1
+            if (
+                widths[0] < width
+                or widths[-1] > _CSV_LINE_MAX
+                or np.any(np.diff(widths) < 0)
+                # the newlines and one comma per row are the only non-digits
+                or np.count_nonzero(digit > 9) != 2 * ends.size
+                or np.any(raw[starts + 1] != ord(","))
+                or np.any((digit[starts + 2] == 0) & (widths > 4))
+            ):
+                return None
+            width = int(widths[-1])
+            runs = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), ends.size]
+            for lo, hi in zip(runs, runs[1:]):
+                w = int(widths[lo])
+                rows = digit[starts[lo] : starts[lo] + (hi - lo) * w].reshape(hi - lo, w)
+                value = rows[:, 2].astype(np.uint64)
+                for column in range(3, w - 1):
+                    value *= 10
+                    value += rows[:, column]
+                if value.max() > INT64_MAX:
+                    return None
+                channels.append(rows[:, 0].copy())  # not a view that keeps the block alive
+                stamps.append(value)
+    return np.concatenate(channels), np.concatenate(stamps).view(np.int64)
+
+
 def _read_csv(path) -> TimeTagStream:
     duration_ps = None
     metadata: dict = {}
     with open(path, "r", newline="") as fh:
+        offset = 0  # bytes of the lines read so far
         for lineno, line in enumerate(fh, start=1):
+            offset += len(line.encode(fh.encoding))
             line = line.strip()
             if line.startswith("#"):
                 body = line[1:].strip()
@@ -198,12 +280,17 @@ def _read_csv(path) -> TimeTagStream:
                 break
         else:
             raise FormatError("missing 'channel,timestamp_ps' header line")
-        try:
-            rows = _load_int64(fh, _CSV_ROW)
-        except ValueError as exc:
-            msg = f"line {lineno} is the header; rows are counted after it: {exc}"
-            raise FormatError(msg) from None
-    stamps = rows["timestamp"]
+        rows = _writer_rows(path, offset)
+        if rows is None:
+            # every other body: NumPy's rule, from the line after the header
+            try:
+                table = _load_int64(fh, _CSV_ROW)
+            except ValueError as exc:
+                msg = f"line {lineno} is the header; rows are counted after it: {exc}"
+                raise FormatError(msg) from None
+            rows = table["channel"], table["timestamp"]
+    channels, stamps = rows
     if duration_ps is None:
-        duration_ps = int(stamps.max()) if stamps.size else 0
-    return _split_channels(rows["channel"], stamps, duration_ps, metadata)
+        # never negative: a negative stamp is then named by TimeTagStream
+        duration_ps = max(int(stamps.max()), 0) if stamps.size else 0
+    return _split_channels(channels, stamps, duration_ps, metadata)

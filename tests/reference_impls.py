@@ -1,8 +1,16 @@
-"""Deliberately naive reference implementations of every analysis.
+"""Deliberately naive reference implementations of every analysis and of
+the CSV time-tag codec.
 
 Plain-Python scan-everything versions, kept structurally independent of the
 vectorized streaming code so the two can be compared for exact equality.
 """
+
+import json
+
+import numpy as np
+
+from snspdsim.errors import FormatError
+from snspdsim.timetags import _CSV_ROW, _decode_metadata, _load_int64, _split_channels
 
 
 def naive_interarrival_histogram(events, bin_width_ps, max_time_ps):
@@ -78,3 +86,53 @@ def naive_conditional_histogram(detector, sync, duration_ps, window_ps, bin_ps):
             counts[dt // bin_ps] += 1
             total += 1
     return counts, total
+
+
+def reference_write_csv(stream, path):
+    """The CSV twin written one `"%d,%d\\n"` row per record, records sorted
+    by (timestamp, channel)."""
+    records = sorted([(int(t), 0) for t in stream.detector_events]
+                     + [(int(t), 1) for t in stream.sync_events])
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# duration_ps={stream.duration_ps}\n")
+        if stream.metadata:
+            fh.write("# metadata=" + json.dumps(stream.metadata, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write("channel,timestamp_ps\n")
+        for stamp, channel in records:
+            fh.write("%d,%d\n" % (channel, stamp))
+
+
+def reference_read_csv(path):
+    """The CSV twin read with NumPy's loadtxt rule alone, from the text file;
+    a body that is not UTF-8 is a FormatError, as in `read_stream`."""
+    duration_ps = None
+    metadata = {}
+    try:
+        with open(path, "r", newline="") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("duration_ps="):
+                        try:
+                            (duration_ps,) = _load_int64([body.split("=", 1)[1]], np.int64).tolist()
+                        except ValueError:
+                            raise FormatError(f"line {lineno}: bad duration_ps") from None
+                    elif body.startswith("metadata="):
+                        metadata = _decode_metadata(body.split("=", 1)[1].encode("utf-8"))
+                elif line:
+                    if line.replace(" ", "") != "channel,timestamp_ps":
+                        raise FormatError(f"line {lineno}: expected header 'channel,timestamp_ps'")
+                    break
+            else:
+                raise FormatError("missing 'channel,timestamp_ps' header line")
+            try:
+                rows = _load_int64(fh, _CSV_ROW)
+            except ValueError as exc:
+                raise FormatError(str(exc)) from None
+    except UnicodeDecodeError:
+        raise FormatError("not a CSV time-tag file") from None
+    stamps = rows["timestamp"]
+    if duration_ps is None:
+        duration_ps = max(int(stamps.max()), 0) if stamps.size else 0
+    return _split_channels(rows["channel"], stamps, duration_ps, metadata)

@@ -445,6 +445,28 @@ def test_bench_pairs_summary(monkeypatch):
     assert wall["parent_quartiles"][0] <= 2.0 <= wall["parent_quartiles"][1]
 
 
+def test_bench_pairs_reads_traced_layers(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    metrics = {"timetags.write_csv_s": {"value": 0.05, "unit": "s"},
+               "timetags.records": {"value": 2574750.0, "unit": "count"},
+               "analysis.busy_s": {"value": 0.08, "unit": "s"}}
+    last = json.dumps({"correct": True, "attempted": 78, "failed": 0, "metrics": metrics})
+    out = "check tags/csv-round-trip: 26/26 passed\ntimetags.write_csv_s = 0.05 s\n" + last + "\n"
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    layers = bench_pairs._bench(tmp_path, "tagstream", 1, 20, trace=1)
+    assert calls[0][-2:] == ["--trace", "1"]
+    assert layers == {"correct": True, "timetags.write_csv_s": 0.05, "timetags.records": 2574750.0,
+                      "analysis.busy_s": 0.08}
+
+
 def test_bench_pairs_times_a_fresh_import(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     import bench_pairs

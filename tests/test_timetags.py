@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snspdsim import timetags
 from snspdsim.errors import FormatError, StreamValidationError
-from snspdsim.simulation import TimeTagStream
+from snspdsim.simulation import INT64_MAX, TimeTagStream
 from snspdsim.timetags import (
     HEADER_SIZE,
     MAGIC,
@@ -20,6 +21,8 @@ from snspdsim.timetags import (
     write_stream,
     write_stream_csv,
 )
+
+from reference_impls import reference_read_csv, reference_write_csv
 
 
 @st.composite
@@ -284,3 +287,106 @@ class TestCsvFormat:
             warnings.simplefilter("ignore")
             with pytest.raises(FormatError):
                 read_stream(path)
+
+
+def every_width_stream(pad=0):
+    """Stamps of every width from 1 to 19 digits, 0 and INT64_MAX included,
+    some shared by both channels, and `pad` consecutive stamps that cross
+    from 6 to 7 digits."""
+    edges = [0, 9] + [v for d in range(2, 20) for v in (10 ** (d - 1), 10 ** (d - 1) + 7)]
+    stamps = np.unique(np.array(edges + [INT64_MAX - 1, INT64_MAX], np.int64))
+    run = 10**6 - pad // 2 + np.arange(pad, dtype=np.int64)
+    det = np.union1d(stamps[::2], run)
+    sync = np.union1d(stamps[1::2], stamps[::3])
+    return TimeTagStream(det, sync, INT64_MAX, {"widths": "1-19"})
+
+
+class TestCsvCodec:
+    """The NumPy byte-block codec against the per-record writer and the
+    loadtxt-only reader of `reference_impls`."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None], ids=lambda c: f"chunk-{c or 'default'}")
+    def test_writer_matches_per_record_oracle(self, tmp_path, monkeypatch, chunk):
+        stream = every_width_stream(pad=3 * timetags._CSV_CHUNK if chunk is None else 200)
+        if chunk is not None:
+            monkeypatch.setattr(timetags, "_CSV_CHUNK", chunk)
+        assert stream.detector_events.size + stream.sync_events.size > timetags._CSV_CHUNK
+        write_stream_csv(stream, tmp_path / "blocks.csv")
+        reference_write_csv(stream, tmp_path / "rows.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert read_stream(tmp_path / "blocks.csv") == stream
+
+    @pytest.mark.parametrize("block", range(1, 48))
+    def test_reader_blocks_match_oracle(self, tmp_path, monkeypatch, block):
+        # every cut: inside a row, at a row's end, and where the width changes
+        det = [0, 3, 9, 10, 11, 99, 100, 1000, 99_999, 10**6, INT64_MAX]
+        sync = [9, 100, 10**6]
+        stream = TimeTagStream(np.array(det), np.array(sync), INT64_MAX)
+        path = tmp_path / "s.csv"
+        write_stream_csv(stream, path)
+        monkeypatch.setattr(timetags, "_CSV_BLOCK", block)
+        body = path.read_bytes().index(b"channel,timestamp_ps\n") + len(b"channel,timestamp_ps\n")
+        channels, stamps = timetags._writer_rows(path, body)
+        assert list(zip(stamps.tolist(), channels.tolist())) == sorted(
+            [(t, 0) for t in det] + [(t, 1) for t in sync])
+        assert read_stream(path) == reference_read_csv(path) == stream
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"0,5\r\n1,7\r\n",
+            b"0,5\n\n1,7\n",
+            b"0,5\n# note\n1,7\n",
+            b"0,5 # note\n1,7\n",
+            b"0, 5\n 1 ,7\n",
+            b"0,\t5\n",
+            b"0,+5\n",
+            b"0,005\n1,7\n",
+            b"01,5\n",
+            b"0,5\n1,7",
+            b"0,9223372036854775807\n",
+            b"0,9223372036854775808\n",
+            b"0,18446744073709551621\n",
+            b"0,\n",
+            b"0,5,7\n",
+            b"0,5\n0,\xff\n",
+            b"0,5\n" * 3000 + b"0,\xff\n",
+            b"5,5\n",
+            b"0,-5\n",
+            b"0,200\n0,100\n",
+            b"0,10\n0,5\n",
+            b"",
+        ],
+        ids=["crlf", "blank-line", "comment-line", "inline-comment", "spaces", "tab", "plus-sign",
+             "leading-zeros", "channel-01", "no-final-newline", "int64-max", "int64-max-plus-1",
+             "2**64+5",
+             "empty-field", "three-fields", "not-utf8", "not-utf8-after-8-KiB", "channel-5",
+             "negative", "non-monotone", "width-decreases", "header-only"],
+    )
+    def test_edge_bodies_match_oracle(self, tmp_path, body):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"# duration_ps=9223372036854775807\nchannel,timestamp_ps\n" + body)
+        try:
+            expected = reference_read_csv(path)
+        except (FormatError, StreamValidationError) as exc:
+            with pytest.raises(type(exc)):
+                read_stream(path)
+        else:
+            assert read_stream(path) == expected
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"0,5\r\n", b"0,05\n", b"0,10\n1,5\n", b"0,5", b"0,18446744073709551621\n", b"0,5\n1,9223372036854775808\n"],
+        ids=["crlf", "leading-zero", "width-decreases", "no-final-newline", "20-digits", "above-int64"],
+    )
+    def test_other_bodies_left_to_loadtxt(self, tmp_path, body):
+        path = tmp_path / "s.csv"
+        path.write_bytes(body)
+        assert timetags._writer_rows(path, 0) is None
+
+    def test_negative_timestamp_named_without_duration(self, tmp_path):
+        # the duration is inferred from the stamps, and a negative one is not a duration
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"channel,timestamp_ps\n0,-5\n")
+        with pytest.raises(StreamValidationError, match="detector_events must lie within"):
+            read_stream(path)
