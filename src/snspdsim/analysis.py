@@ -1,7 +1,7 @@
 """Statistical procedures over time-tag streams.
 
 Everything operates on integer picosecond timestamps, so results are exact,
-shift-invariant and bit-reproducible; CSV export converts to seconds.
+shift-invariant and bit-reproducible; the tables convert to seconds.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import ConfigError, FitError
 from .simulation import TimeTagStream
-from .tables import write_csv
 
 DEFAULT_WINDOW_PS = 1_000_000       # 1000 ns, the afterpulse horizon
 PS = 1e-12
@@ -359,26 +358,27 @@ def recovery_curve(
 
 
 # ---------------------------------------------------------------------------
-# CSV export (documented column schemas)
+# plot-ready tables: (header, rows) pairs for `tables.write_csv`; the rows
+# are one-pass iterators, so a large histogram is never held as tuples
 
 
-def write_histogram_csv(hist: Histogram, path) -> None:
+def histogram_table(hist: Histogram):
     """Schema: bin_start_s,count"""
-    write_csv(path, "bin_start_s,count", zip(hist.bin_starts_ps * PS, hist.counts))
+    return "bin_start_s,count", zip(hist.bin_starts_ps * PS, hist.counts)
 
 
-def write_expfit_csv(hist: Histogram, fit: ExpFit, path) -> None:
+def expfit_table(hist: Histogram, fit: ExpFit):
     """Schema: bin_start_s,count,fit (the fit's extrapolated count per bin)"""
     rows = zip(hist.bin_starts_ps * PS, hist.counts, fit.predict_bins(hist.n_bins))
-    write_csv(path, "bin_start_s,count,fit", rows)
+    return "bin_start_s,count,fit", rows
 
 
-def write_recovery_csv(curve: RecoveryCurve, path) -> None:
+def recovery_table(curve: RecoveryCurve):
     """Schema: separation_s,efficiency,err"""
     rows = zip(curve.separations_ps * PS, curve.efficiency, curve.stat_error)
-    write_csv(path, "separation_s,efficiency,err", rows)
+    return "separation_s,efficiency,err", rows
 
 
-def write_trains_csv(dist: TrainDistribution, path) -> None:
+def trains_table(dist: TrainDistribution):
     """Schema: n,count (n = 6 means "6 or more")"""
-    write_csv(path, "n,count", ((n, dist.count(n)) for n in range(1, 7)))
+    return "n,count", [(n, dist.count(n)) for n in range(1, 7)]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PrecisionError
-from .tables import write_csv
 
 # Grid fine enough to resolve the sub-ns current drop with the default
 # constants (fall constant ~0.1 ns).
@@ -133,9 +132,9 @@ class Waveform:
         return self.t0 + np.arange(self.samples.size) * self.sample_period
 
 
-def write_waveform_csv(wave: Waveform, path) -> None:
-    """Two columns `time_s,value`, full double precision."""
-    write_csv(path, "time_s,value", zip(wave.times, wave.samples))
+def waveform_table(wave: Waveform):
+    """Schema: time_s,value (full double precision)"""
+    return "time_s,value", zip(wave.times, wave.samples)
 
 
 def nanowire_current(params: CircuitParams, t):

@@ -69,8 +69,15 @@ def _ps(text, flag: str) -> int:
 def _cmd_analyze(args) -> int:
     paths = args.inputs
     streams = [timetags.read_stream(p) for p in paths]
-    out = Path(args.out) if args.out else None
     name = args.analysis
+    if name != "recovery":
+        if len(streams) != 1:
+            raise ConfigError(f"analysis {name!r} takes exactly one input file")
+        stream = streams[0]
+        events = stream.detector_events
+        window_ps = _ps(args.window, "--window")
+    if name in DEFAULT_BIN:
+        bin_ps = _ps(DEFAULT_BIN[name] if args.bin is None else args.bin, "--bin")
 
     if name == "recovery":
         runs = []
@@ -86,47 +93,38 @@ def _cmd_analyze(args) -> int:
             neighbors_per_side=args.neighbors,
             ratio=args.ratio,
         )
-        analysis.write_recovery_csv(curve, out or "recovery.csv")
-        for sep, eta, err in zip(curve.separations_ps, curve.efficiency, curve.stat_error):
-            print(f"separation {sep/1000:.0f} ns: efficiency {eta:.5f} +- {err:.5f}")
-        return 0
-
-    if len(streams) != 1:
-        raise ConfigError(f"analysis {name!r} takes exactly one input file")
-    stream = streams[0]
-    events = stream.detector_events
-    window_ps = _ps(args.window, "--window")
-    if name in DEFAULT_BIN:
-        bin_ps = _ps(DEFAULT_BIN[name] if args.bin is None else args.bin, "--bin")
-
-    if name == "interarrival":
+        table = analysis.recovery_table(curve)
+        summary = "\n".join(map("separation {:.0f} ns: efficiency {:.5f} +- {:.5f}".format,
+                                curve.separations_ps / 1000, curve.efficiency, curve.stat_error))
+    elif name == "interarrival":
         hist = analysis.interarrival_histogram(events, bin_ps, _ps(args.max_time, "--max-time"))
-        analysis.write_histogram_csv(hist, out or "interarrival.csv")
-        print(f"{hist.total_events} gaps, {int(hist.counts.sum())} binned")
+        table = analysis.histogram_table(hist)
+        summary = f"{hist.total_events} gaps, {int(hist.counts.sum())} binned"
     elif name == "expfit":
         hist = analysis.interarrival_histogram(events, bin_ps, _ps(args.max_time, "--max-time"))
         fit = analysis.fit_exponential(hist, args.discard_first, args.min_bin_count)
-        analysis.write_expfit_csv(hist, fit, out or "expfit.csv")
-        print(f"rate: {fit.rate:.2f} /s  R^2: {fit.r_squared:.5f}")
+        table = analysis.expfit_table(hist, fit)
+        summary = f"rate: {fit.rate:.2f} /s  R^2: {fit.r_squared:.5f}"
     elif name == "afterpulse":
         p = analysis.afterpulse_probability(events, window_ps)
-        rows = [("afterpulse_probability", float("nan") if p is None else p)]
-        write_csv(out or "afterpulse.csv", "metric,value", rows)
-        print("afterpulse probability:", "undefined (empty stream)" if p is None else f"{p:.6f}")
+        table = "metric,value", [("afterpulse_probability", float("nan") if p is None else p)]
+        shown = "undefined (empty stream)" if p is None else f"{p:.6f}"
+        summary = f"afterpulse probability: {shown}"
     elif name == "corrected-dcr":
         total, corrected = analysis.corrected_dcr(events, stream.duration_ps, window_ps)
-        rows = [("total_cps", total), ("corrected_cps", corrected)]
-        write_csv(out or "corrected_dcr.csv", "metric,value", rows)
-        print(f"total: {total:.2f} cps  corrected: {corrected:.2f} cps")
+        table = "metric,value", [("total_cps", total), ("corrected_cps", corrected)]
+        summary = f"total: {total:.2f} cps  corrected: {corrected:.2f} cps"
     elif name == "trains":
         dist = analysis.classify_trains(events, window_ps)
-        analysis.write_trains_csv(dist, out or "trains.csv")
-        print("trains by length:", {n: dist.count(n) for n in range(1, 7)})
-    elif name == "conditional":
+        table = analysis.trains_table(dist)
+        summary = f"trains by length: {dict((n, dist.count(n)) for n in range(1, 7))}"
+    else:  # conditional
         window = _ps(args.conditional_window, "--conditional-window")
         hist = analysis.conditional_histogram(stream, window, bin_ps)
-        analysis.write_histogram_csv(hist, out or "conditional.csv")
-        print(f"{hist.total_events} clicks in anchored windows")
+        table = analysis.histogram_table(hist)
+        summary = f"{hist.total_events} clicks in anchored windows"
+    write_csv(args.out or f"{name.replace('-', '_')}.csv", *table)
+    print(summary)
     return 0
 
 

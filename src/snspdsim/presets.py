@@ -9,11 +9,11 @@ sweep and the recovery curve shows a hard dead time below 80 ns.
 
 A figure is a function of the master seed that simulates with fixed seeds
 derived from it and returns `(tables, checks)`: its plot-ready tables, in
-file order, and the pass/fail checks of its qualitative signature. A table
-maps its name to a `(header, rows)` pair or to a schema writer taking the
-output path. One driver, `run_figure`, does the rest for every figure: it
-creates the output directory, writes each table to `<figure>_<table>.csv`
-and the report to `<figure>_report.txt`, and returns the report.
+file order, each a `(header, rows)` pair by name, and the pass/fail checks
+of its qualitative signature. One driver, `run_figure`, does the rest for
+every figure: it writes each table with `write_csv` to
+`<figure>_<table>.csv` and the report to `<figure>_report.txt` in the
+output directory, and returns the report.
 `FIGURES` maps each figure name to its runner `(out_dir, seed)`.
 """
 
@@ -167,8 +167,8 @@ def figA2(seed: int):
     unfiltered = circuit.readout_pulse(params, sp, 500e-9, click_time=30e-9)
     filtered = circuit.readout_pulse(params, sp, 500e-9, click_time=30e-9, cascade=cascade)
     tables = {
-        "pulse_unfiltered": functools.partial(circuit.write_waveform_csv, unfiltered),
-        "pulse_filtered": functools.partial(circuit.write_waveform_csv, filtered),
+        "pulse_unfiltered": circuit.waveform_table(unfiltered),
+        "pulse_filtered": circuit.waveform_table(filtered),
     }
 
     checks = []
@@ -211,7 +211,7 @@ def fig3(seed: int):
     hist = analysis.interarrival_histogram(stream.detector_events, 100_000_000, 1_500_000_000)
     fit = analysis.fit_exponential(hist, discard_first=1, min_bin_count=10)
     pred = fit.predict_bins(hist.n_bins)
-    tables = {"histogram": functools.partial(analysis.write_expfit_csv, hist, fit)}
+    tables = {"histogram": analysis.expfit_table(hist, fit)}
     checks = [
         Check(
             "event-count",
@@ -243,7 +243,7 @@ def fig4(seed: int):
     """Zoom into the first 500 ns of waiting times at high bias: the
     afterpulse bump near 180 ns."""
     stream, fine, fit = _fine_histogram_run(profile_model(25.2e-6), (4,), seed)
-    tables = {"histogram": functools.partial(analysis.write_histogram_csv, fine)}
+    tables = {"histogram": analysis.histogram_table(fine)}
     peak = int(np.argmax(fine.counts))
     peak_center_ns = (peak + 0.5) * 4
     baseline = fit.predict_interval(peak * 4e-9, (peak + 1) * 4e-9)
@@ -262,9 +262,10 @@ def fig4(seed: int):
     return tables, checks
 
 
-def _sweep_runs(seed, seed_tag, target_events):
+def _sweep_runs(biases, seed, seed_tag, target_events):
+    """One dark run per bias of `biases`, on the seeds `subseed(seed, seed_tag, k)`."""
     runs = []
-    for k, bias in enumerate(BIAS_SWEEP):
+    for k, bias in enumerate(biases):
         duration = _dark_duration(bias, target_events)
         runs.append((bias, _dark_run(profile_model(bias), duration, subseed(seed, seed_tag, k))))
     return runs
@@ -275,7 +276,7 @@ def fig5(seed: int):
     rows = []
     deviations = []
     sigmas = []
-    for bias, stream in _sweep_runs(seed, 5, 10_000):
+    for bias, stream in _sweep_runs(BIAS_SWEEP, seed, 5, 10_000):
         total, corrected = analysis.corrected_dcr(
             stream.detector_events, stream.duration_ps
         )
@@ -308,7 +309,7 @@ def fig5(seed: int):
 def fig6(seed: int):
     """Afterpulse probability vs bias: exponential growth toward I_c."""
     rows = []
-    for bias, stream in _sweep_runs(seed, 6, 10_000):
+    for bias, stream in _sweep_runs(BIAS_SWEEP, seed, 6, 10_000):
         p = analysis.afterpulse_probability(stream.detector_events)
         n = stream.detector_events.size
         rows.append((bias, p, math.sqrt(max(p * (1 - p) / n, 1e-12))))
@@ -332,8 +333,7 @@ def fig7(seed: int):
     """Train-length distributions P(n) at four bias points."""
     rows = []
     dists = []
-    for k, bias in enumerate(FIG7_BIASES):
-        stream = _dark_run(profile_model(bias), _dark_duration(bias, 30_000), subseed(seed, 7, k))
+    for bias, stream in _sweep_runs(FIG7_BIASES, seed, 7, 30_000):
         dist = analysis.classify_trains(stream.detector_events)
         dists.append(dist)
         for n in range(1, 7):
@@ -368,7 +368,7 @@ FIG8_EVENTS = 30_000  # primary dark counts per bias point
 def fig8(seed: int):
     """n=2 to n=1 train ratio vs bias, compared with the branching model."""
     rows = []
-    for bias, stream in _sweep_runs(seed, 8, FIG8_EVENTS):
+    for bias, stream in _sweep_runs(BIAS_SWEEP, seed, 8, FIG8_EVENTS):
         dist = analysis.classify_trains(stream.detector_events)
         n1, n2 = dist.count(1), dist.count(2)
         if n1 == 0 or n2 == 0:
@@ -411,7 +411,7 @@ def fig9(seed: int):
     stimulus = StimulusConfig.periodic(0.5e6, 10.0)
     stream = simulate(model, stimulus, 2.0, subseed(seed, 9))
     hist = analysis.conditional_histogram(stream, 2_000_000, 20_000)
-    tables = {"conditional": functools.partial(analysis.write_histogram_csv, hist)}
+    tables = {"conditional": analysis.histogram_table(hist)}
 
     counts = hist.counts
     n_anchored = int(counts[0])
@@ -485,7 +485,7 @@ def fig10(seed: int):
     overshoot near 180 ns, settling back to the nominal value."""
     runs = run_double_pulse_sweep(FIG10_SEPARATIONS_NS, seed=seed)
     curve = analysis.recovery_curve(runs)
-    tables = {"recovery": functools.partial(analysis.write_recovery_csv, curve)}
+    tables = {"recovery": analysis.recovery_table(curve)}
 
     nominal = nominal_detection_probability()
     sep_ns = curve.separations_ps // 1000
@@ -526,7 +526,7 @@ def fig11(seed: int):
     )
     model = dataclasses.replace(profile_model(25.2e-6), kernel=kernel)
     stream, fine, fit = _fine_histogram_run(model, (11,), seed)
-    tables = {"histogram": functools.partial(analysis.write_histogram_csv, fine)}
+    tables = {"histogram": analysis.histogram_table(fine)}
     checks = [
         Check(
             "kernel-collapsed",
@@ -596,10 +596,7 @@ def run_figure(build, out_dir, seed: int = DEFAULT_SEED) -> PresetReport:
     files = []
     for name, table in tables.items():
         path = out_dir / f"{figure}_{name}.csv"
-        if callable(table):
-            table(path)
-        else:
-            write_csv(path, *table)
+        write_csv(path, *table)
         files.append(path)
     report = PresetReport(figure, checks, files)
     report.write(out_dir / f"{figure}_report.txt")

@@ -26,7 +26,8 @@ builds its rows as NumPy byte blocks. A body in the writer's own form (rows
 than the one before) is parsed in NumPy blocks; every other body goes through NumPy's
 `loadtxt` rule unchanged, which reads a writer-form body to the same rows,
 so the set of accepted files is the same. A malformed file raises
-`FormatError`, a broken stream invariant `StreamValidationError`.
+`FormatError`, a broken stream invariant `StreamValidationError`. A byte
+that is not UTF-8 raises a `FormatError` naming its line or row.
 """
 
 from __future__ import annotations
@@ -147,14 +148,7 @@ def read_stream(path) -> TimeTagStream:
     """Read either encoding back; the binary magic selects the parser."""
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if head == MAGIC:
-        return _read_binary(path)
-    try:
-        return _read_csv(path)
-    except UnicodeDecodeError:
-        raise FormatError(
-            f"bad magic {head!r} (expected {MAGIC!r}) and not a CSV time-tag file"
-        ) from None
+    return _read_binary(path) if head == MAGIC else _read_csv(path)
 
 
 def _split_channels(channels, stamps, duration_ps, metadata) -> TimeTagStream:
@@ -258,10 +252,14 @@ def _writer_rows(path, offset):
 def _read_csv(path) -> TimeTagStream:
     duration_ps = None
     metadata: dict = {}
-    with open(path, "r", newline="") as fh:
+    # a byte that is not UTF-8 turns up as a surrogate in its own line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         offset = 0  # bytes of the lines read so far
         for lineno, line in enumerate(fh, start=1):
-            offset += len(line.encode(fh.encoding))
+            try:
+                offset += len(line.encode("utf-8"))
+            except UnicodeEncodeError:
+                raise FormatError(f"line {lineno}: not UTF-8, and no {MAGIC!r} magic") from None
             line = line.strip()
             if line.startswith("#"):
                 body = line[1:].strip()
@@ -288,6 +286,15 @@ def _read_csv(path) -> TimeTagStream:
             except ValueError as exc:
                 msg = f"line {lineno} is the header; rows are counted after it: {exc}"
                 raise FormatError(msg) from None
+            # a byte that is not UTF-8 in a field fails above, one in a comment here;
+            # blocks end at a newline, which no multi-byte character contains
+            with open(path, "rb") as raw:
+                raw.seek(offset)
+                while block := raw.read(_CSV_BLOCK) + raw.readline():
+                    try:
+                        block.decode("utf-8")
+                    except UnicodeDecodeError:
+                        raise FormatError(f"a comment after line {lineno} is not UTF-8") from None
             rows = table["channel"], table["timestamp"]
     channels, stamps = rows
     if duration_ps is None:

@@ -347,7 +347,9 @@ def test_fig8_checks_are_chosen_by_the_model(monkeypatch):
     # two-click trains, but the model still expects 100 or more at
     # 23.4 uA and above, so fig8 checks the same points at every seed
     sweep = presets._sweep_runs
-    monkeypatch.setattr(presets, "_sweep_runs", lambda seed, tag, n: sweep(seed, tag, n // 10))
+    monkeypatch.setattr(
+        presets, "_sweep_runs", lambda biases, seed, tag, n: sweep(biases, seed, tag, n // 10)
+    )
     _, checks = presets.fig8(3)
     names = [c.name for c in checks if c.name.startswith("branching-")]
     assert names == [f"branching-{bias*1e6:.1f}uA" for bias in presets.BIAS_SWEEP[2:]]

@@ -26,9 +26,10 @@ from snspdsim.circuit import (
     nanowire_current,
     overshoot_kernel,
     readout_pulse,
-    write_waveform_csv,
+    waveform_table,
 )
 from snspdsim.errors import ConfigError, PrecisionError
+from snspdsim.tables import write_csv
 
 
 def fig_a2_params(bias=25e-6):
@@ -150,7 +151,7 @@ class TestLoadVoltage:
     def test_csv_round_trip(self, tmp_path):
         wave = load_voltage_waveform(fig_a2_params(), 0.02e-9, 5e-9)
         path = tmp_path / "wave.csv"
-        write_waveform_csv(wave, path)
+        write_csv(path, *waveform_table(wave))
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "time_s,value"
         t0, v0 = rows[1].split(",")

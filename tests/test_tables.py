@@ -111,6 +111,28 @@ def test_analyze_csv_bytes_are_pinned(name, tmp_path):
     assert _sha256(out) == ANALYZE_DIGESTS[name]
 
 
+DEFAULT_OUT = {
+    "interarrival": "interarrival.csv",
+    "expfit": "expfit.csv",
+    "afterpulse": "afterpulse.csv",
+    "corrected-dcr": "corrected_dcr.csv",
+    "trains": "trains.csv",
+    "conditional": "conditional.csv",
+    "recovery": "recovery.csv",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_OUT))
+def test_analyze_default_out_name(name, tmp_path, monkeypatch):
+    run = tmp_path / "run.nptt"
+    timetags.write_stream(_hand_built_stream(), run)
+    monkeypatch.chdir(tmp_path)
+    extra = ["--bin", "20ns"] if name == "conditional" else []
+    assert main(["analyze", name, str(run), *extra]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.nptt", DEFAULT_OUT[name]])
+    assert _sha256(tmp_path / DEFAULT_OUT[name]) == ANALYZE_DIGESTS[name]
+
+
 def test_analyze_afterpulse_on_empty_stream_writes_nan(tmp_path):
     run = tmp_path / "empty.nptt"
     timetags.write_stream(TimeTagStream(np.empty(0, np.int64), np.empty(0, np.int64), 0), run)

@@ -288,6 +288,47 @@ class TestCsvFormat:
             with pytest.raises(FormatError):
                 read_stream(path)
 
+    def test_non_utf8_row_named_wherever_it_sits(self, tmp_path):
+        # 30 rows sit in the first ~8 KiB the text reader decodes, 3,000 rows do not
+        messages = []
+        for n in (30, 3000):
+            path = tmp_path / f"rows{n}.csv"
+            rows = b"".join(b"0,%d\n" % k for k in range(1, n))
+            path.write_bytes(b"# duration_ps=100000\nchannel,timestamp_ps\n" + rows + b"0,\xff\n")
+            with pytest.raises(FormatError, match=f"at row {n - 1}, column 2") as err:
+                read_stream(path)
+            messages.append(str(err.value).replace(str(n - 1), "N"))
+        assert messages[0] == messages[1]
+
+    def test_non_utf8_preamble_names_line_and_magic(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"# duration_ps=100\n# caf\xe9\nchannel,timestamp_ps\n0,5\n")
+        with pytest.raises(FormatError, match="line 2: not UTF-8, and no b'NPTT' magic"):
+            read_stream(path)
+
+    @pytest.mark.parametrize("rows", [1, 3000])
+    def test_non_utf8_comment_after_header_rejected(self, tmp_path, rows):
+        path = tmp_path / "s.csv"
+        body = b"".join(b"0,%d\n" % k for k in range(1, rows + 1))
+        path.write_bytes(b"channel,timestamp_ps\n" + body + b"1,99999 # caf\xe9\r\n")
+        with pytest.raises(FormatError, match="comment after line 1 is not UTF-8"):
+            read_stream(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"# duration_ps=100\rchannel,timestamp_ps\r0,5\r1,7\r",
+            b"# duration_ps=100\r\nchannel,timestamp_ps\r\n0,5\n1,7\n",
+            b"# duration_ps=100\r\nchannel,timestamp_ps\r\n0,5\r\n1,7\r\n",
+        ],
+        ids=["lone-cr", "crlf-preamble", "crlf"],
+    )
+    def test_cr_line_ends_match_oracle(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text)
+        stream = TimeTagStream(np.array([5]), np.array([7]), 100)
+        assert read_stream(path) == reference_read_csv(path) == stream
+
 
 def every_width_stream(pad=0):
     """Stamps of every width from 1 to 19 digits, 0 and INT64_MAX included,
