@@ -231,6 +231,16 @@ def classify_trains(events, gap_ps: int = DEFAULT_WINDOW_PS) -> TrainDistributio
     return TrainDistribution(counts, gap_ps, int(events.size))
 
 
+def _first_at_or_after(det: np.ndarray, sync: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(det, sync)`, each trigger's first click at or after it,
+    with the shorter channel searched in the longer: with more triggers, the
+    clicks before trigger i are those with at most i triggers at or before them."""
+    if det.size >= sync.size:
+        return np.searchsorted(det, sync)
+    counted = np.searchsorted(sync, det, side="right")
+    return np.bincount(counted, minlength=sync.size + 1).cumsum()[: sync.size]
+
+
 def conditional_histogram(
     stream: TimeTagStream,
     window_ps: int = 2_000_000,
@@ -241,6 +251,10 @@ def conditional_histogram(
 
     Every histogrammed event lands in a bin, so total_events equals
     sum(counts); the count of first-pulse detections is counts[0].
+
+    Cost, with C clicks and T triggers: O(T log C) if clicks outnumber
+    triggers, else O(C log T + T) (double-pulse frames), to find each trigger's
+    first click; then one search per kept window, plus its clicks.
     """
     if stream.sync_events.size == 0:
         raise ConfigError("conditional histogram needs a non-empty sync channel")
@@ -248,13 +262,17 @@ def conditional_histogram(
         raise ConfigError("need 0 < bin_ps <= window_ps")
     det = stream.detector_events
     sync = stream.sync_events
-    sync = sync[sync + window_ps <= stream.duration_ps]  # complete windows only
+    # complete windows only, as a view: no trigger + window_ps can overflow
+    sync = sync[: np.searchsorted(sync, stream.duration_ps - window_ps, side="right")]
     n_bins = -(-window_ps // bin_ps)
+    if det.size == 0:
+        return Histogram(bin_ps, 0, np.zeros(n_bins, np.int64), 0)
     # a window is kept when its trigger's first click, at or after it, lies
-    # in the first bin; only the kept ones are searched for their end
-    lo = np.searchsorted(det, sync)
-    accepted = lo < det.size
-    accepted[accepted] = det[lo[accepted]] - sync[accepted] < bin_ps
+    # in the first bin; only the kept ones are searched for their end. A
+    # trigger after the last click is kept too (take clips to that click),
+    # but its window holds no click: lo = hi = det.size
+    lo = _first_at_or_after(det, sync)
+    accepted = det.take(lo, mode="clip") - sync < bin_ps
     lo, anchors = lo[accepted], sync[accepted]
     hi = np.searchsorted(det, anchors + window_ps)
     per_window = hi - lo

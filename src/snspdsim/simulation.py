@@ -217,17 +217,16 @@ def make_stimulus(config: StimulusConfig, duration_ps: int) -> StimulusTrain:
     if config.mode == MODE_PERIODIC:
         period_ps = config.period_ps
         n = (duration_ps + period_ps - 1) // period_ps
-        times = np.arange(n, dtype=np.int64) * period_ps
-        times = times[times < duration_ps]
+        times = np.arange(n, dtype=np.int64) * period_ps  # the last is (n-1)*period < duration
         return StimulusTrain(times, times)
-    # double-pulse frames
+    # double-pulse frames, whole ones only: the last second pulse,
+    # (n-1)*window + separation, lies before n*window <= duration
     n = duration_ps // config.window_ps
     starts = np.arange(n, dtype=np.int64) * config.window_ps
     pulses = np.empty(2 * n, dtype=np.int64)
     pulses[0::2] = starts
     pulses[1::2] = starts + config.separation_ps
-    pulses = pulses[pulses < duration_ps]
-    return StimulusTrain(pulses, starts[starts < duration_ps])
+    return StimulusTrain(pulses, starts)
 
 
 @dataclass(frozen=True, eq=False)

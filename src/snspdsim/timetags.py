@@ -33,7 +33,9 @@ that is not UTF-8 raises a `FormatError` naming its line or row.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import re
 import struct
 import warnings
 
@@ -249,6 +251,20 @@ def _writer_rows(path, offset):
     return np.concatenate(channels), np.concatenate(stamps).view(np.int64)
 
 
+def _row_line(path, header_line: int, exc: ValueError):
+    """The file line of the row that loadtxt's error names, or None. loadtxt
+    counts rows after the header from 0 (from 1 in a wrong-field-count
+    error), skipping each line that is empty once its comment is cut."""
+    match = re.search(r"at row (\d+)", str(exc))
+    if match is None:
+        return None
+    row = int(match[1]) - ("columns" in str(exc))
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        lines = itertools.islice(enumerate(fh, start=1), header_line, None)
+        rows = (n for n, line in lines if line.partition("#")[0].rstrip("\r\n"))
+        return next(itertools.islice(rows, row, None), None)
+
+
 def _read_csv(path) -> TimeTagStream:
     duration_ps = None
     metadata: dict = {}
@@ -284,8 +300,9 @@ def _read_csv(path) -> TimeTagStream:
             try:
                 table = _load_int64(fh, _CSV_ROW)
             except ValueError as exc:
-                msg = f"line {lineno} is the header; rows are counted after it: {exc}"
-                raise FormatError(msg) from None
+                row_line = _row_line(path, lineno, exc)
+                where = f"line {row_line}" if row_line else f"after line {lineno}"
+                raise FormatError(f"{where}: {exc}") from None
             # a byte that is not UTF-8 in a field fails above, one in a comment here;
             # blocks end at a newline, which no multi-byte character contains
             with open(path, "rb") as raw:

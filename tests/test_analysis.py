@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from snspdsim import presets
 from snspdsim.analysis import (
     Histogram,
+    _first_at_or_after,
     afterpulse_probability,
     classify_trains,
     conditional_histogram,
@@ -22,7 +23,7 @@ from snspdsim.analysis import (
     weighted_line_fit,
 )
 from snspdsim.errors import ConfigError, FitError
-from snspdsim.simulation import StimulusConfig, TimeTagStream, simulate
+from snspdsim.simulation import INT64_MAX, StimulusConfig, TimeTagStream, simulate
 
 from reference_impls import (
     naive_afterpulse_probability,
@@ -331,6 +332,48 @@ class TestConditionalHistogram:
         assert hist.counts.tolist() == counts
         assert hist.total_events == total
 
+    @given(
+        st.lists(st.integers(0, 20 * US), min_size=1, max_size=200),
+        st.lists(
+            st.tuples(st.integers(0, 199), st.integers(0, 10_000) | st.integers(0, 3 * US)),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_naive_with_triggers_outnumbering_clicks(self, sync, delays):
+        # the double-pulse regime: most triggers have no click in their window;
+        # each click lies a drawn delay after a drawn trigger
+        sync = np.unique(np.asarray(sync, np.int64))
+        det = [min(int(sync[i % sync.size]) + d, 20 * US) for i, d in delays]
+        det = np.unique(np.asarray(det, np.int64))
+        s = self.stream(det, sync, 20 * US)
+        hist = conditional_histogram(s, 2 * US, 4_000)
+        counts, total = naive_conditional_histogram(det, sync, 20 * US, 2 * US, 4_000)
+        assert hist.counts.tolist() == counts
+        assert hist.total_events == total
+
+    def test_windows_ending_at_int64_max(self):
+        # a trigger + window past INT64_MAX must not wrap into a kept window
+        m = INT64_MAX
+        times = np.array([m - 5_000_000, m - 1_000_000], np.int64)
+        hist = conditional_histogram(self.stream(times, times, m), 2 * US, 20_000)
+        counts, total = naive_conditional_histogram(times, times, m, 2 * US, 20_000)
+        assert (hist.counts.tolist(), hist.total_events) == (counts, total)
+        assert total == 1
+
+    @given(
+        st.lists(st.integers(0, 10**6), max_size=40),
+        st.lists(st.integers(0, 10**6), max_size=40),
+        st.lists(st.integers(0, 10**6), max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_first_click_search_matches_searchsorted(self, det, sync, shared):
+        # equal stamps across channels, either channel the longer, or no clicks
+        det = np.unique(np.asarray(det + shared, np.int64))
+        sync = np.unique(np.asarray(sync + shared, np.int64))
+        for d, s in ((det, sync), (sync, det), (det[:0], sync)):
+            assert np.array_equal(_first_at_or_after(d, s), np.searchsorted(d, s))
+
     @pytest.mark.parametrize(
         "det, sync, anchored",
         [
@@ -436,7 +479,7 @@ class TestShiftInvariance:
 
     @given(
         st.lists(st.integers(0, 18 * US), min_size=1, max_size=20),
-        st.integers(0, 10**6),
+        st.integers(0, 10**6) | st.integers(INT64_MAX - 20 * US - 10**6, INT64_MAX - 20 * US),
     )
     @settings(max_examples=30, deadline=None)
     def test_conditional_histogram_shifts_with_both_channels(self, sync, offset):

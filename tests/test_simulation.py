@@ -69,6 +69,19 @@ class TestStimulus:
         # the sync channel references only the first pulse of each pair
         assert np.array_equal(train.sync_times_ps, train.pulse_times_ps[0::2])
 
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_pulse_counts_at_whole_periods_and_windows(self, k, nudge):
+        # a duration of exactly k periods or windows, and one ps either side
+        duration = k * 2_000_000 + nudge
+        periodic = make_stimulus(StimulusConfig.periodic(0.5e6, 1.0), duration)
+        assert periodic.pulse_times_ps.size == -(-duration // 2_000_000)
+        double = make_stimulus(StimulusConfig.double_pulse(1999e-9, 1.0), duration)
+        assert double.sync_times_ps.size == duration // 2_000_000
+        assert double.pulse_times_ps.size == 2 * (duration // 2_000_000)
+        for times in (periodic.pulse_times_ps, double.pulse_times_ps):
+            assert times.size == 0 or times[-1] < duration
+
     def test_zero_duration_empty(self):
         train = make_stimulus(StimulusConfig.periodic(1e6, 1.0), 0)
         assert train.pulse_times_ps.size == 0

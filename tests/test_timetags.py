@@ -275,7 +275,23 @@ class TestCsvFormat:
     def test_wrong_field_count_rejected(self, tmp_path, row):
         path = tmp_path / "s.csv"
         path.write_text(f"channel,timestamp_ps\n0,50\n{row}\n")
-        with pytest.raises(FormatError, match="line 1 is the header"):
+        with pytest.raises(FormatError, match="^line 3: "):
+            read_stream(path)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            (b"# duration_ps=100\nchannel,timestamp_ps\n# c\n\n0,5\n0,x\n", 6),
+            (b"channel,timestamp_ps\r\n0,1 # a\r\n#\r\n\r\n0,2\r\n0\r\n", 6),
+            (b"channel,timestamp_ps\r0,1\r\r  \r", 4),
+        ],
+        ids=["comment-and-blank", "crlf-field-count", "lone-cr-blank-field"],
+    )
+    def test_bad_row_names_its_file_line(self, tmp_path, body, line):
+        # loadtxt skips comment-only and empty lines when it counts rows
+        path = tmp_path / "s.csv"
+        path.write_bytes(body)
+        with pytest.raises(FormatError, match=f"^line {line}: "):
             read_stream(path)
 
     @pytest.mark.parametrize("field", ["5.7", "1e3", "12345678901234567890"])
@@ -295,9 +311,9 @@ class TestCsvFormat:
             path = tmp_path / f"rows{n}.csv"
             rows = b"".join(b"0,%d\n" % k for k in range(1, n))
             path.write_bytes(b"# duration_ps=100000\nchannel,timestamp_ps\n" + rows + b"0,\xff\n")
-            with pytest.raises(FormatError, match=f"at row {n - 1}, column 2") as err:
+            with pytest.raises(FormatError, match=f"^line {n + 2}: .* at row {n - 1}, column 2") as err:
                 read_stream(path)
-            messages.append(str(err.value).replace(str(n - 1), "N"))
+            messages.append(str(err.value).replace(str(n + 2), "L").replace(str(n - 1), "N"))
         assert messages[0] == messages[1]
 
     def test_non_utf8_preamble_names_line_and_magic(self, tmp_path):
