@@ -17,7 +17,8 @@ per-layer metrics (`layers`), which show where a change's saving lands.
 It then runs `scripts/reproduce_all.py --seed 3` twice in each checkout,
 alternating sides, and records the wall time of each preset and of the
 battery. It counts the engine's deterministic work once in each checkout:
-clicks, uniforms and segment-end crossings, and both per click, over the
+clicks, uniforms, segment-end crossings and lone clicks (those the first
+layer accepts in bulk, 0 for an engine without one), each per click, over the
 seed-3 runs of fig4, fig8, fig9 and fig10 and over dark runs at 23.0 and
 25.2 uA (`engine_work`). Last, it runs the Tier-1 suite once in each
 checkout, the parent first, and records its wall time and summary line.
@@ -119,10 +120,10 @@ def summarize(runs, end_to_end) -> dict:
 
 def engine_work(figures=WORK_FIGURES, dark_ua=WORK_DARK_UA, seeds=WORK_DARK_SEEDS,
                 counts=WORK_DARK_COUNTS) -> dict:
-    """Clicks, uniforms and crossings (`metadata["engine"]`) summed over the
+    """Clicks, uniforms, crossings and lone clicks (`metadata["engine"]`) summed over the
     `simulate` calls of each preset of `figures` at PRESET_SEED and of the
     dark runs of `counts` primary counts at each bias of `dark_ua` (uA) and
-    each seed, with uniforms and crossings per click. It runs the snspdsim
+    each seed, each count per click. It runs the snspdsim
     that is first on sys.path."""
     from snspdsim import presets
     from snspdsim.simulation import StimulusConfig, simulate
@@ -130,10 +131,10 @@ def engine_work(figures=WORK_FIGURES, dark_ua=WORK_DARK_UA, seeds=WORK_DARK_SEED
     totals = {}
 
     def count(name, stream):
-        entry = totals.setdefault(name, {"clicks": 0, "uniforms": 0, "crossings": 0})
+        entry = totals.setdefault(name, {"clicks": 0, "uniforms": 0, "crossings": 0, "lone": 0})
         entry["clicks"] += int(stream.detector_events.size)
-        entry["uniforms"] += stream.metadata["engine"]["uniforms"]
-        entry["crossings"] += stream.metadata["engine"]["crossings"]
+        for key in ("uniforms", "crossings", "lone"):
+            entry[key] += stream.metadata["engine"].get(key, 0)
         return stream
 
     for name in figures:
@@ -149,7 +150,7 @@ def engine_work(figures=WORK_FIGURES, dark_ua=WORK_DARK_UA, seeds=WORK_DARK_SEED
         for seed in seeds:
             count(f"dark-{bias_ua}uA", simulate(model, StimulusConfig.none(), duration, seed))
     for entry in totals.values():
-        for key in ("uniforms", "crossings"):
+        for key in ("uniforms", "crossings", "lone"):
             entry[f"{key}_per_click"] = entry[key] / entry["clicks"] if entry["clicks"] else None
     return totals
 

@@ -9,7 +9,9 @@ is what produces the dead time.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import hashlib
 import json
 import math
@@ -33,7 +35,7 @@ LATCH_PERMANENT = "permanent-until-reset"
 
 # deterministic work counters the engine reports under metadata["engine"]
 ENGINE_COUNTERS = (
-    "uniforms", "pulses_evaluated", "pulses_skipped", "coincidences_dropped", "crossings"
+    "uniforms", "pulses_evaluated", "pulses_skipped", "coincidences_dropped", "crossings", "lone"
 )
 
 # the proposals a kernel segment may be expected to waste per click before
@@ -42,6 +44,11 @@ ENGINE_COUNTERS = (
 # 0.025 to 0.06, for the profile kernel and the band-pass ones alike
 # (CPython 3.11, 2-core Xeon VM)
 SEGMENT_WASTE = 0.04
+
+# the most candidates, each with its window draws, that one chunk of the
+# engine's first layer draws from a stream: memory stays bounded whatever
+# the run's length
+CANDIDATE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -302,33 +309,6 @@ def branching_probability(
     return 1.0 - math.exp(-float(np.trapezoid(lam, s)))
 
 
-class _BlockUniforms:
-    """Draws uniforms from a Generator in blocks; sequential and deterministic."""
-
-    __slots__ = ("_rng", "_block", "_i", "_n", "_blocks")
-
-    def __init__(self, rng: np.random.Generator, block_size: int = 1 << 14):
-        self._rng = rng
-        self._n = block_size
-        self._block = rng.random(block_size).tolist()
-        self._i = 0
-        self._blocks = 1
-
-    def next(self) -> float:
-        i = self._i
-        if i == self._n:
-            self._block = self._rng.random(self._n).tolist()
-            self._blocks += 1
-            i = 0
-        self._i = i + 1
-        return self._block[i]
-
-    @property
-    def drawn(self) -> int:
-        """Uniforms handed out so far."""
-        return (self._blocks - 1) * self._n + self._i
-
-
 def simulate(
     model: DetectorModel,
     stimulus: StimulusConfig,
@@ -337,58 +317,73 @@ def simulate(
 ) -> TimeTagStream:
     """Generate a reproducible TimeTagStream for the given model and drive.
 
-    The engine keeps the last click as an integer-ps epoch and every other
-    time -- the proposals, the live kernels, the next pulse, the run end --
-    as float seconds since it, so a realization does not depend on where
-    it falls in time: shifting the start shifts every click by exactly as
-    many ps. A pulse's time since the epoch comes from an integer ps
-    difference. One path records every click, dark or laser, and re-bases
-    the clock on it: a click `n` ps after the epoch is stamped `epoch + n`;
-    with n <= 0 it lands on or before the previous click's ps, a sub-ps
-    coincidence the tagger cannot resolve, and is dropped; one stamped
-    past the run's last ps is not recorded. A click that is kept starts
-    its kernel and, on an unshunted detector, the latch scan.
+    Time. Every click is stamped in whole ps, and the engine keeps each
+    time after the last click as float seconds since that click's ps (its
+    epoch), so a realization does not depend on where it falls in time:
+    shifting the start shifts every click by exactly as many ps. A click
+    on or before the previous click's ps is a sub-ps coincidence the tagger
+    cannot resolve: it is dropped and counted. Nothing past the run's last
+    ps is recorded.
 
-    Dark counts are thinned against a piecewise-constant envelope (Ogata's
-    local bound). The kernel is split into index segments
-    (`_kernel_segments`), and the envelope is dark_rate(I_b + sum of the
-    current segment bounds of the live kernels). Recovery never exceeds
-    I_b, so the envelope dominates the true rate by construction; a
-    violation raises SimulationError. The envelope holds until the nearest
-    segment end of any live kernel, or the next pulse. There the
-    unit-exponential mass it used is subtracted and the rest carries over:
-    exact by memorylessness, and neither a crossing nor a pulse draws a
-    uniform. A mass that outlasts the one kernel live, which ends before
-    the next pulse and the run end, crosses all its segment ends in one
-    step, from a table of segment masses. Without a live kernel the
-    envelope is dark_rate(I_b); a zero envelope proposes nothing. A dark
-    proposal with no kernel live on a quiescent detector (see below) is
-    accepted without a uniform: there the rate is dark_rate(I_b) bit for
-    bit, so the thinning test cannot fail: a click with no other within
-    that time takes one uniform, its proposal. The segment tables and the
-    branching probability are constants of the model, built on its first
-    run.
+    Exactness. From t_quiet = max(settle_time, kernel duration) after a
+    click, rounded up to whole ps (quiet_ps), the detector is quiescent:
+    the current is exactly I_b and no kernel is live. There the dark
+    clicks are a Poisson process at rate_b = dark_rate(I_b) and every pulse
+    clicks on its own with p_quiet = 1 - exp(-mu * efficiency(I_b)). So the
+    run's clicks are a thinning (Lewis & Shedler 1979) of candidates drawn
+    as if the detector were always quiescent: one that falls where the
+    detector is quiescent is a click, and one that falls within quiet_ps
+    of a click is dropped, since there the true law decides. Where the
+    detector turns quiescent is a stopping time, after which the candidates
+    are independent of all drawn before, so the split is exact.
+
+    Layer 1, in NumPy, draws the candidates in chunks from four streams:
+    dark ones as exponential gaps at rate_b, each rounded to whole ps, from
+    the run's generator itself; laser ones as geometric gaps over the pulse
+    indices at p_quiet from a spawned stream; and for every candidate, in
+    time order, its window draws from a second spawned stream: a
+    unit-exponential mass E and one uniform for each of the most pulses
+    (`_window_slots`) that can lie within quiet_ps after it. A candidate is
+    lone when a click there has no further event before quiet_ps: E
+    proposes nothing in its window (with a kernel, E/env0 > end0,
+    E > spent0 and kdur + (E - spent0)/rate_b >= t_quiet, the resolver's
+    own first crossing; without one, E/rate_b >= t_quiet), and no pulse in
+    the window clicks (its uniform at or above its click probability from
+    the scalar law, once per distinct ps offset). Lone candidates from
+    quiet_ps after the last kept click on are accepted in bulk.
+
+    Layer 2, the resolver, is a scalar loop. It takes every other candidate
+    the detector reaches (on a model that can latch, every one), records
+    its click and consumes its window draws first, so that the lone test
+    and the resolver agree on every sample, then draws from the third
+    spawned stream. It evaluates every pulse and thins every dark proposal
+    until its next event lies quiet_ps or more after its last click, and
+    returns that ps; the candidates before it are dropped. Dark proposals
+    come from a piecewise-constant envelope (Ogata's local bound): the
+    kernel is split into index segments (`_kernel_segments`), and the
+    envelope is dark_rate(I_b + the current segment bounds of the live
+    kernels) up to the nearest segment end, where the mass it used is
+    spent and the rest carries over (memorylessness). With one kernel live
+    its tail masses find in one step the segment where the mass runs out,
+    or the rest past its end. Recovery never exceeds I_b, so the envelope
+    dominates the rate; a violation raises SimulationError. A pulse before
+    a proposal leaves it standing unless the pulse clicks. A click starts
+    its kernel and, on an unshunted detector, the latch scan. The segment
+    tables and the branching probability are constants of the model,
+    built on its first run.
 
     A model with a live kernel whose click has a mean of one or more
     further clicks, -log(1 - branching_probability(model)) >= 1, is
     supercritical: its afterpulse trains never end, so it is refused with
     a ConfigError before every run.
 
-    Laser pulses are evaluated one by one while the detector recovers from
-    a click. Once it is quiescent -- last click at least
-    `max(settle_time, kernel duration)` ago, or none yet, so that no kernel
-    is live and the float recovery law returns exactly I_b -- every pulse
-    clicks with the same probability p_q until the next click. The engine
-    then draws the index of the next clicking pulse as one geometric
-    variate and steps over the pulses before it. A dark click that lands
-    first ends the stretch; evaluation resumes at the first pulse after it.
-    This is exact: in a quiet stretch the pulse outcomes are independent of
-    each other and of the dark process.
-
-    `metadata["engine"]` carries deterministic work counters: uniforms
-    drawn, pulses evaluated one by one, pulses stepped over by a geometric
-    draw (the clicking pulse it lands on included), sub-ps coincident
-    clicks dropped, and segment ends crossed.
+    `metadata["engine"]` carries deterministic work counters: `uniforms`,
+    one per candidate time (none at p_quiet = 1), 1 + slots per candidate
+    window and the resolver's; `pulses_evaluated` by the resolver;
+    `pulses_skipped`, the rest, candidates or stepped over, so the two sum
+    to the pulses; `coincidences_dropped`; `crossings`, the segment ends
+    the resolver's envelope crossed; and `lone`, the clicks layer 1
+    accepted in bulk.
     """
     if duration < 0:
         raise ConfigError(f"duration must be non-negative, got {duration!r} s")
@@ -503,8 +498,8 @@ def _kernel_tables(model: DetectorModel) -> _KernelTables | None:
     ksp = kernel.sample_period
     bounds, ends = _kernel_segments(kernel.samples, g_dark, rate_b * ksp, branching)
     # with one kernel alone live: its envelope in each segment (the float
-    # operations of the engine's envelope_now, so the value is the same
-    # either way) and the mass of the segments after each
+    # operations of the engine's envelope for several, so the value is the
+    # same either way) and the mass of the segments after each
     envs = [r_ref * math.exp(g_dark * (i_b + bound - i_ref)) for bound in bounds]
     tails = [0.0] * len(ends)
     for k in range(len(ends) - 2, -1, -1):
@@ -514,6 +509,17 @@ def _kernel_tables(model: DetectorModel) -> _KernelTables | None:
         branching, samples, ksp, (len(samples) - 1) * ksp,
         bounds, [b * ksp for b in ends], envs, tails,
     )
+
+
+def _window_slots(stimulus: StimulusConfig, quiet_ps: int) -> int:
+    """The most pulses of the stimulus's pattern that can lie within
+    `quiet_ps` after a time: the pulse draws in each candidate's window."""
+    if stimulus.mode == MODE_NONE:
+        return 0
+    span = stimulus.period_ps if stimulus.mode == MODE_PERIODIC else stimulus.window_ps
+    pattern = make_stimulus(stimulus, quiet_ps + 2 * span).pulse_times_ps
+    starts = np.flatnonzero(pattern < span)
+    return int((np.searchsorted(pattern, pattern[starts] + quiet_ps) - starts).max())
 
 
 def _run_engine(
@@ -544,6 +550,7 @@ def _run_engine(
 
     exp = math.exp
     log = math.log
+    inf = math.inf
 
     tables = model._tables
     rate_b = r_ref * exp(g_dark * (i_b - i_ref))  # the dark rate with no kernel live
@@ -552,58 +559,36 @@ def _run_engine(
         klast = len(ksamp) - 1
         seg_bound, seg_end_s, seg_env, tail = tables.bounds, tables.ends_s, tables.envs, tables.tails
         n_segs = len(seg_end_s)
+        # the mass of a lone kernel's segments: the resolver's first crossing
+        env0, end0 = seg_env[0], seg_end_s[0]
+        spent0 = env0 * end0 + tail[0]
+        tail_up = [-m for m in tail]  # ascending, for a bisection
     else:
-        ksamp = None
         ksp = kdur = 0.0
-        klast = 0
-    # from this long after the last click the detector is quiescent: the
-    # current is exactly I_b, and no kernel is live, as every click starts one
+    # from t_quiet after a click the detector is quiescent: the current is
+    # exactly I_b, and no kernel is live, as every click starts one
     t_quiet = max(circ.settle_time, kdur)
-
-    can_latch = model.can_latch
+    quiet_ps = math.ceil(t_quiet * PS_PER_SECOND)
+    quiet_s = quiet_ps / PS_PER_SECOND
+    latching = model.can_latch and tables is not None
     pulses_ps = train.pulse_times_ps
     n_pulses = pulses_ps.size
-
-    uniforms = _BlockUniforms(rng)
-
-    # the clock: `epoch` is the ps of the last click, or of the start before
-    # the first. Every other time is float s since the epoch ("local")
-    epoch = start_ps
-    out_ps: list[int] = []
-    # the live kernels: click time, current segment and that segment's end
-    active: list[float] = []
-    segs: list[int] = []
-    seg_ends: list[float] = []
-    quiet_at = 0.0                # quiescent from here; at once before any click
-    t = 0.0
-    end = (end_ps - epoch) / PS_PER_SECOND
-    latched = False
-    evaluated = dropped = crossings = 0
-
-    def click_probability(bias: float) -> float:
-        eta = eta_max * exp(g_eta * (bias - i_ref))
-        if eta > eta_max:
-            eta = eta_max
-        return 1.0 - exp(-mu * eta) if mu > 0.0 else 0.0
-
-    # a quiescent detector sits at exactly I_b, so every pulse of a quiet
-    # stretch clicks with this one probability
-    p_quiet = click_probability(i_b)
-    log_miss = math.log1p(-p_quiet) if 0.0 < p_quiet < 1.0 else 0.0
+    slots = _window_slots(stimulus, quiet_ps) if n_pulses else 0
+    chunk = max(1, CANDIDATE_CHUNK // (1 + slots))
 
     # the scalar form of the effective-bias law (circuit.nanowire_current
-    # plus the kernels), the engine's only one. It stays scalar math.exp in
-    # this operation order, as one NumPy call costs more than a whole
-    # proposal. From `quiet_at` on the law returns exactly I_b
-    # (CircuitParams.settle_time). The support test skips a kernel that has ended
-    def bias_at(when: float) -> float:
-        if when >= quiet_at:
+    # plus the kernels at their click times `kernels`, s since the last
+    # click), the engine's only one. It stays scalar math.exp in this
+    # operation order, as one NumPy call costs more than a whole proposal.
+    # From t_quiet on the law returns exactly I_b (CircuitParams.settle_time)
+    def bias_at(when: float, kernels) -> float:
+        if when >= t_quiet:
             i = i_b
         elif when <= t_hs:
             i = i_ss + (i_b - i_ss) * exp(-when / tau_fall)
         else:
             i = i_b - (i_b - i_end) * exp(-(when - t_hs) / tau_rec)
-        for tc in active:
+        for tc in kernels:
             d = when - tc
             if 0.0 <= d < kdur:
                 x = d / ksp
@@ -612,176 +597,258 @@ def _run_engine(
                 i += ksamp[j] * (1.0 - f) + ksamp[j + 1] * f
         return i
 
-    # the thinning envelope: recovery never exceeds I_b, and each live
-    # kernel contributes the bound of its current segment, up to the nearest
-    # segment end `horizon`; one kernel alone reads it from `seg_env`
-    def envelope_now() -> tuple[float, float]:
-        if len(segs) == 1:
-            return seg_env[segs[0]], seg_ends[0]
-        i_env = i_b
-        for k in segs:
-            i_env += seg_bound[k]
-        return r_ref * exp(g_dark * (i_env - i_ref)), min(seg_ends)
+    def click_probability(bias: float) -> float:
+        eta = eta_max * exp(g_eta * (bias - i_ref))
+        if eta > eta_max:
+            eta = eta_max
+        return 1.0 - exp(-mu * eta) if mu > 0.0 else 0.0
 
-    envelope, horizon = rate_b, math.inf
+    laser_rng, window_rng, resolver_rng = rng.spawn(3)
+    # the resolver's uniforms, drawn in blocks behind a C-level `next`
+    blocks = iter(lambda: resolver_rng.random(1 << 10).tolist(), None)
+    next_uniform = itertools.chain.from_iterable(blocks).__next__
+    out: list[int] = []
+    evaluated = dropped = crossings = drawn = n_lone = 0
+    latched = False
+    dark = r_ref > 0.0
 
-    def pulse_time(idx: int) -> float:
-        # an integer ps difference, so a pulse's local time is exact
-        return (int(pulses_ps[idx]) - epoch) / PS_PER_SECOND if idx < n_pulses else math.inf
-
-    # every click, dark or laser, is recorded here, `when_ps` ps after the
-    # epoch, and the clock is re-based on it
-    def click(when_ps: int) -> None:
-        nonlocal epoch, quiet_at, t, nxt_s, end, latched, dropped, envelope, horizon
-        # sub-ps coincidences cannot be resolved; drop them
-        if when_ps <= 0 and out_ps:
-            dropped += 1
-            return
-        stamp = epoch + when_ps
-        if stamp > end_ps:
-            return
-        out_ps.append(stamp)
-        epoch = stamp
-        quiet_at = t_quiet
-        t = 0.0
-        if nxt < n_pulses:
-            nxt_s = (int(pulses_ps[nxt]) - stamp) / PS_PER_SECOND
-        end = (end_ps - stamp) / PS_PER_SECOND
-        if tables is not None:
-            active.append(0.0)
-            segs.append(0)
-            seg_ends.append(seg_end_s[0])
-            if len(segs) == 1:
-                envelope, horizon = seg_env[0], seg_end_s[0]
-            else:
-                # the kernels live before it now started that much earlier
-                shift = when_ps / PS_PER_SECOND
-                for idx in range(len(segs) - 1):
-                    active[idx] -= shift
-                    seg_ends[idx] = active[idx] + seg_end_s[segs[idx]]
-                envelope, horizon = envelope_now()
-            if can_latch:
-                # scan the kernel horizon for the first crossing of I_c
-                for j in range(klast + 1):
-                    if bias_at(j * ksp) >= i_c:
-                        latched = True
-                        return
-
-    next_uniform = uniforms.next
-    # the pulse cursor: the next pulse to act on and its time. `landed`
-    # marks a quiet stretch: a geometric draw put the cursor on the pulse
-    # that clicks (or past the last pulse), and the pulses before it are
-    # stepped over
-    nxt = 0
-    nxt_s = pulse_time(0)
-    landed = False
-
-    mass = 0.0  # unit-exponential mass not yet used; 0 draws afresh
-    while not latched:
-        if mass <= 0.0:
-            mass = -log(1.0 - next_uniform())
-        # a zero envelope proposes nothing: the next event is a pulse or the end
-        gap = mass / envelope if envelope > 0.0 else math.inf
-        if gap <= 0.0:
-            mass = 0.0
-            continue
-        proposal = t + gap
-        # at a segment end that comes before the proposal, the next pulse
-        # and the run end, the mass the envelope used up to it is spent and
-        # the rest carries over, which is exact by memorylessness
-        while horizon < proposal and horizon < nxt_s and horizon < end:
-            if len(segs) == 1:
-                # one kernel alone: the mass of its remaining segments, in
-                # time since its click. A mass that outlasts it, with the
-                # kernel ending before the next pulse and the run end,
-                # crosses all its segment ends in one step
-                k = segs[0]
-                tc = active[0]
-                spent = envelope * (seg_end_s[k] - (t - tc)) + tail[k]
-                if mass > spent and tc + kdur < nxt_s and tc + kdur < end:
-                    mass -= spent
-                    t = tc + kdur
-                    crossings += n_segs - k
-                    del active[0], segs[0], seg_ends[0]
-                    envelope, horizon = rate_b, math.inf
-                    proposal = t + mass / envelope if envelope > 0.0 else math.inf
-                    break
-            mass -= envelope * (horizon - t)
-            if mass < 0.0:
-                mass = 0.0  # rounding: the proposal is at the segment end
-            t = horizon
-            crossings += 1
-            # one kernel moves on per crossing; a second one ending its
-            # segment at the same time crosses next, at no cost in mass
-            idx = seg_ends.index(t)
-            k = segs[idx] + 1
-            if k < n_segs:
-                segs[idx] = k
-                seg_ends[idx] = active[idx] + seg_end_s[k]
-            else:
-                del active[idx], segs[idx], seg_ends[idx]
-            envelope, horizon = envelope_now() if segs else (rate_b, math.inf)
-            proposal = t + mass / envelope if envelope > 0.0 else math.inf
-
-        # past the last pulse, nxt_s is inf, and so is a proposal of a zero envelope
-        if nxt_s <= proposal and nxt < n_pulses:
-            # the mass the envelope used up to the pulse is spent and the
-            # rest carries over, as at a segment end
-            mass -= envelope * (nxt_s - t)
-            t = nxt_s
-            if not landed and t >= quiet_at:
-                # quiescent: the number of quiet pulses before the next
-                # one that clicks is geometric in p_quiet
-                landed = True
-                if p_quiet <= 0.0:
-                    misses = math.inf
-                elif p_quiet < 1.0:
-                    misses = log(1.0 - next_uniform()) / log_miss
+    def resolve(epoch: int, mass: float, window_u: list, nxt: int) -> int:
+        """Layer 2: the true law from a click at `epoch` ps, whose mass and
+        pulse uniforms come from its window draws, until the next event lies
+        quiet_ps or more after the last click; returns that ps. It makes no
+        Python call per proposal but bias_at's."""
+        nonlocal evaluated, dropped, crossings, drawn, latched
+        w_base, w_end = nxt, nxt + len(window_u)
+        active: list[float] = []  # the kernels' click times, s since the epoch
+        segs = seg_ends = ()
+        shift = 0.0               # the new click, s after the one before
+        while True:
+            out.append(epoch)
+            end = (end_ps - epoch) / PS_PER_SECOND
+            limit = quiet_s if quiet_s < end else end
+            t = 0.0
+            if tables is not None:
+                if active:
+                    active = [tc - shift for tc in active if shift - tc < kdur]
+                active.append(0.0)
+                if latching:
+                    # scan the kernel horizon for the first crossing of I_c
+                    for j in range(klast + 1):
+                        if bias_at(j * ksp, active) >= i_c:
+                            latched = True
+                            return end_ps + 1
+                # each live kernel's current segment and its end: the
+                # envelope's own copy, which the crossings advance
+                if len(active) == 1:
+                    env_tc, segs, seg_ends = [0.0], [0], [end0]
                 else:
-                    misses = 0.0
-                if misses >= 1.0:
-                    nxt = nxt + int(misses) if misses < n_pulses - nxt else n_pulses
-                    nxt_s = pulse_time(nxt)
+                    env_tc = list(active)
+                    segs = [bisect.bisect_right(seg_end_s, -tc) for tc in env_tc]
+                    seg_ends = [tc + seg_end_s[k] for tc, k in zip(env_tc, segs)]
+            proposal = -1.0  # none drawn
+            while True:
+                if proposal < 0.0 and not dark:
+                    proposal = inf  # a zero dark rate proposes nothing
+                elif proposal < 0.0:
+                    if mass <= 0.0:
+                        mass = -log(1.0 - next_uniform())
+                        drawn += 1
+                    while True:
+                        # the thinning envelope: recovery never exceeds I_b,
+                        # and each live kernel adds the bound of its current
+                        # segment, up to the nearest segment end; one kernel
+                        # alone reads it from `seg_env`
+                        if len(segs) == 1:
+                            envelope, horizon = seg_env[segs[0]], seg_ends[0]
+                        elif segs:
+                            i_env = i_b
+                            for k in segs:
+                                i_env += seg_bound[k]
+                            envelope, horizon = r_ref * exp(g_dark * (i_env - i_ref)), min(seg_ends)
+                        else:
+                            envelope, horizon = rate_b, inf
+                        proposal = t + mass / envelope if envelope > 0.0 else inf
+                        if proposal <= horizon:
+                            break
+                        # at a segment end before the proposal the mass the
+                        # envelope used up to it is spent and the rest
+                        # carries over, which is exact by memorylessness
+                        if len(segs) == 1:
+                            # one kernel alone: its segment masses say in one
+                            # step where the mass runs out, past its end or in
+                            # the first segment j that takes it
+                            k = segs[0]
+                            tc = env_tc[0]
+                            spent = envelope * (seg_end_s[k] - (t - tc)) + tail[k]
+                            if mass > spent:
+                                mass -= spent
+                                t = tc + kdur
+                                crossings += n_segs - k
+                                segs, seg_ends = (), ()
+                                continue
+                            mass -= spent - tail[k]
+                            j = bisect.bisect_left(tail_up, mass - tail[k], k + 1)
+                            mass = max(mass - (tail[k] - tail[j - 1]), 0.0)
+                            t = tc + seg_end_s[j - 1]
+                            crossings += j - k
+                            segs[0], seg_ends[0] = j, tc + seg_end_s[j]
+                            continue
+                        mass -= envelope * (horizon - t)
+                        if mass < 0.0:
+                            mass = 0.0  # rounding: the proposal is at the segment end
+                        t = horizon
+                        crossings += 1
+                        # one kernel moves on per crossing; a second one
+                        # ending its segment then crosses next, at no cost
+                        idx = seg_ends.index(t)
+                        k = segs[idx] + 1
+                        if k < n_segs:
+                            segs[idx] = k
+                            seg_ends[idx] = env_tc[idx] + seg_end_s[k]
+                        else:
+                            del env_tc[idx], segs[idx], seg_ends[idx]
+                    mass = 0.0
+                # a pulse before the proposal leaves it standing unless it clicks
+                after = int(pulses_ps[nxt]) - epoch if nxt < n_pulses else quiet_ps
+                if after / PS_PER_SECOND <= proposal:
+                    if after >= quiet_ps:
+                        return epoch + quiet_ps
+                    if nxt < w_end:
+                        u = window_u[nxt - w_base]
+                    else:
+                        u = next_uniform()
+                        drawn += 1
+                    evaluated += 1
+                    nxt += 1
+                    if u < click_probability(bias_at(after / PS_PER_SECOND, active)):
+                        # a click on the last one's ps is a sub-ps
+                        # coincidence the tagger cannot resolve: dropped
+                        if after > 0:
+                            break
+                        dropped += 1
                     continue
-            if landed:
-                landed = False
-                clicked = True
+                if proposal >= limit:
+                    return epoch + quiet_ps
+                t = proposal
+                proposal = -1.0
+                rate = r_ref * exp(g_dark * (bias_at(t, active) - i_ref))
+                if rate > envelope * (1.0 + 1e-9):
+                    raise SimulationError(
+                        f"thinning envelope violated {t:.6e} s after ps {epoch}: "
+                        f"rate {rate:.3e} > envelope {envelope:.3e}"
+                    )
+                drawn += 1
+                if next_uniform() * envelope <= rate:
+                    after = round(t * PS_PER_SECOND)
+                    if after > 0:
+                        break
+                    dropped += 1
+            epoch += after
+            shift = after / PS_PER_SECOND
+
+    # a quiescent detector sits at exactly I_b, so every pulse clicks with
+    # this one probability, independently of the others and of the dark clicks
+    p_quiet = click_probability(i_b)
+    log_miss = math.log1p(-p_quiet) if 0.0 < p_quiet < 1.0 else 0.0
+    single = (0.0,) if tables is not None else ()
+
+    def accept(x: np.ndarray, free: int) -> int:
+        """Layer 1 on one time-ordered batch of candidates: gives each its
+        window draws, accepts the lone ones from `free` on in bulk and sends
+        every other reached one to the resolver; returns the new `free`."""
+        nonlocal n_lone
+        m = x.size
+        draws = window_rng.random(m * (1 + slots)).reshape(m, 1 + slots)
+        mass = [-log(1.0 - u) for u in draws[:, 0].tolist()]
+        e = np.array(mass)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if tables is None:
+                lone = e / rate_b >= quiet_s
             else:
-                evaluated += 1
-                clicked = next_uniform() < click_probability(bias_at(t))
-            if clicked:
-                click(int(pulses_ps[nxt]) - epoch)
-            nxt += 1
-            nxt_s = pulse_time(nxt)
-            continue
+                lone = (e / env0 > end0) & (e > spent0) & (kdur + (e - spent0) / rate_b >= quiet_s)
+        first = np.searchsorted(pulses_ps, x, side="right")
+        if slots:
+            last = np.searchsorted(pulses_ps, np.minimum(x, end_ps - quiet_ps) + quiet_ps)
+            for k in range(slots):
+                inside = np.flatnonzero(first + k < last)
+                if inside.size:
+                    offsets, which = np.unique(pulses_ps[first[inside] + k] - x[inside], return_inverse=True)
+                    p = [click_probability(bias_at(d / PS_PER_SECOND, single)) for d in offsets.tolist()]
+                    lone[inside] &= draws[inside, 1 + k] >= np.array(p)[which]
+        if latching:
+            lone[:] = False
+        xs, after = x.tolist(), first.tolist()
+        window = (last - first).tolist() if slots else [0] * m
+        # a break: a candidate that is not lone, or has another in its window
+        breaks = np.flatnonzero(~lone | np.append(np.diff(x) < quiet_ps, False)).tolist()
+        lone = lone.tolist()
+        i = bisect.bisect_left(xs, free)
+        at = 0
+        while i < m:
+            at = bisect.bisect_left(breaks, i, at)
+            b = breaks[at] if at < len(breaks) else m
+            # i..b-1 are lone, each past the window of the one before
+            out.extend(xs[i:b])
+            n_lone += b - i
+            if b == m:
+                return xs[-1] + quiet_ps
+            if lone[b]:
+                out.append(xs[b])
+                n_lone += 1
+                free = xs[b] + quiet_ps
+            else:
+                free = resolve(xs[b], mass[b], draws[b, 1:1 + window[b]].tolist(), after[b])
+                if latched:
+                    return free
+            i = bisect.bisect_left(xs, free, b + 1)
+        return free
 
-        if proposal >= end:
+    # the candidates: dark ones as exponential gaps at rate_b from the run's
+    # own generator, laser ones as geometric gaps over the pulse indices at
+    # p_quiet from a spawned one, each drawn in chunks and merged in time
+    # order up to the earlier of the two last drawn
+    dark_x = laser_x = np.empty(0, np.int64)
+    dark_at, dark_more = start_ps, rate_b > 0.0
+    laser_at, laser_more = -1, p_quiet > 0.0 and n_pulses > 0
+    free = start_ps
+    n_dark = n_laser = n_candidates = 0
+    while not latched:
+        if dark_more and not dark_x.size:
+            n = min(chunk, int(rate_b * (end_ps - dark_at) / PS_PER_SECOND * 1.1) + 16)
+            gaps = np.array([-log(1.0 - u) for u in rng.random(n).tolist()]) / rate_b * PS_PER_SECOND
+            steps = np.cumsum(np.rint(np.minimum(gaps, 2.0**62)).astype(np.uint64))
+            beyond = steps > end_ps - dark_at
+            k = int(np.argmax(beyond)) if beyond.any() else n
+            dark_x = dark_at + steps[:k].astype(np.int64)
+            dark_more = k == n
+            dark_at = int(dark_x[-1]) if k else dark_at
+            n_dark += k
+        if laser_more and not laser_x.size:
+            if p_quiet < 1.0:
+                n = min(chunk, int(p_quiet * (n_pulses - laser_at) * 1.1) + 16)
+                misses = np.array([log(1.0 - u) for u in laser_rng.random(n).tolist()]) / log_miss
+                idx = laser_at + np.cumsum(np.minimum(misses, n_pulses).astype(np.int64) + 1)
+            else:
+                idx = laser_at + 1 + np.arange(chunk)
+            k = int(np.searchsorted(idx, n_pulses))
+            laser_x = pulses_ps[idx[:k]]
+            laser_more = k == idx.size
+            laser_at = int(idx[k - 1]) if k else laser_at
+            n_laser += k if p_quiet < 1.0 else 0
+        ends = [s[-1] for s, more in ((dark_x, dark_more), (laser_x, laser_more)) if more]
+        cut = min(ends) if ends else INT64_MAX
+        kd = int(np.searchsorted(dark_x, cut, side="right"))
+        kl = int(np.searchsorted(laser_x, cut, side="right"))
+        x = np.sort(np.concatenate([dark_x[:kd], laser_x[:kl]]), kind="stable")
+        dark_x, laser_x = dark_x[kd:], laser_x[kl:]
+        if x.size:
+            n_candidates += x.size
+            free = accept(x, free)
+        if not (ends or dark_x.size or laser_x.size):
             break
-        mass = 0.0
-        t = proposal
-        # with no kernel live on a quiescent detector the rate is the
-        # envelope, rate_b, bit for bit: the proposal is a click
-        if segs or t < quiet_at:
-            rate = r_ref * exp(g_dark * (bias_at(t) - i_ref))
-            if rate > envelope * (1.0 + 1e-9):
-                raise SimulationError(
-                    f"thinning envelope violated {t:.6e} s after ps {epoch}: "
-                    f"rate {rate:.3e} > envelope {envelope:.3e}"
-                )
-            accepted = next_uniform() * envelope <= rate
-        else:
-            accepted = True
-        if accepted:
-            click(round(t * PS_PER_SECOND))
-        if landed:
-            # the quiet pulses up to this dark event did not click; the
-            # ones after it are evaluated afresh from the new state
-            nxt = int(np.searchsorted(pulses_ps, epoch + round(t * PS_PER_SECOND), side="right"))
-            nxt_s = pulse_time(nxt)
-            landed = False
 
-    # every pulse before the cursor was evaluated or stepped over, and so
-    # is every pulse after it when the run ends inside a quiet stretch
-    skipped = (n_pulses if landed else nxt) - evaluated
-    counters = dict(zip(ENGINE_COUNTERS, (uniforms.drawn, evaluated, skipped, dropped, crossings)))
-    return np.asarray(out_ps, dtype=np.int64), counters
+    # every pulse the resolver did not evaluate was a candidate or decided
+    # with one (stepped over)
+    uniforms = n_dark + n_laser + n_candidates * (1 + slots) + drawn
+    counters = (uniforms, evaluated, n_pulses - evaluated, dropped, crossings, n_lone)
+    return np.asarray(out, dtype=np.int64), dict(zip(ENGINE_COUNTERS, counters))

@@ -424,9 +424,12 @@ def test_criterion_10_amplifier_swap():
         assert stream.detector_events.size >= 100_000
         fine = interarrival_histogram(stream.detector_events, 4_000, 500_000)
         fit = fit_exponential(interarrival_histogram(stream.detector_events, 100 * US, 2500 * US))
-        for k in range(80_000 // 4_000, 500_000 // 4_000):
-            pred = fit.predict_interval(k * 4e-9, (k + 1) * 4e-9)
-            assert fine.counts[k] <= pred + 3 * math.sqrt(pred), f"bin {k}"
+        # fig11's check: no 4 ns bin in 80-500 ns above the fitted
+        # exponential, by exact Poisson tails at a family-wise 1%. Each bin
+        # predicts 2-10 counts, where a 3-sigma Gaussian bound per bin fails
+        # a correct model at most seeds
+        check = presets._no_peak_check(fine, fit)
+        assert check.passed, check.detail
 
 
 def test_criterion_11_oracle_equivalence():

@@ -496,3 +496,5 @@ def test_bench_pairs_counts_engine_work(monkeypatch):
         assert entry["clicks"] > 0
         assert entry["uniforms_per_click"] == entry["uniforms"] / entry["clicks"]
         assert entry["crossings_per_click"] == entry["crossings"] / entry["clicks"]
+        assert 0 < entry["lone"] <= entry["clicks"]
+        assert entry["lone_per_click"] == entry["lone"] / entry["clicks"]

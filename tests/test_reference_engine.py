@@ -1,13 +1,13 @@
 """The engine against its pre-fast-forward copy in reference_engine.py.
 
-A run that latches on its first click draws one proposal in both, so its
-stream must be equal byte for byte. Every other run consumes the random
-stream differently -- the engine accepts a quiescent proposal without a
-uniform, carries its exponential mass across pulses, thins a live kernel
-against segment bounds and steps over quiet pulses with one geometric
-draw -- so those realizations are compared statistically: counts within
-4 sigma, gap distributions by a two-sample KS test, train lengths by a
-chi-squared test.
+A run that latches on its first click draws one proposal in both, from
+the run's generator itself, so its stream must be equal byte for byte.
+Every other run consumes the random streams differently -- the engine
+draws quiescent candidates in NumPy, accepts the lone ones in bulk and
+resolves only busy windows, thinning a live kernel against segment
+bounds -- so those realizations are compared statistically: counts
+within 4 sigma, gap distributions by a two-sample KS test, train lengths
+by a chi-squared test.
 """
 
 import math
@@ -65,9 +65,10 @@ def test_dark_streams_byte_identical(case, seed):
 
 
 # The 9 kernel comparisons below make 18 tests (KS and chi-squared) of a
-# true null hypothesis, and the 3 null-kernel ones 3 more (KS); at this
-# per-test level a correct engine fails one or more of the 21 with
-# probability at most 21 * 0.01/18, 1.2% (Bonferroni).
+# true null hypothesis, the 3 null-kernel ones 3 more (KS) and the lone
+# dark run 1 more (KS); at this per-test level a correct engine fails one
+# or more of the 22 with probability at most 22 * 0.01/18, 1.2%
+# (Bonferroni).
 TEST_ALPHA = 0.01 / 18
 
 
@@ -116,6 +117,20 @@ def test_null_kernel_dark_streams_agree(seed):
     assert p_gaps > TEST_ALPHA, f"null-kernel waiting times: KS p = {p_gaps:.2g}"
 
 
+def test_lone_dark_stream_agrees():
+    # at 23.0 uA a click's window holds a proposal with probability 0.03,
+    # so nearly every click is one the first layer accepts in bulk
+    model = presets.profile_model(23.0e-6)
+    duration = primary_duration(model, 30_000)
+    stream = simulate(model, StimulusConfig.none(), duration, 61)
+    new = stream.detector_events
+    ref = reference_stream(model, StimulusConfig.none(), duration, 62)
+    assert stream.metadata["engine"]["lone"] > 0.9 * new.size
+    assert_counts_agree(new.size, ref.size, "clicks at 23.0 uA")
+    _, p_gaps = stats.ks_2samp(np.diff(new), np.diff(ref))
+    assert p_gaps > TEST_ALPHA, f"lone waiting times at 23.0 uA: KS p = {p_gaps:.2g}"
+
+
 def assert_counts_agree(n_new, n_ref, label):
     # independent counts, each with variance at most its mean
     sigma = math.sqrt(n_new + n_ref)
@@ -138,6 +153,11 @@ def test_double_pulse_counts_agree(separation_ns):
         n_ref = int(np.count_nonzero(np.isin(ref, pulses)))
         assert_counts_agree(n_new, n_ref, f"{name} pulse at {separation_ns} ns")
     assert_counts_agree(new.size, ref.size, f"all clicks at {separation_ns} ns")
+    # the second pulse of a frame whose first clicked meets the busy
+    # window the first layer hands to the resolver
+    n_new, n_ref = (int(np.count_nonzero(np.isin(first, events) & np.isin(second, events)))
+                    for events in (new, ref))
+    assert_counts_agree(n_new, n_ref, f"second after first at {separation_ns} ns")
 
 
 def test_periodic_laser_agrees():
