@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -326,51 +326,52 @@ def simulate(
     ps is recorded.
 
     Exactness. From t_quiet = max(settle_time, kernel duration) after a
-    click, rounded up to whole ps (quiet_ps), the detector is quiescent:
-    the current is exactly I_b and no kernel is live. There the dark
-    clicks are a Poisson process at rate_b = dark_rate(I_b) and every pulse
-    clicks on its own with p_quiet = 1 - exp(-mu * efficiency(I_b)). So the
-    run's clicks are a thinning (Lewis & Shedler 1979) of candidates drawn
-    as if the detector were always quiescent: one that falls where the
-    detector is quiescent is a click, and one that falls within quiet_ps
-    of a click is dropped, since there the true law decides. Where the
-    detector turns quiescent is a stopping time, after which the candidates
-    are independent of all drawn before, so the split is exact.
+    click, rounded up to whole ps (quiet_ps; t_q in seconds), the detector
+    is quiescent: the current is exactly I_b and no kernel is live. There
+    the dark clicks are a Poisson process at rate_b = dark_rate(I_b) and
+    every pulse clicks on its own with p_quiet = 1 - exp(-mu *
+    efficiency(I_b)). So the run's clicks are a thinning (Lewis & Shedler
+    1979) of candidates drawn as if the detector were always quiescent: one
+    that falls where the detector is quiescent is a click, and one that
+    falls within quiet_ps of a click is dropped, since there the true law
+    decides. Where the detector turns quiescent is a stopping time, after
+    which the candidates are independent of all drawn before, so the split
+    is exact.
 
-    Layer 1, in NumPy, draws the candidates in chunks from four streams:
-    dark ones as exponential gaps at rate_b, each rounded to whole ps, from
-    the run's generator itself; laser ones as geometric gaps over the pulse
-    indices at p_quiet from a spawned stream; and for every candidate, in
-    time order, its window draws from a second spawned stream: a
-    unit-exponential mass E and one uniform for each of the most pulses
-    (`_window_slots`) that can lie within quiet_ps after it. A candidate is
-    lone when a click there has no further event before quiet_ps: E
-    proposes nothing in its window (with a kernel, E/env0 > end0,
-    E > spent0 and kdur + (E - spent0)/rate_b >= t_quiet, the resolver's
-    own first crossing; without one, E/rate_b >= t_quiet), and no pulse in
-    the window clicks (its uniform at or above its click probability from
-    the scalar law, once per distinct ps offset). Lone candidates from
-    quiet_ps after the last kept click on are accepted in bulk.
+    Layer 1, in NumPy, draws the candidates in chunks from three of the
+    run's four streams: dark ones as exponential gaps at rate_b, each
+    rounded to whole ps, from the run's generator itself; laser ones as
+    geometric gaps over the pulse indices at p_quiet from a spawned stream;
+    and for every candidate, in time order, its window draws from a second
+    spawned stream: a unit-exponential mass E and one uniform for each of
+    the most pulses (`_window_slots`) that can lie within quiet_ps after it.
+    A candidate is lone when a click there has no further event before
+    quiet_ps: E proposes nothing in its window (with a kernel, E/env0 >
+    end0, E > spent0 and kdur + (E - spent0)/rate_b >= t_q, the resolver's
+    own first crossing; without one, E/rate_b >= t_q), and no pulse in the
+    window clicks (its uniform at or above its click probability from the
+    scalar law, once per distinct ps offset). Lone candidates from quiet_ps
+    after the last kept click on are accepted in bulk.
 
     Layer 2, the resolver, is a scalar loop. It takes every other candidate
-    the detector reaches (on a model that can latch, every one), records
-    its click and consumes its window draws first, so that the lone test
-    and the resolver agree on every sample, then draws from the third
+    the detector reaches (on a model that can latch, every one), records its
+    click and consumes its window draws first, so that the lone test and the
+    resolver agree on every sample, then draws from the fourth, a third
     spawned stream. It evaluates every pulse and thins every dark proposal
     until its next event lies quiet_ps or more after its last click, and
     returns that ps; the candidates before it are dropped. Dark proposals
     come from a piecewise-constant envelope (Ogata's local bound): the
     kernel is split into index segments (`_kernel_segments`), and the
     envelope is dark_rate(I_b + the current segment bounds of the live
-    kernels) up to the nearest segment end, where the mass it used is
-    spent and the rest carries over (memorylessness). With one kernel live
-    its tail masses find in one step the segment where the mass runs out,
-    or the rest past its end. Recovery never exceeds I_b, so the envelope
-    dominates the rate; a violation raises SimulationError. A pulse before
-    a proposal leaves it standing unless the pulse clicks. A click starts
-    its kernel and, on an unshunted detector, the latch scan. The segment
-    tables and the branching probability are constants of the model,
-    built on its first run.
+    kernels) up to the nearest segment end, where the mass it used is spent
+    and the rest carries over (memorylessness). With one kernel live its
+    tail masses find in one step the segment where the mass runs out, or the
+    rest past its end. Recovery never exceeds I_b, so the envelope dominates
+    the rate; a violation raises SimulationError. A pulse before a proposal
+    leaves it standing unless the pulse clicks. A click starts its kernel
+    and, on an unshunted detector, the latch scan. The segment tables and
+    the branching probability are constants of the model, built on its first
+    run.
 
     A model with a live kernel whose click has a mean of one or more
     further clicks, -log(1 - branching_probability(model)) >= 1, is
