@@ -499,8 +499,8 @@ def _kernel_tables(model: DetectorModel) -> _KernelTables | None:
     ksp = kernel.sample_period
     bounds, ends = _kernel_segments(kernel.samples, g_dark, rate_b * ksp, branching)
     # with one kernel alone live: its envelope in each segment (the float
-    # operations of the engine's envelope for several, so the value is the
-    # same either way) and the mass of the segments after each
+    # operations the engine uses for several live kernels, so the value is
+    # the same either way) and the mass of the segments after each
     envs = [r_ref * math.exp(g_dark * (i_b + bound - i_ref)) for bound in bounds]
     tails = [0.0] * len(ends)
     for k in range(len(ends) - 2, -1, -1):

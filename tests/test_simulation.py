@@ -204,7 +204,7 @@ class TestSimulate:
     def test_dead_time(self):
         # recovery suppresses close pairs. The bound comes from the model's
         # own law: while the current falls from I_b in the hotspot phase a
-        # click can follow within a few ps (about 0.1 such gap per run), but
+        # click can follow within 1-6 ps (in about one run in 16), but
         # from the hotspot's end on, the expected number of gaps below
         # `dead_ps` stays under 0.01 even if every click sat on the peak of
         # a parent's kernel
