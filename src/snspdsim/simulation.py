@@ -49,6 +49,10 @@ SEGMENT_WASTE = 0.04
 # engine's first layer draws from a stream: memory stays bounded whatever
 # the run's length
 CANDIDATE_CHUNK = 1 << 14
+# the most pulse draws a candidate's window holds; a window with more
+# pulses (a train faster than about 20 MHz) goes to the resolver, which
+# evaluates them one by one
+WINDOW_SLOTS = 16
 
 
 @dataclass(frozen=True)
@@ -344,8 +348,9 @@ def simulate(
     geometric gaps over the pulse indices at p_quiet from a spawned stream;
     and for every candidate, in time order, its window draws from a second
     spawned stream: a unit-exponential mass E and one uniform for each of
-    the most pulses (`_window_slots`) that can lie within quiet_ps after it.
-    A candidate is lone when a click there has no further event before
+    the most pulses that can lie within quiet_ps after it (`_window_slots`,
+    at most WINDOW_SLOTS: a window with more pulses is never lone). A
+    candidate is lone when a click there has no further event before
     quiet_ps: E proposes nothing in its window (with a kernel, E/env0 >
     end0, E > spent0 and kdur + (E - spent0)/rate_b >= t_q, the resolver's
     own first crossing; without one, E/rate_b >= t_q), and no pulse in the
@@ -574,7 +579,7 @@ def _run_engine(
     latching = model.can_latch and tables is not None
     pulses_ps = train.pulse_times_ps
     n_pulses = pulses_ps.size
-    slots = _window_slots(stimulus, quiet_ps) if n_pulses else 0
+    slots = min(_window_slots(stimulus, quiet_ps), WINDOW_SLOTS) if n_pulses else 0
     chunk = max(1, CANDIDATE_CHUNK // (1 + slots))
 
     # the scalar form of the effective-bias law (circuit.nanowire_current
@@ -770,6 +775,7 @@ def _run_engine(
         first = np.searchsorted(pulses_ps, x, side="right")
         if slots:
             last = np.searchsorted(pulses_ps, np.minimum(x, end_ps - quiet_ps) + quiet_ps)
+            lone &= last - first <= slots
             for k in range(slots):
                 inside = np.flatnonzero(first + k < last)
                 if inside.size:
@@ -779,7 +785,7 @@ def _run_engine(
         if latching:
             lone[:] = False
         xs, after = x.tolist(), first.tolist()
-        window = (last - first).tolist() if slots else [0] * m
+        window = np.minimum(last - first, slots).tolist() if slots else [0] * m
         # a break: a candidate that is not lone, or has another in its window
         breaks = np.flatnonzero(~lone | np.append(np.diff(x) < quiet_ps, False)).tolist()
         lone = lone.tolist()

@@ -171,6 +171,18 @@ def test_periodic_laser_agrees():
     assert p_value > 0.01
 
 
+def test_fast_train_agrees():
+    # at 50 MHz a window holds 38 or 39 pulses, more than its draws do, so
+    # every candidate goes to the resolver, which evaluates them one by one
+    model = presets.profile_model(25.0e-6)
+    stimulus = StimulusConfig.periodic(5e7, 0.2)
+    duration = 0.005
+    stream = simulate(model, stimulus, duration, 71)
+    ref = reference_stream(model, stimulus, duration, 72)
+    assert stream.metadata["engine"]["lone"] == 0
+    assert_counts_agree(stream.detector_events.size, ref.size, "clicks at 50 MHz")
+
+
 def test_dark_clicks_end_quiet_stretches():
     # dark clicks every ~10 us against quiet stretches of ~40 pulses at
     # 1 MHz: most stretches end on a dark click, after which the pulses
