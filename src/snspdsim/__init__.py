@@ -9,9 +9,7 @@ from .circuit import (
     amplifier_kernel,
     apply_filter,
     design_bandpass,
-    discriminate,
     gaussian_kernel,
-    load_voltage_waveform,
     nanowire_current,
     overshoot_kernel,
     readout_pulse,

@@ -2,9 +2,8 @@
 
 Covers the post-click current dynamics in the nanowire, the voltage pulse
 seen across the load resistor, the band-limited amplifier chain (a cascaded
-biquad band-pass), threshold discrimination of the readout trace, and the
-bias-perturbation kernel that couples the readout transient back onto the
-effective bias current.
+biquad band-pass), and the bias-perturbation kernel that couples the readout
+transient back onto the effective bias current.
 """
 
 from __future__ import annotations
@@ -166,21 +165,6 @@ def _check_grid(params: CircuitParams, sample_period: float) -> None:
             f"sample_period {sample_period:.3e} s does not resolve the current "
             f"fall time; need sample_period <= {required:.3e} s"
         )
-
-
-def load_voltage_waveform(
-    params: CircuitParams, sample_period: float, duration: float
-) -> Waveform:
-    """Voltage across the load resistor after a click at t = 0.
-
-    v(t) = (I_b - i_nanowire(t)) * R_L: the current diverted into the load.
-    """
-    _check_grid(params, sample_period)
-    if duration <= 0:
-        raise ConfigError("duration must be strictly positive")
-    t = np.arange(int(round(duration / sample_period))) * sample_period
-    v = (params.bias_current - nanowire_current(params, t)) * params.load_resistance
-    return Waveform(v, sample_period)
 
 
 def readout_pulse(
@@ -376,35 +360,6 @@ def apply_filter(cascade: BiquadCascade, wave: Waveform) -> Waveform:
             append(yn)
         x = y
     return Waveform(np.array(x), wave.sample_period, wave.t0)
-
-
-def discriminate(wave: Waveform, threshold: float, holdoff: float = 0.0) -> np.ndarray:
-    """Times of threshold crossings, sub-sample by linear interpolation.
-
-    A negative threshold registers downward crossings, a positive one upward
-    crossings; crossings within `holdoff` of an accepted event are dropped.
-    """
-    if threshold == 0.0:
-        raise ConfigError("threshold must be nonzero; its sign selects the pulse polarity")
-    if holdoff < 0:
-        raise ConfigError("holdoff must be non-negative")
-    v = wave.samples
-    if threshold < 0:
-        armed = v[:-1] > threshold
-        fired = v[1:] <= threshold
-    else:
-        armed = v[:-1] < threshold
-        fired = v[1:] >= threshold
-    crossings = np.nonzero(armed & fired)[0]
-    events = []
-    last = -math.inf
-    for k in crossings:
-        frac = (v[k] - threshold) / (v[k] - v[k + 1])
-        t = wave.t0 + (k + frac) * wave.sample_period
-        if t - last >= holdoff:
-            events.append(t)
-            last = t
-    return np.asarray(events, dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)

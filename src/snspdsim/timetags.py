@@ -20,24 +20,26 @@ is exactly the 64-byte header.
 
 The CSV twin has the schema `channel,timestamp_ps` with a one-line header;
 run duration and metadata ride along in `#`-comment lines before the header
-so the text form round-trips too; later `#` lines are comments. The writer
-builds its rows as NumPy byte blocks. A body in the writer's own form (rows
-`[0-9],[0-9]{1,19}\n`, no stamp with a leading zero, rows never shorter
-than the one before) is parsed in NumPy blocks; every other body goes through NumPy's
-`loadtxt` rule unchanged, which reads a writer-form body to the same rows,
-so the set of accepted files is the same. A malformed file raises
-`FormatError`, a broken stream invariant `StreamValidationError`. A byte
-that is not UTF-8 raises a `FormatError` naming its line or row.
+so the text form round-trips too. The reader's grammar, for a UTF-8 file: a
+line ends at LF, CRLF or a lone CR, and `#` starts a comment that runs to the
+line end. A body line that is empty once its comment is cut is skipped; each
+other one is a row of two fields split by a comma, the channel (0 or 1) and
+the stamp (an int64). A field is optional whitespace, an optional `+` or `-`,
+digits and optional whitespace; whitespace is space, tab, `\v`, `\f` and
+`\x1c`-`\x1f`. So a line of whitespace alone (`"  "`, `"  # c"`), an empty
+field, `5.7`, `1e3`, `1_000`, `- 5`, `5 6` and `\x00` are refused, and so is
+whitespace beyond ASCII (U+00A0, U+2003): the one departure from NumPy's
+loadtxt, which reads it as whitespace. The `# duration_ps=` value reads as a
+stamp. The first refused line raises a `FormatError` that names it; a broken
+stream invariant raises `StreamValidationError`.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
-import itertools
 import json
-import re
 import struct
-import warnings
 
 import numpy as np
 
@@ -53,15 +55,17 @@ _HEADER = struct.Struct("<4sIIQQI32s")
 _RECORD = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
 HEADER_SIZE = _HEADER.size  # 64
 
-_CSV_ROW = np.dtype([("channel", "<i8"), ("timestamp", "<i8")])
 # records per writer slice: bounds the text held in memory, and a slice's
 # digit arrays stay in cache
 _CSV_CHUNK = 16_384
 # body bytes per reader block (then completed to its line's end): bounds
 # the text held in memory beside the parsed rows
 _CSV_BLOCK = 1 << 20
-# the longest row the writer makes: channel digit, comma, 19 digits, newline
-_CSV_LINE_MAX = 22
+_LF, _CR = ord("\n"), ord("\r")
+# the bytes of a field (digits and signs), and those that stand for a line's
+# edge in the reader's cut (a line end, a cut byte, 0 for the block's start)
+_FIELD, _EDGE = np.zeros((2, 256), bool)
+_FIELD[list(b"+-0123456789")], _EDGE[[0, _LF, _CR]] = True, True
 # the first stamp of each digit count from 2 to 19: 10, 100, ..., 10**18
 _POW10 = 10 ** np.arange(1, 19, dtype=np.uint64)
 # _DIGITS4[n] holds the four ASCII digits of n, leading zeros included, as
@@ -197,77 +201,77 @@ def _read_binary(path) -> TimeTagStream:
     return _split_channels(records["channel"], stamps, int(duration_ps), metadata)
 
 
-def _load_int64(lines, dtype) -> np.ndarray:
-    """Comma-separated int64 fields by NumPy: the CSV twin's one integer rule."""
-    with warnings.catch_warnings():
-        # a header-only file is an empty stream, not a suspicious one
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        # older NumPy parses "5.7" or a 20-digit integer as a float, truncates it
-        # and only warns; as an error the warning becomes loadtxt's ValueError
-        warnings.filterwarnings("error", category=DeprecationWarning)
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", ndmin=1)
+def _rows(block, minus=None):
+    """The channel and stamp arrays of `block`'s lines, or None if the grammar refuses one.
+    A `block` with `minus` (where a '-' stood) is one `_cut` has cut to the writer's form."""
+    tokens = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(tokens == _LF)
+    widths, digit = np.diff(ends, prepend=-1), tokens - ord("0")  # a non-digit wraps above 9
+    commas, cols, layout = ends - widths + 2, 1, widths  # the writer's rows: one channel digit
+    if minus is not None:  # a cut block's rows: the digits before each comma, and the run key
+        commas = np.flatnonzero(tokens == ord(","))
+        cols = commas - ends + widths - 1 if commas.size == ends.size else 0
+        layout = widths << 32 | cols
+    if not (np.count_nonzero(digit > 9) == 2 * ends.size and np.all(widths > cols + 2) and np.all(cols > 0)
+            and np.all(tokens[commas] == ord(","))):  # each row a digit run, a comma and a digit run
+        return None if minus is not None else _rows(*_cut(block))
+    # a '-' stands first in the field it negates
+    neg = np.zeros((2, ends.size), bool) if minus is None else np.stack((minus[commas - cols], minus[commas + 1]))
+    runs = [0, *(np.flatnonzero(layout[1:] != layout[:-1]) + 1).tolist(), ends.size] if ends.size else []
+    channels, stamps = [], []
+    for lo, hi in zip(runs, runs[1:]):  # runs of rows of one layout, summed a digit column at a time
+        width, c = int(widths[lo]), int(commas[lo] - ends[lo] + widths[lo] - 1)
+        rows = digit[ends[lo] - width + 1 : ends[hi - 1] + 1].reshape(hi - lo, width)
+        channel, stamp = _field(rows[:, :c], neg[0, lo:hi]), _field(rows[:, c + 1 : -1], neg[1, lo:hi])
+        if channel is None or stamp is None or channel.view(np.uint64).max(initial=0) > 1:
+            return None
+        channels.append(channel.astype(np.uint8))
+        stamps.append(stamp)
+    return channels, stamps
 
 
-def _writer_rows(path, offset):
-    """Channels and stamps of the CSV body that starts at byte `offset`, or
-    None when a block of it is not in the writer's own form: rows
-    `[0-9],[0-9]{1,19}\\n`, no stamp with a leading zero or above INT64_MAX,
-    and rows that never get shorter (stamps in file order never do)."""
-    channels, stamps = [np.empty(0, np.uint8)], [np.empty(0, np.uint64)]
-    width = 4  # the shortest row, "0,0\n"
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        while block := fh.read(_CSV_BLOCK) + fh.readline(_CSV_LINE_MAX):
-            if block[-1] != ord("\n"):
-                return None  # a row too long, or no final newline
-            raw = np.frombuffer(block, np.uint8)
-            digit = raw - ord("0")  # a digit is 0..9; every other byte wraps above 9
-            ends = np.flatnonzero(raw == ord("\n"))
-            widths = np.diff(ends, prepend=-1)
-            starts = ends - widths + 1
-            if (
-                widths[0] < width
-                or widths[-1] > _CSV_LINE_MAX
-                or np.any(np.diff(widths) < 0)
-                # the newlines and one comma per row are the only non-digits
-                or np.count_nonzero(digit > 9) != 2 * ends.size
-                or np.any(raw[starts + 1] != ord(","))
-                or np.any((digit[starts + 2] == 0) & (widths > 4))
-            ):
-                return None
-            width = int(widths[-1])
-            runs = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), ends.size]
-            for lo, hi in zip(runs, runs[1:]):
-                w = int(widths[lo])
-                rows = digit[starts[lo] : starts[lo] + (hi - lo) * w].reshape(hi - lo, w)
-                value = rows[:, 2].astype(np.uint64)
-                for column in range(3, w - 1):
-                    value *= 10
-                    value += rows[:, column]
-                if value.max() > INT64_MAX:
-                    return None
-                channels.append(rows[:, 0].copy())  # not a view that keeps the block alive
-                stamps.append(value)
-    return np.concatenate(channels), np.concatenate(stamps).view(np.int64)
-
-
-def _row_line(path, header_line: int, exc: ValueError):
-    """The file line of the row that loadtxt's error names, or None. loadtxt
-    counts rows after the header from 0 (from 1 in a wrong-field-count
-    error), skipping each line that is empty once its comment is cut."""
-    match = re.search(r"at row (\d+)", str(exc))
-    if match is None:
+def _field(cols, neg):
+    """The int64 values of digit columns `cols`, a field a row, negated where `neg`; None if one overflows."""
+    lead = max(cols.shape[1] - 19, 0)  # 19 digits never overflow uint64
+    value = cols[:, lead].astype(np.uint64)
+    for column in range(lead + 1, cols.shape[1]):
+        value *= 10
+        value += cols[:, column]
+    if value.max(initial=0) > INT64_MAX and np.any(value > np.uint64(INT64_MAX) + neg) or cols[:, :lead].any():
         return None
-    row = int(match[1]) - ("columns" in str(exc))
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        lines = itertools.islice(enumerate(fh, start=1), header_line, None)
-        rows = (n for n, line in lines if line.partition("#")[0].rstrip("\r\n"))
-        return next(itertools.islice(rows, row, None), None)
+    return np.negative(value, out=value, where=neg).view(np.int64)
+
+
+def _cut(block: bytes):
+    """A block cut to digits, commas and line ends, a sign that starts a field a 0, and where a '-' stood."""
+    # a byte set to CR is cut; a byte the grammar refuses stays, for `_rows` to refuse
+    raw = np.frombuffer(block, np.uint8).copy()
+    if b"\r" in block:  # a lone CR ends a line
+        raw[(raw == _CR) & np.append(raw[1:] != _LF, True)] = _LF
+    lf = np.flatnonzero(raw == _LF)
+    # a comment runs from the first '#' of a line to the line end; in a block
+    # that is not UTF-8 none is cut, so `_rows` refuses the block
+    utf8 = b"#" in block and (block.isascii() or block.decode("utf-8", "replace").encode("utf-8") == block)
+    hashes = np.flatnonzero(raw == ord("#")) if utf8 else lf[:0]
+    stops, first = np.unique(lf[np.searchsorted(lf, hashes)], return_index=True)
+    n = stops - hashes[first]
+    raw[np.arange(n.sum()) + np.repeat(stops - np.cumsum(n), n)] = _CR
+    starts = np.append(0, lf[:-1] + 1)
+    raw[lf[(raw[starts] == _LF) | (raw[starts] == _CR)]] = _CR  # a blank line
+    # a whitespace run is cut unless it stands inside a field or alone in a line
+    at = np.flatnonzero((raw == ord(" ")) | (raw == ord("\t")) | (raw - 11 < 2) | (raw - 28 < 4))
+    lo, hi = at[np.diff(at, prepend=-2) > 1], at[np.diff(at, append=raw.size + 1) > 1]
+    before, after = raw[lo - 1] * (lo > 0), raw[hi + 1]
+    stays = _FIELD[before] & _FIELD[after] | _EDGE[before] & _EDGE[after]
+    raw[at[~np.repeat(stays, hi - lo + 1)]] = _CR
+    tokens = np.frombuffer(bytearray(raw.tobytes().translate(None, b"\r")), np.uint8)
+    minus, signs = tokens == ord("-"), np.flatnonzero((tokens == ord("+")) | (tokens == ord("-")))
+    tokens[signs[~_FIELD[tokens[signs - 1] * (signs > 0)] & (tokens[signs + 1] - ord("0") < 10)]] = ord("0")
+    return tokens, minus
 
 
 def _read_csv(path) -> TimeTagStream:
-    duration_ps = None
-    metadata: dict = {}
+    duration_ps, metadata = None, {}
     # a byte that is not UTF-8 turns up as a surrogate in its own line
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         offset = 0  # bytes of the lines read so far
@@ -279,41 +283,36 @@ def _read_csv(path) -> TimeTagStream:
             line = line.strip()
             if line.startswith("#"):
                 body = line[1:].strip()
-                if body.startswith("duration_ps="):
-                    try:
-                        (duration_ps,) = _load_int64([body.split("=", 1)[1]], np.int64).tolist()
-                    except ValueError:
-                        raise FormatError(f"line {lineno}: bad duration_ps") from None
+                if body.startswith("duration_ps="):  # the value reads as a stamp
+                    if (rows := _rows(b"0,%s\n" % body.split("=", 1)[1].encode("utf-8"))) is None:
+                        raise FormatError(f"line {lineno}: bad duration_ps")
+                    duration_ps = int(rows[1][0][0])
                 elif body.startswith("metadata="):
                     metadata = _decode_metadata(body.split("=", 1)[1].encode("utf-8"))
             elif line:
                 if line.replace(" ", "") != "channel,timestamp_ps":
-                    raise FormatError(
-                        f"line {lineno}: expected header 'channel,timestamp_ps'"
-                    )
+                    raise FormatError(f"line {lineno}: expected header 'channel,timestamp_ps'")
                 break
         else:
             raise FormatError("missing 'channel,timestamp_ps' header line")
-        rows = _writer_rows(path, offset)
-        if rows is None:
-            # every other body: NumPy's rule, from the line after the header
-            try:
-                table = _load_int64(fh, _CSV_ROW)
-            except ValueError as exc:
-                row_line = _row_line(path, lineno, exc)
-                where = f"line {row_line}" if row_line else f"after line {lineno}"
-                raise FormatError(f"{where}: {exc}") from None
-            # a byte that is not UTF-8 in a field fails above, one in a comment here;
-            # blocks end at a newline, which no multi-byte character contains
-            with open(path, "rb") as raw:
-                raw.seek(offset)
-                while block := raw.read(_CSV_BLOCK) + raw.readline():
-                    try:
-                        block.decode("utf-8")
-                    except UnicodeDecodeError:
-                        raise FormatError(f"a comment after line {lineno} is not UTF-8") from None
-            rows = table["channel"], table["timestamp"]
-    channels, stamps = rows
+    channels, stamps = [np.empty(0, np.uint8)], [np.empty(0, np.int64)]
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        while block := fh.read(_CSV_BLOCK) + fh.readline():
+            text = block if block[-1] in b"\r\n" else block + b"\n"  # the last line, at the end of the file
+            if (rows := _rows(text)) is None:
+                # the first refused line ends the shortest refused run of the block's lines
+                lines = text.splitlines(keepends=True)
+                k = bisect.bisect(range(len(lines)), False, key=lambda k: _rows(b"".join(lines[: k + 1])) is None)
+                at = fh.tell() - len(block)
+                fh.seek(offset)
+                while fh.tell() < at:  # the lines of the blocks before, read again
+                    lineno += len((fh.read(_CSV_BLOCK) + fh.readline()).splitlines())
+                raise FormatError(
+                    f"line {lineno + k + 1}: {lines[k]!r} is not a row: a channel of 0 or 1, a comma, an int64")
+            channels += rows[0]
+            stamps += rows[1]
+    channels, stamps = np.concatenate(channels), np.concatenate(stamps)
     if duration_ps is None:
         # never negative: a negative stamp is then named by TimeTagStream
         duration_ps = max(int(stamps.max()), 0) if stamps.size else 0

@@ -6,11 +6,14 @@ vectorized streaming code so the two can be compared for exact equality.
 """
 
 import json
+import warnings
 
 import numpy as np
 
 from snspdsim.errors import FormatError
-from snspdsim.timetags import _CSV_ROW, _decode_metadata, _load_int64, _split_channels
+from snspdsim.timetags import _decode_metadata, _split_channels
+
+_CSV_ROW = np.dtype([("channel", "<i8"), ("timestamp", "<i8")])
 
 
 def naive_interarrival_histogram(events, bin_width_ps, max_time_ps):
@@ -100,6 +103,17 @@ def reference_write_csv(stream, path):
         fh.write("channel,timestamp_ps\n")
         for stamp, channel in records:
             fh.write("%d,%d\n" % (channel, stamp))
+
+
+def _load_int64(lines, dtype) -> np.ndarray:
+    """Comma-separated int64 fields by NumPy's loadtxt rule."""
+    with warnings.catch_warnings():
+        # a header-only file is an empty stream, not a suspicious one
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # older NumPy parses "5.7" or a 20-digit integer as a float, truncates it
+        # and only warns; as an error the warning becomes loadtxt's ValueError
+        warnings.filterwarnings("error", category=DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", ndmin=1)
 
 
 def reference_read_csv(path):

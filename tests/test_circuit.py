@@ -1,5 +1,5 @@
-"""Circuit-model tests: current dynamics, filter design, discrimination,
-perturbation kernels. Expected values come from closed-form oracles
+"""Circuit-model tests: current dynamics, filter design, perturbation
+kernels. Expected values come from closed-form oracles
 evaluated inside the tests; the band-pass design and the filter loop are
 also held bit for bit to SciPy's `butter` and `sosfilt`."""
 
@@ -20,9 +20,7 @@ from snspdsim.circuit import (
     Waveform,
     apply_filter,
     design_bandpass,
-    discriminate,
     gaussian_kernel,
-    load_voltage_waveform,
     nanowire_current,
     overshoot_kernel,
     readout_pulse,
@@ -122,15 +120,15 @@ class TestNanowireCurrent:
 class TestLoadVoltage:
     def test_peak_matches_divider(self):
         p = fig_a2_params()
-        wave = load_voltage_waveform(p, 0.02e-9, 200e-9)
+        wave = readout_pulse(p, 0.02e-9, 200e-9)
         divider = p.bias_current * 25.0 * 5000.0 / 5025.0
         assert divider == pytest.approx(622e-6, rel=2e-3)
-        assert wave.samples.max() == pytest.approx(divider, rel=1e-3)
+        assert -wave.samples.min() / p.amplifier_gain == pytest.approx(divider, rel=1e-3)
 
     def test_decays_to_zero(self):
         p = fig_a2_params()
-        wave = load_voltage_waveform(p, 0.02e-9, 2e-6)
-        assert abs(wave.samples[-1]) < 1e-12
+        wave = readout_pulse(p, 0.02e-9, 2e-6)
+        assert abs(wave.samples[-1]) / p.amplifier_gain < 1e-12
 
     def test_amplified_magnitude_near_observed_drop(self):
         # 56 dB on ~622 uV lands near the ~300 mV scope drop (factor 2)
@@ -142,14 +140,14 @@ class TestLoadVoltage:
     def test_under_resolved_grid_rejected(self):
         p = fig_a2_params()
         with pytest.raises(PrecisionError) as err:
-            load_voltage_waveform(p, 0.05e-9, 100e-9)
+            readout_pulse(p, 0.05e-9, 100e-9)
         assert f"{p.fall_tau / 4:.3e}" in str(err.value)
 
     def test_default_grid_accepted(self):
-        load_voltage_waveform(fig_a2_params(), DEFAULT_SAMPLE_PERIOD, 10e-9)
+        readout_pulse(fig_a2_params(), DEFAULT_SAMPLE_PERIOD, 10e-9)
 
     def test_csv_round_trip(self, tmp_path):
-        wave = load_voltage_waveform(fig_a2_params(), 0.02e-9, 5e-9)
+        wave = readout_pulse(fig_a2_params(), 0.02e-9, 5e-9)
         path = tmp_path / "wave.csv"
         write_csv(path, *waveform_table(wave))
         rows = path.read_text().strip().splitlines()
@@ -309,54 +307,6 @@ class TestApplyFilter:
         assert plain.samples.max() <= 0.0  # never crosses zero
         trough = int(np.argmin(shaped.samples))
         assert shaped.samples[trough:].max() > 0.0  # sign-reversing overshoot
-
-
-class TestDiscriminate:
-    def fig2_pulse(self):
-        cascade = design_bandpass(FilterSpec(4, 15e6, 580e6), DEFAULT_SAMPLE_PERIOD)
-        return readout_pulse(fig_a2_params(), duration=500e-9, click_time=30e-9, cascade=cascade)
-
-    def test_flat_waveform_gives_nothing(self):
-        wave = Waveform(np.zeros(1000), 1e-9)
-        assert discriminate(wave, -0.15).size == 0
-
-    def test_single_pulse_single_event_near_click(self):
-        events = discriminate(self.fig2_pulse(), -0.15)
-        assert events.size == 1
-        assert events[0] == pytest.approx(30e-9, abs=3e-9)
-
-    def test_holdoff_suppresses_second_pulse(self):
-        p = fig_a2_params()
-        cascade = design_bandpass(FilterSpec(4, 15e6, 580e6), DEFAULT_SAMPLE_PERIOD)
-        a = readout_pulse(p, duration=500e-9, click_time=100e-9, cascade=cascade)
-        b = readout_pulse(p, duration=500e-9, click_time=150e-9, cascade=cascade)
-        both = Waveform(a.samples + b.samples, a.sample_period)
-        assert discriminate(both, -0.15, holdoff=80e-9).size == 1
-        assert discriminate(both, -0.15, holdoff=0.0).size == 2
-
-    def test_subsample_interpolation(self):
-        # ramp crossing -1 V exactly halfway between samples 4 and 5
-        wave = Waveform(-0.25 * np.arange(10), 1e-9, t0=0.0)
-        t = discriminate(wave, -1.125)
-        assert t.size == 1
-        assert t[0] == pytest.approx(4.5e-9, rel=1e-12)
-
-    def test_positive_threshold_mirrors(self):
-        wave = Waveform(0.25 * np.arange(10), 1e-9)
-        assert discriminate(wave, 1.125).size == 1
-
-    def test_zero_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            discriminate(Waveform(np.zeros(4), 1e-9), 0.0)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_deterministic(self, seed):
-        rng = np.random.default_rng(seed)
-        wave = Waveform(rng.normal(scale=0.2, size=512), 1e-9)
-        first = discriminate(wave, -0.15, holdoff=5e-9)
-        second = discriminate(wave, -0.15, holdoff=5e-9)
-        assert np.array_equal(first, second)
 
 
 class TestKernels:
