@@ -519,6 +519,7 @@ def test_mutated_files_match_oracle(tmp_path_factory, stream, block, mutations):
         assert type(got) is type(expected)
     else:
         assert got == expected
+    # a refused body line; both readers refuse the preamble by the same rules
     line = re.match(r"line (\d+): (?!bad duration_ps|expected header|not UTF-8, and no)", str(got))
     if isinstance(got, FormatError) and line:
         assert int(line[1]) == first_refused_line(content)
