@@ -350,25 +350,21 @@ def second_pulse_efficiency(
 
 
 def recovery_curve(
-    runs,
-    acceptance_bin_ps: int = 4_000,
-    window_ps: int = 2_000_000,
-    neighbors_per_side: int = 2,
-    ratio: str = "first-detected",
+    runs, acceptance_bin_ps: int = 4_000, window_ps: int | None = None, **efficiency_options
 ) -> RecoveryCurve:
     """Double-pulse efficiency-recovery estimator.
 
     `runs` is an iterable of (separation_ps, TimeTagStream) pairs, one run
-    per pulse separation.
+    per pulse separation. `window_ps` (None: `conditional_histogram`'s) and
+    `efficiency_options` (for `second_pulse_efficiency`) default in the callee.
     """
     if acceptance_bin_ps > 5_000:
         raise ConfigError("acceptance bin must be at most 5 ns")
+    window = {} if window_ps is None else {"window_ps": window_ps}
     points = []
     for separation_ps, stream in runs:
-        hist = conditional_histogram(stream, window_ps, acceptance_bin_ps)
-        eta, err = second_pulse_efficiency(
-            hist, int(separation_ps), neighbors_per_side, ratio
-        )
+        hist = conditional_histogram(stream, bin_ps=acceptance_bin_ps, **window)
+        eta, err = second_pulse_efficiency(hist, int(separation_ps), **efficiency_options)
         points.append((int(separation_ps), eta, err))
     points.sort(key=lambda p: p[0])
     sep, eta, err = zip(*points) if points else ((), (), ())

@@ -21,18 +21,6 @@ from .tables import write_csv
 
 SEED_ENV_VAR = "SNSPD_SIM_SEED"
 
-ANALYSES = (
-    "interarrival",
-    "expfit",
-    "afterpulse",
-    "corrected-dcr",
-    "trains",
-    "conditional",
-    "recovery",
-)
-# histogram bin width of each binned analysis when --bin is not given
-DEFAULT_BIN = {"interarrival": "0.1ms", "expfit": "0.1ms", "conditional": "20ns"}
-
 
 def _resolve_seed(flag_seed, fallback):
     if flag_seed is not None:
@@ -62,11 +50,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _ps(text, flag: str) -> int:
-    return whole_ps(parse_quantity(text, "time", flag) * PS_PER_SECOND, flag)
-
-
 def _cmd_analyze(args) -> int:
+    flags = vars(args)  # the flags given, and the CLI's own defaults
+    for dest in ("bin", "max_time", "window", "conditional_window", "acceptance_bin"):
+        if dest in flags:  # a time, read as whole ps
+            flag = "--" + dest.replace("_", "-")
+            flags[dest] = whole_ps(parse_quantity(flags[dest], "time", flag) * PS_PER_SECOND, flag)
+
+    def given(**keywords):
+        """The analysis function's `keyword=dest` arguments whose flag was given."""
+        return {key: flags[dest] for key, dest in keywords.items() if dest in flags}
+
     paths = args.inputs
     streams = [timetags.read_stream(p) for p in paths]
     name = args.analysis
@@ -75,9 +69,6 @@ def _cmd_analyze(args) -> int:
             raise ConfigError(f"analysis {name!r} takes exactly one input file")
         stream = streams[0]
         events = stream.detector_events
-        window_ps = _ps(args.window, "--window")
-    if name in DEFAULT_BIN:
-        bin_ps = _ps(DEFAULT_BIN[name] if args.bin is None else args.bin, "--bin")
 
     if name == "recovery":
         runs = []
@@ -86,41 +77,37 @@ def _cmd_analyze(args) -> int:
                 raise ConfigError(f"{path} has no separation_ps metadata")
             separation_ps = parse_count(stream.metadata["separation_ps"], f"{path}: separation_ps")
             runs.append((separation_ps, stream))
-        curve = analysis.recovery_curve(
-            runs,
-            acceptance_bin_ps=_ps(args.acceptance_bin, "--acceptance-bin"),
-            window_ps=_ps(args.conditional_window, "--conditional-window"),
-            neighbors_per_side=args.neighbors,
-            ratio=args.ratio,
-        )
+        curve = analysis.recovery_curve(runs, **given(
+            acceptance_bin_ps="acceptance_bin", window_ps="conditional_window",
+            neighbors_per_side="neighbors", ratio="ratio"))
         table = analysis.recovery_table(curve)
         summary = "\n".join(map("separation {:.0f} ns: efficiency {:.5f} +- {:.5f}".format,
                                 curve.separations_ps / 1000, curve.efficiency, curve.stat_error))
     elif name == "interarrival":
-        hist = analysis.interarrival_histogram(events, bin_ps, _ps(args.max_time, "--max-time"))
+        hist = analysis.interarrival_histogram(events, args.bin, args.max_time)
         table = analysis.histogram_table(hist)
         summary = f"{hist.total_events} gaps, {int(hist.counts.sum())} binned"
     elif name == "expfit":
-        hist = analysis.interarrival_histogram(events, bin_ps, _ps(args.max_time, "--max-time"))
-        fit = analysis.fit_exponential(hist, args.discard_first, args.min_bin_count)
+        hist = analysis.interarrival_histogram(events, args.bin, args.max_time)
+        fit = analysis.fit_exponential(hist, **given(discard_first="discard_first",
+                                                     min_bin_count="min_bin_count"))
         table = analysis.expfit_table(hist, fit)
         summary = f"rate: {fit.rate:.2f} /s  R^2: {fit.r_squared:.5f}"
     elif name == "afterpulse":
-        p = analysis.afterpulse_probability(events, window_ps)
+        p = analysis.afterpulse_probability(events, **given(window_ps="window"))
         table = "metric,value", [("afterpulse_probability", float("nan") if p is None else p)]
         shown = "undefined (empty stream)" if p is None else f"{p:.6f}"
         summary = f"afterpulse probability: {shown}"
     elif name == "corrected-dcr":
-        total, corrected = analysis.corrected_dcr(events, stream.duration_ps, window_ps)
+        total, corrected = analysis.corrected_dcr(events, stream.duration_ps, **given(window_ps="window"))
         table = "metric,value", [("total_cps", total), ("corrected_cps", corrected)]
         summary = f"total: {total:.2f} cps  corrected: {corrected:.2f} cps"
     elif name == "trains":
-        dist = analysis.classify_trains(events, window_ps)
+        dist = analysis.classify_trains(events, **given(gap_ps="window"))
         table = analysis.trains_table(dist)
         summary = f"trains by length: {dict((n, dist.count(n)) for n in range(1, 7))}"
     else:  # conditional
-        window = _ps(args.conditional_window, "--conditional-window")
-        hist = analysis.conditional_histogram(stream, window, bin_ps)
+        hist = analysis.conditional_histogram(stream, **given(window_ps="conditional_window", bin_ps="bin"))
         table = analysis.histogram_table(hist)
         summary = f"{hist.total_events} clicks in anchored windows"
     write_csv(args.out or f"{name.replace('-', '_')}.csv", *table)
@@ -152,26 +139,29 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     ana = sub.add_parser("analyze", help="run an analysis on a time-tag file")
-    ana.add_argument("analysis", choices=ANALYSES)
-    ana.add_argument("inputs", nargs="+", help="time-tag file(s); recovery takes one per separation")
-    ana.add_argument(
-        "--bin", default=None, help="histogram bin width (default 20ns for conditional, else 0.1ms)"
-    )
-    ana.add_argument("--max-time", default="3ms", help="interarrival histogram range")
-    ana.add_argument("--window", default="1000ns", help="afterpulse window")
-    ana.add_argument(
-        "--conditional-window",
-        dest="conditional_window",
-        default="2000ns",
-        help="sync window length for conditional/recovery analyses",
-    )
-    ana.add_argument("--acceptance-bin", default="4ns", help="recovery acceptance bin (at most 5 ns)")
-    ana.add_argument("--neighbors", type=int, default=2, help="background bins per side")
-    ana.add_argument("--ratio", choices=("first-detected", "first-only"), default="first-detected")
-    ana.add_argument("--discard-first", type=int, default=1)
-    ana.add_argument("--min-bin-count", type=int, default=10)
-    ana.add_argument("--out", default=None, help="output CSV path")
-    ana.set_defaults(func=_cmd_analyze)
+    kinds = ana.add_subparsers(dest="analysis", required=True)
+    # each analysis takes only the flags it reads; a flag without a default
+    # leaves its value to the analysis function
+    parsers = {}
+    for name in ("interarrival", "expfit", "afterpulse", "corrected-dcr", "trains", "conditional",
+                 "recovery"):
+        p = parsers[name] = kinds.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("inputs", nargs="+", help="time-tag file(s); recovery takes one per separation")
+        p.add_argument("--out", default=None, help="output CSV path")
+        p.set_defaults(func=_cmd_analyze)
+    for name in ("interarrival", "expfit"):
+        parsers[name].add_argument("--bin", default="0.1ms", help="histogram bin width (default %(default)s)")
+        parsers[name].add_argument("--max-time", default="3ms", help="histogram range (default %(default)s)")
+    parsers["expfit"].add_argument("--discard-first", type=int, help="leading bins left out of the fit")
+    parsers["expfit"].add_argument("--min-bin-count", type=int, help="fewest counts of a fitted bin")
+    for name in ("afterpulse", "corrected-dcr", "trains"):
+        parsers[name].add_argument("--window", help="afterpulse window")
+    parsers["conditional"].add_argument("--bin", help="histogram bin width")
+    for name in ("conditional", "recovery"):
+        parsers[name].add_argument("--conditional-window", help="sync window length")
+    parsers["recovery"].add_argument("--acceptance-bin", help="acceptance bin width")
+    parsers["recovery"].add_argument("--neighbors", type=int, help="background bins per side")
+    parsers["recovery"].add_argument("--ratio", help="the efficiency's denominator (second_pulse_efficiency)")
 
     rep = sub.add_parser("reproduce", help="run a figure-reproduction preset")
     rep.add_argument("figure", choices=sorted(presets.FIGURES, key=lambda s: (len(s), s)))

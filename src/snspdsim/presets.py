@@ -471,10 +471,10 @@ def run_double_pulse_sweep(
     seed_tag=10,
 ):
     model = profile_model(bias, kernel_amplitude)
-    duration = windows_per_point * 2e-6
     runs = []
     for k, sep_ns in enumerate(separations_ns):
         stimulus = StimulusConfig.double_pulse(sep_ns * 1e-9, 1.0)
+        duration = windows_per_point * stimulus.window
         stream = simulate(model, stimulus, duration, subseed(seed, seed_tag, k))
         runs.append((sep_ns * 1000, stream))
     return runs

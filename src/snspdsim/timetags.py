@@ -58,8 +58,8 @@ HEADER_SIZE = _HEADER.size  # 64
 # records per writer slice: bounds the text held in memory, and a slice's
 # digit arrays stay in cache
 _CSV_CHUNK = 16_384
-# body bytes per reader block (then completed to its line's end): bounds
-# the text held in memory beside the parsed rows
+# body bytes per reader read (a block ends at its last line end): bounds the
+# text held in memory beside the parsed rows
 _CSV_BLOCK = 1 << 20
 _LF, _CR = ord("\n"), ord("\r")
 # the bytes of a field (digits and signs), and those that stand for a line's
@@ -270,6 +270,22 @@ def _cut(block: bytes):
     return tokens, minus
 
 
+def _blocks(fh):
+    """The rest of binary `fh` in blocks, each ending at a read's last line end; a CR at the read's edge is read
+    again with the next read, so a CRLF stays whole. A last line without a line end gets an LF."""
+    block = b""
+    while data := fh.read(_CSV_BLOCK):
+        block += data
+        end = block.rfind(b"\n") + 1
+        end = block.rfind(b"\r", end, -1) + 1 or end
+        if end:
+            fh.seek(end - len(block), 1)
+            yield block[:end]
+            block = b""
+    if block:
+        yield block if block.endswith(b"\r") else block + b"\n"
+
+
 def _read_csv(path) -> TimeTagStream:
     duration_ps, metadata = None, {}
     # a byte that is not UTF-8 turns up as a surrogate in its own line
@@ -298,16 +314,13 @@ def _read_csv(path) -> TimeTagStream:
     channels, stamps = [np.empty(0, np.uint8)], [np.empty(0, np.int64)]
     with open(path, "rb") as fh:
         fh.seek(offset)
-        while block := fh.read(_CSV_BLOCK) + fh.readline():
-            text = block if block[-1] in b"\r\n" else block + b"\n"  # the last line, at the end of the file
-            if (rows := _rows(text)) is None:
+        for n_before, block in enumerate(_blocks(fh)):
+            if (rows := _rows(block)) is None:
                 # the first refused line ends the shortest refused run of the block's lines
-                lines = text.splitlines(keepends=True)
+                lines = block.splitlines(keepends=True)
                 k = bisect.bisect(range(len(lines)), False, key=lambda k: _rows(b"".join(lines[: k + 1])) is None)
-                at = fh.tell() - len(block)
-                fh.seek(offset)
-                while fh.tell() < at:  # the lines of the blocks before, read again
-                    lineno += len((fh.read(_CSV_BLOCK) + fh.readline()).splitlines())
+                fh.seek(offset)  # the lines of the blocks before, read again
+                lineno += sum(len(before.splitlines()) for _, before in zip(range(n_before), _blocks(fh)))
                 raise FormatError(
                     f"line {lineno + k + 1}: {lines[k]!r} is not a row: a channel of 0 or 1, a comma, an int64")
             channels += rows[0]

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import snspdsim
-from snspdsim import timetags
-from snspdsim.cli import main
+from snspdsim import analysis, timetags
+from snspdsim.cli import build_parser, main
 from snspdsim.simulation import TimeTagStream
+from snspdsim.tables import write_csv
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -349,6 +350,69 @@ def test_analyze_malformed_csv_is_error(tmp_path, capsys):
     bad.write_text("# metadata={oops\nchannel,timestamp_ps\n0,5\n")
     assert main(["analyze", "afterpulse", str(bad), "--out", str(tmp_path / "a.csv")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# a valid value of every analyze flag, and the flags each analysis reads
+FLAG_VALUES = {"--bin": "1ns", "--max-time": "1ms", "--window": "1ns", "--conditional-window": "1us",
+               "--acceptance-bin": "1ns", "--neighbors": "1", "--ratio": "first-only",
+               "--discard-first": "1", "--min-bin-count": "1", "--out": "x.csv"}
+READS = {
+    "interarrival": {"--bin", "--max-time", "--out"},
+    "expfit": {"--bin", "--max-time", "--discard-first", "--min-bin-count", "--out"},
+    "afterpulse": {"--window", "--out"},
+    "corrected-dcr": {"--window", "--out"},
+    "trains": {"--window", "--out"},
+    "conditional": {"--bin", "--conditional-window", "--out"},
+    "recovery": {"--acceptance-bin", "--conditional-window", "--neighbors", "--ratio", "--out"},
+}
+PAIRS = [(name, flag) for name in READS for flag in FLAG_VALUES]
+
+
+@pytest.mark.parametrize("name, flag", [pair for pair in PAIRS if pair[1] not in READS[pair[0]]])
+def test_unread_flag_is_usage_error(capsys, name, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", name, "run.nptt", flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, flag", [pair for pair in PAIRS if pair[1] in READS[pair[0]]])
+def test_read_flag_is_accepted(name, flag):
+    args = build_parser().parse_args(["analyze", name, "run.nptt", flag, FLAG_VALUES[flag]])
+    assert FLAG_VALUES[flag] in map(str, vars(args).values())
+
+
+def direct_table(name, stream):
+    """The table of analysis `name` on `stream` from a direct call of its
+    function at the function's own defaults (interarrival and expfit at the
+    CLI's 0.1 ms bins up to 3 ms)."""
+    events = stream.detector_events
+    if name in ("interarrival", "expfit"):
+        hist = analysis.interarrival_histogram(events, 100_000_000, 3_000_000_000)
+        return (analysis.histogram_table(hist) if name == "interarrival"
+                else analysis.expfit_table(hist, analysis.fit_exponential(hist)))
+    if name == "afterpulse":
+        return "metric,value", [("afterpulse_probability", analysis.afterpulse_probability(events))]
+    if name == "corrected-dcr":
+        return "metric,value", zip(("total_cps", "corrected_cps"),
+                                   analysis.corrected_dcr(events, stream.duration_ps))
+    if name == "trains":
+        return analysis.trains_table(analysis.classify_trains(events))
+    if name == "conditional":
+        return analysis.histogram_table(analysis.conditional_histogram(stream))
+    return analysis.recovery_table(analysis.recovery_curve([(180_000, stream)]))
+
+
+@pytest.mark.parametrize("name", READS)
+def test_analyze_defaults_are_the_functions(tmp_path, name):
+    if name in ("conditional", "recovery"):
+        run = anchored_windows_run(tmp_path, metadata={"separation_ps": 180_000})
+    else:
+        run = dark_run(tmp_path)
+    out, direct = tmp_path / "cli.csv", tmp_path / "direct.csv"
+    assert main(["analyze", name, str(run), "--out", str(out)]) == 0
+    write_csv(direct, *direct_table(name, timetags.read_stream(run)))
+    assert out.read_bytes() == direct.read_bytes()
 
 
 def run_script(cwd, name, *args):

@@ -448,6 +448,57 @@ class TestCsvCodec:
             read_stream(path)
 
 
+LINE_ENDS = {"lf": b"\n", "crlf": b"\r\n", "lone-cr": b"\r"}
+BLOCK_HEAD = b"# duration_ps=100000\nchannel,timestamp_ps\n"
+
+
+def rows_with_ends(end: bytes, bad_at=None) -> bytes:
+    """200 rows of growing width, each ended by `end`; the row `bad_at` (from 0) has an empty stamp."""
+    return b"".join((b"0,%d" % (k * 37) if k != bad_at else b"0,") + end for k in range(1, 201))
+
+
+class TestCsvBlocks:
+    """Each block the reader hands to `_rows` ends at a line end of any kind."""
+
+    @pytest.mark.parametrize("end", LINE_ENDS, ids=str)
+    @pytest.mark.parametrize("block", [1, 2, 7, 63])
+    def test_line_ends_read_equal_to_lf(self, tmp_path, monkeypatch, end, block):
+        lf, other = tmp_path / "lf.csv", tmp_path / f"{end}.csv"
+        lf.write_bytes(BLOCK_HEAD + rows_with_ends(b"\n"))
+        other.write_bytes(BLOCK_HEAD + rows_with_ends(LINE_ENDS[end]))
+        # a read of `block` bytes ends on the CR of a CRLF
+        body = other.read_bytes()[len(BLOCK_HEAD):]
+        assert end != "crlf" or any(body[k : k + 2] == b"\r\n" for k in range(block - 1, len(body), block))
+        expected = read_stream(lf)
+        monkeypatch.setattr(timetags, "_CSV_BLOCK", block)
+        assert read_stream(other) == read_stream(lf) == expected
+
+    @pytest.mark.parametrize("end", LINE_ENDS, ids=str)
+    def test_block_is_at_most_a_read_and_a_line(self, tmp_path, monkeypatch, end):
+        path = tmp_path / "s.csv"
+        body = rows_with_ends(LINE_ENDS[end])
+        path.write_bytes(BLOCK_HEAD + body)
+        sizes, rows = [], timetags._rows
+
+        def spy(block, minus=None):
+            sizes.append(len(block))
+            return rows(block, minus)
+
+        monkeypatch.setattr(timetags, "_rows", spy)
+        monkeypatch.setattr(timetags, "_CSV_BLOCK", 64)
+        read_stream(path)
+        longest = max(map(len, body.splitlines(keepends=True)))
+        assert len(sizes) > 10 and max(sizes) <= 64 + longest
+
+    @pytest.mark.parametrize("end", LINE_ENDS, ids=str)
+    def test_refused_line_in_a_later_block_named(self, tmp_path, monkeypatch, end):
+        path = tmp_path / "s.csv"
+        path.write_bytes(BLOCK_HEAD + rows_with_ends(LINE_ENDS[end], bad_at=180))
+        monkeypatch.setattr(timetags, "_CSV_BLOCK", 50)
+        with pytest.raises(FormatError, match="^line 182: "):
+            read_stream(path)
+
+
 # the bytes a mutation inserts or writes over one byte: line ends, whitespace,
 # the grammar's other bytes, bytes it refuses, a byte that is not UTF-8, a
 # two-byte letter and U+00A0, a non-ASCII space
