@@ -18,7 +18,8 @@ It then runs `scripts/reproduce_all.py --seed 3` twice in each checkout,
 alternating sides, and records the wall time of each preset and of the
 battery. It counts the engine's deterministic work once in each checkout:
 clicks, uniforms, segment-end crossings and lone clicks (those the first
-layer accepts in bulk, 0 for an engine without one), each per click, over the
+layer accepts in bulk, 0 for an engine without one), each per click, and
+the pulses the resolver evaluated and skipped, over the
 seed-3 runs of fig4, fig8, fig9 and fig10 and over dark runs at 23.0 and
 25.2 uA (`engine_work`). Last, it runs the Tier-1 suite once in each
 checkout, the parent first, and records its wall time and summary line.
@@ -120,20 +121,22 @@ def summarize(runs, end_to_end) -> dict:
 
 def engine_work(figures=WORK_FIGURES, dark_ua=WORK_DARK_UA, seeds=WORK_DARK_SEEDS,
                 counts=WORK_DARK_COUNTS) -> dict:
-    """Clicks, uniforms, crossings and lone clicks (`metadata["engine"]`) summed over the
-    `simulate` calls of each preset of `figures` at PRESET_SEED and of the
-    dark runs of `counts` primary counts at each bias of `dark_ua` (uA) and
-    each seed, each count per click. It runs the snspdsim
-    that is first on sys.path."""
+    """Clicks, uniforms, crossings, lone clicks and the pulses evaluated and
+    skipped (`metadata["engine"]`) summed over the `simulate` calls of each
+    preset of `figures` at PRESET_SEED and of the dark runs of `counts`
+    primary counts at each bias of `dark_ua` (uA) and each seed; uniforms,
+    crossings and lone clicks also per click. It runs the snspdsim that is
+    first on sys.path."""
     from snspdsim import presets
     from snspdsim.simulation import StimulusConfig, simulate
 
     totals = {}
+    summed = ("uniforms", "crossings", "lone", "pulses_evaluated", "pulses_skipped")
 
     def count(name, stream):
-        entry = totals.setdefault(name, {"clicks": 0, "uniforms": 0, "crossings": 0, "lone": 0})
+        entry = totals.setdefault(name, dict.fromkeys(("clicks", *summed), 0))
         entry["clicks"] += int(stream.detector_events.size)
-        for key in ("uniforms", "crossings", "lone"):
+        for key in summed:
             entry[key] += stream.metadata["engine"].get(key, 0)
         return stream
 

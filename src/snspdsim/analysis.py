@@ -231,16 +231,6 @@ def classify_trains(events, gap_ps: int = DEFAULT_WINDOW_PS) -> TrainDistributio
     return TrainDistribution(counts, gap_ps, int(events.size))
 
 
-def _first_at_or_after(det: np.ndarray, sync: np.ndarray) -> np.ndarray:
-    """`np.searchsorted(det, sync)`, each trigger's first click at or after it,
-    with the shorter channel searched in the longer: with more triggers, the
-    clicks before trigger i are those with at most i triggers at or before them."""
-    if det.size >= sync.size:
-        return np.searchsorted(det, sync)
-    counted = np.searchsorted(sync, det, side="right")
-    return np.bincount(counted, minlength=sync.size + 1).cumsum()[: sync.size]
-
-
 def conditional_histogram(
     stream: TimeTagStream,
     window_ps: int = 2_000_000,
@@ -252,9 +242,10 @@ def conditional_histogram(
     Every histogrammed event lands in a bin, so total_events equals
     sum(counts); the count of first-pulse detections is counts[0].
 
-    Cost, with C clicks and T triggers: O(T log C) if clicks outnumber
-    triggers, else O(C log T + T) (double-pulse frames), to find each trigger's
-    first click; then one search per kept window, plus its clicks.
+    Cost, with C clicks, T triggers and A kept windows: O(T log C) to find
+    each trigger's first click if clicks are at least as many as triggers,
+    else O(C log T + A) to find the kept triggers of each click (double-pulse
+    frames); then O(A log C), one search per kept window, plus its clicks.
     """
     if stream.sync_events.size == 0:
         raise ConfigError("conditional histogram needs a non-empty sync channel")
@@ -268,12 +259,22 @@ def conditional_histogram(
     if det.size == 0:
         return Histogram(bin_ps, 0, np.zeros(n_bins, np.int64), 0)
     # a window is kept when its trigger's first click, at or after it, lies
-    # in the first bin; only the kept ones are searched for their end. A
-    # trigger after the last click is kept too (take clips to that click),
-    # but its window holds no click: lo = hi = det.size
-    lo = _first_at_or_after(det, sync)
-    accepted = det.take(lo, mode="clip") - sync < bin_ps
-    lo, anchors = lo[accepted], sync[accepted]
+    # in the first bin; only the kept ones are searched for their end
+    if det.size >= sync.size:
+        # a trigger after the last click is kept too (take clips to that
+        # click), but its window holds no click: lo = hi = det.size
+        lo = np.searchsorted(det, sync)
+        accepted = det.take(lo, mode="clip") - sync < bin_ps
+        lo, anchors = lo[accepted], sync[accepted]
+    else:
+        # click i is the first at or after the triggers in (det[i-1], det[i]],
+        # and keeps those in (det[i] - bin_ps, det[i]]: one slice of triggers
+        floor = det - bin_ps
+        floor[1:] = np.maximum(floor[1:], det[:-1])
+        first = np.searchsorted(sync, floor, side="right")
+        kept = np.searchsorted(sync, det, side="right") - first
+        lo = np.repeat(np.arange(det.size), kept)
+        anchors = sync[np.arange(lo.size) + np.repeat(first - (np.cumsum(kept) - kept), kept)]
     hi = np.searchsorted(det, anchors + window_ps)
     per_window = hi - lo
     total = int(per_window.sum())

@@ -125,6 +125,18 @@ def _cmd_reproduce(args) -> int:
     return 0 if report.passed else 1
 
 
+class _AnalysisParser(argparse.ArgumentParser):
+    """An analysis's parser, which refuses a flag it does not read itself:
+    argparse hands a subparser's unknown arguments to the top-level parser,
+    whose usage line does not name the analysis's flags."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snspd-sim",
@@ -139,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     ana = sub.add_parser("analyze", help="run an analysis on a time-tag file")
-    kinds = ana.add_subparsers(dest="analysis", required=True)
+    kinds = ana.add_subparsers(dest="analysis", required=True, parser_class=_AnalysisParser)
     # each analysis takes only the flags it reads; a flag without a default
     # leaves its value to the analysis function
     parsers = {}

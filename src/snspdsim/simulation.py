@@ -211,33 +211,63 @@ class StimulusConfig:
 
 @dataclass(frozen=True)
 class StimulusTrain:
-    """Optical pulse times plus the trigger reference channel, in ps.
+    """Optical pulse times, in ps, as one periodic pattern: with m =
+    len(offsets_ps), pulse k is at origin_ps + (k // m) * period_ps +
+    offsets_ps[k % m], for k < n_pulses. The offsets ascend from 0 and lie
+    within the period.
 
-    For double-pulse frames the sync channel carries only the first pulse of
-    each pair, which is the time reference the window analyses expect.
+    The sync channel is the trigger reference: the first pulse of each
+    period, so for double-pulse frames only the first pulse of each pair,
+    which is the time reference the window analyses expect.
     """
 
-    pulse_times_ps: np.ndarray
-    sync_times_ps: np.ndarray
+    period_ps: int
+    offsets_ps: tuple
+    n_pulses: int
+    origin_ps: int = 0
+
+    def time(self, k: int) -> int:
+        """The time of pulse k."""
+        q, r = divmod(k, len(self.offsets_ps))
+        return self.origin_ps + q * self.period_ps + self.offsets_ps[r]
+
+    def times(self, k: np.ndarray) -> np.ndarray:
+        """The times of the pulses of index array k."""
+        q, r = np.divmod(k, len(self.offsets_ps))
+        return self.origin_ps + q * self.period_ps + np.array(self.offsets_ps, np.int64)[r]
+
+    def count(self, t: np.ndarray) -> np.ndarray:
+        """The number of pulses at or before each time of t."""
+        q, r = np.divmod(np.asarray(t, np.int64) - self.origin_ps, self.period_ps)
+        within = np.searchsorted(np.array(self.offsets_ps, np.int64), r, side="right")
+        return np.clip(q * len(self.offsets_ps) + within, 0, self.n_pulses)
+
+    @property
+    def pulse_times_ps(self) -> np.ndarray:
+        """Every pulse time, as an array; the engine reads the pattern."""
+        return self.times(np.arange(self.n_pulses, dtype=np.int64))
+
+    @property
+    def sync_times_ps(self) -> np.ndarray:
+        """The sync channel: pulses k = j * m, at origin_ps + j * period_ps."""
+        times = np.arange(-(-self.n_pulses // len(self.offsets_ps)), dtype=np.int64)
+        times *= self.period_ps
+        times += self.origin_ps
+        return times
 
 
 def make_stimulus(config: StimulusConfig, duration_ps: int) -> StimulusTrain:
-    empty = np.empty(0, dtype=np.int64)
+    """The pulse train of `config` over [0, duration_ps)."""
     if config.mode == MODE_NONE or duration_ps <= 0:
-        return StimulusTrain(empty, empty)
+        return StimulusTrain(1, (0,), 0)
     if config.mode == MODE_PERIODIC:
         period_ps = config.period_ps
-        n = (duration_ps + period_ps - 1) // period_ps
-        times = np.arange(n, dtype=np.int64) * period_ps  # the last is (n-1)*period < duration
-        return StimulusTrain(times, times)
+        # the last is (n-1)*period < duration
+        return StimulusTrain(period_ps, (0,), (duration_ps + period_ps - 1) // period_ps)
     # double-pulse frames, whole ones only: the last second pulse,
     # (n-1)*window + separation, lies before n*window <= duration
-    n = duration_ps // config.window_ps
-    starts = np.arange(n, dtype=np.int64) * config.window_ps
-    pulses = np.empty(2 * n, dtype=np.int64)
-    pulses[0::2] = starts
-    pulses[1::2] = starts + config.separation_ps
-    return StimulusTrain(pulses, starts)
+    window_ps = config.window_ps
+    return StimulusTrain(window_ps, (0, config.separation_ps), 2 * (duration_ps // window_ps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,6 +358,14 @@ def simulate(
     on or before the previous click's ps is a sub-ps coincidence the tagger
     cannot resolve: it is dropped and counted. Nothing past the run's last
     ps is recorded.
+
+    Pulses. The stimulus is one periodic pattern (`StimulusTrain`): pulse k
+    lies at (k // m) * period + offsets[k % m] ps, with m = 1 and offset 0
+    for a periodic laser, and m = 2 and offsets (0, separation) for
+    double-pulse frames of one window each. The engine asks the pattern for
+    a pulse's time and for the number of pulses at or before a time, so its
+    cost scales with candidates and clicks, not pulses; only the sync
+    channel, the first pulse of each period, is built as an array.
 
     Exactness. From t_quiet = max(settle_time, kernel duration) after a
     click, rounded up to whole ps (quiet_ps; t_q in seconds), the detector
@@ -517,15 +555,12 @@ def _kernel_tables(model: DetectorModel) -> _KernelTables | None:
     )
 
 
-def _window_slots(stimulus: StimulusConfig, quiet_ps: int) -> int:
-    """The most pulses of the stimulus's pattern that can lie within
-    `quiet_ps` after a time: the pulse draws in each candidate's window."""
-    if stimulus.mode == MODE_NONE:
-        return 0
-    span = stimulus.period_ps if stimulus.mode == MODE_PERIODIC else stimulus.window_ps
-    pattern = make_stimulus(stimulus, quiet_ps + 2 * span).pulse_times_ps
-    starts = np.flatnonzero(pattern < span)
-    return int((np.searchsorted(pattern, pattern[starts] + quiet_ps) - starts).max())
+def _window_slots(train: StimulusTrain, quiet_ps: int) -> int:
+    """The most pulses of the train's pattern that can lie within
+    `quiet_ps` after a time: the pulse draws in each candidate's window.
+    The most lie in [p, p + quiet_ps) of a pulse p of the first period."""
+    endless = StimulusTrain(train.period_ps, train.offsets_ps, INT64_MAX)
+    return max(int(endless.count(p + quiet_ps - 1)) - k for k, p in enumerate(train.offsets_ps))
 
 
 def _run_engine(
@@ -577,9 +612,9 @@ def _run_engine(
     quiet_ps = math.ceil(t_quiet * PS_PER_SECOND)
     quiet_s = quiet_ps / PS_PER_SECOND
     latching = model.can_latch and tables is not None
-    pulses_ps = train.pulse_times_ps
-    n_pulses = pulses_ps.size
-    slots = min(_window_slots(stimulus, quiet_ps), WINDOW_SLOTS) if n_pulses else 0
+    pulse_time = train.time
+    n_pulses = train.n_pulses
+    slots = min(_window_slots(train, quiet_ps), WINDOW_SLOTS) if n_pulses else 0
     chunk = max(1, CANDIDATE_CHUNK // (1 + slots))
 
     # the scalar form of the effective-bias law (circuit.nanowire_current
@@ -715,7 +750,7 @@ def _run_engine(
                             del env_tc[idx], segs[idx], seg_ends[idx]
                     mass = 0.0
                 # a pulse before the proposal leaves it standing unless it clicks
-                after = int(pulses_ps[nxt]) - epoch if nxt < n_pulses else quiet_ps
+                after = pulse_time(nxt) - epoch if nxt < n_pulses else quiet_ps
                 if after / PS_PER_SECOND <= proposal:
                     if after >= quiet_ps:
                         return epoch + quiet_ps
@@ -772,14 +807,15 @@ def _run_engine(
                 lone = e / rate_b >= quiet_s
             else:
                 lone = (e / env0 > end0) & (e > spent0) & (kdur + (e - spent0) / rate_b >= quiet_s)
-        first = np.searchsorted(pulses_ps, x, side="right")
+        first = train.count(x)
         if slots:
-            last = np.searchsorted(pulses_ps, np.minimum(x, end_ps - quiet_ps) + quiet_ps)
+            # the pulses before min(x + quiet_ps, end_ps); stamps are whole ps
+            last = train.count(np.minimum(x, end_ps - quiet_ps) + (quiet_ps - 1))
             lone &= last - first <= slots
             for k in range(slots):
                 inside = np.flatnonzero(first + k < last)
                 if inside.size:
-                    offsets, which = np.unique(pulses_ps[first[inside] + k] - x[inside], return_inverse=True)
+                    offsets, which = np.unique(train.times(first[inside] + k) - x[inside], return_inverse=True)
                     p = [click_probability(bias_at(d / PS_PER_SECOND, single)) for d in offsets.tolist()]
                     lone[inside] &= draws[inside, 1 + k] >= np.array(p)[which]
         if latching:
@@ -838,7 +874,7 @@ def _run_engine(
             else:
                 idx = laser_at + 1 + np.arange(chunk)
             k = int(np.searchsorted(idx, n_pulses))
-            laser_x = pulses_ps[idx[:k]]
+            laser_x = train.times(idx[:k])
             laser_more = k == idx.size
             laser_at = int(idx[k - 1]) if k else laser_at
             n_laser += k if p_quiet < 1.0 else 0

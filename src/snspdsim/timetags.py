@@ -93,12 +93,12 @@ def _decode_metadata(raw: bytes) -> dict:
 def _merged_records(stream: TimeTagStream) -> np.ndarray:
     """All records as a `_RECORD` array sorted by (timestamp, channel)."""
     det = stream.detector_events
-    syn = stream.sync_events
-    channels = np.concatenate([np.zeros(det.size, np.uint8), np.ones(syn.size, np.uint8)])
-    stamps = np.concatenate([det, syn])
-    order = np.lexsort((channels, stamps))
+    stamps = np.concatenate([det, stream.sync_events])
+    # each channel is sorted, so a stable sort merges two runs and keeps a
+    # detector record before a sync record of the same stamp
+    order = np.argsort(stamps, kind="stable")
     records = np.empty(order.size, _RECORD)
-    records["channel"] = channels[order]
+    records["channel"] = order >= det.size
     records["timestamp"] = stamps[order]
     return records
 
@@ -160,18 +160,18 @@ def read_stream(path) -> TimeTagStream:
 def _split_channels(channels, stamps, duration_ps, metadata) -> TimeTagStream:
     """Check what only a file can get wrong (channel numbers, file order);
     `TimeTagStream` checks the stream invariants."""
-    bad = np.nonzero((channels < 0) | (channels > 1))[0]
-    if bad.size:
-        raise FormatError(f"record {bad[0]}: channel {channels[bad[0]]} is not 0 or 1")
-    back = np.nonzero(np.diff(stamps) < 0)[0]
-    if back.size:
-        idx = int(back[0]) + 1
+    channels = np.ascontiguousarray(channels)
+    if channels.size and (channels.min() < 0 or channels.max() > 1):
+        bad = np.flatnonzero((channels < 0) | (channels > 1))[0]
+        raise FormatError(f"record {bad}: channel {channels[bad]} is not 0 or 1")
+    back = stamps[1:] < stamps[:-1]
+    if back.any():
+        idx = int(np.argmax(back)) + 1
         raise StreamValidationError(
             f"record {idx}: timestamp {stamps[idx]} breaks file-order monotonicity"
         )
-    return TimeTagStream(
-        stamps[channels == CHANNEL_DETECTOR], stamps[channels == CHANNEL_SYNC], duration_ps, metadata
-    )
+    sync = channels == CHANNEL_SYNC
+    return TimeTagStream(stamps[~sync], stamps[sync], duration_ps, metadata)
 
 
 def _read_binary(path) -> TimeTagStream:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from snspdsim import presets
 from snspdsim.analysis import (
     Histogram,
-    _first_at_or_after,
     afterpulse_probability,
     classify_trains,
     conditional_histogram,
@@ -367,12 +366,19 @@ class TestConditionalHistogram:
         st.lists(st.integers(0, 10**6), max_size=20),
     )
     @settings(max_examples=100, deadline=None)
-    def test_first_click_search_matches_searchsorted(self, det, sync, shared):
-        # equal stamps across channels, either channel the longer, or no clicks
+    def test_either_search_matches_naive(self, det, sync, shared):
+        # equal stamps across channels, either channel the longer, or no
+        # clicks; a bin wider than the trigger spacing keeps several
+        # triggers of one click, one narrower keeps some of them
         det = np.unique(np.asarray(det + shared, np.int64))
         sync = np.unique(np.asarray(sync + shared, np.int64))
         for d, s in ((det, sync), (sync, det), (det[:0], sync)):
-            assert np.array_equal(_first_at_or_after(d, s), np.searchsorted(d, s))
+            if not s.size:
+                continue
+            for window_ps, bin_ps in ((200_000, 4_000), (300_000, 100_000), (10**6, 10**6)):
+                hist = conditional_histogram(self.stream(d, s, 10**6), window_ps, bin_ps)
+                counts, total = naive_conditional_histogram(d, s, 10**6, window_ps, bin_ps)
+                assert (hist.counts.tolist(), hist.total_events) == (counts, total)
 
     @pytest.mark.parametrize(
         "det, sync, anchored",

@@ -19,10 +19,10 @@ from snspdsim.simulation import (
     DetectorModel,
     RateModel,
     StimulusConfig,
-    StimulusTrain,
     TimeTagStream,
     _kernel_tables,
     _run_engine,
+    _window_slots,
     branching_probability,
     effective_bias,
     make_stimulus,
@@ -85,6 +85,58 @@ class TestStimulus:
     def test_zero_duration_empty(self):
         train = make_stimulus(StimulusConfig.periodic(1e6, 1.0), 0)
         assert train.pulse_times_ps.size == 0
+
+    @given(
+        st.integers(1, 10**7),
+        st.booleans(),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(0, 10**15),
+        st.one_of(st.just(0), st.floats(0.0, 1.0, exclude_max=True), st.floats(1.0, 40.0)),
+        st.lists(st.integers(-(10**8), 10**9), max_size=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pattern_matches_materialised_train(self, period, double, split, origin, frames, probes):
+        # the pattern's times and counts against indexing and searchsorted
+        # on the train built as an array: every partial last frame, a
+        # duration under one period and a duration of 0
+        if double:
+            period += 1  # a window holds its separation
+            separation = 1 + int(split * (period - 1))
+            config = StimulusConfig.double_pulse(separation * 1e-12, 1.0, period * 1e-12)
+            assert (config.window_ps, config.separation_ps) == (period, separation)
+        else:
+            config = StimulusConfig.periodic(PS_PER_SECOND / period, 1.0)
+            assert config.period_ps == period
+        duration = int(frames * period)
+        train = dataclasses.replace(make_stimulus(config, duration), origin_ps=origin)
+        if double:
+            starts = origin + np.arange(duration // period, dtype=np.int64) * period
+            expected = np.stack([starts, starts + separation], axis=1).ravel()
+        else:
+            starts = expected = origin + np.arange(-(-duration // period), dtype=np.int64) * period
+        assert np.array_equal(train.pulse_times_ps, expected)
+        assert np.array_equal(train.sync_times_ps, starts)
+        assert train.n_pulses == expected.size
+        assert [train.time(k) for k in range(min(expected.size, 5))] == expected[:5].tolist()
+        k = np.arange(expected.size, dtype=np.int64)[::7]
+        assert np.array_equal(train.times(k), expected[k])
+        # each pulse, a ps either side of it, and times before, between and past
+        t = np.concatenate([expected[:20, None] + [-1, 0, 1], origin + np.array(probes, np.int64)[:, None]], axis=None)
+        assert np.array_equal(train.count(t), np.searchsorted(expected, t, side="right"))
+        assert np.array_equal(train.count(t - 1), np.searchsorted(expected, t))
+
+    @pytest.mark.parametrize("quiet_ps", [0, 1, 999, 1_000_000, 2_000_000, 2_000_001])
+    @pytest.mark.parametrize("config", [StimulusConfig.periodic(1e6, 1.0), StimulusConfig.periodic(3e6, 1.0),
+                                        StimulusConfig.double_pulse(80e-9, 1.0, 1e-6),
+                                        StimulusConfig.double_pulse(999e-9, 1.0, 1e-6)],
+                             ids=["1MHz", "3MHz", "double-80ns", "double-999ns"])
+    def test_window_slots_is_the_most_pulses_after_a_time(self, config, quiet_ps):
+        # the most pulses in [x, x + quiet_ps), over every x of a few periods:
+        # at least as many as a candidate's window (x, x + quiet_ps) holds
+        pulses = make_stimulus(config, 10**7).pulse_times_ps
+        x = np.arange(0, 3 * 10**6)
+        most = (np.searchsorted(pulses, x + quiet_ps) - np.searchsorted(pulses, x)).max()
+        assert _window_slots(make_stimulus(config, 10**7), quiet_ps) == most
 
     def test_separation_must_fit_window(self):
         with pytest.raises(ConfigError):
@@ -578,7 +630,7 @@ class TestEpochClock:
         duration_ps = whole_ps(0.05 * PS_PER_SECOND, "duration")
         offset = whole_ps(offset_s * PS_PER_SECOND, "offset")
         train = make_stimulus(stimulus, duration_ps)
-        later = StimulusTrain(train.pulse_times_ps + offset, train.sync_times_ps + offset)
+        later = dataclasses.replace(train, origin_ps=offset)
         base, counters = _run_engine(m, stimulus, train, duration_ps, np.random.default_rng(5))
         shifted, shifted_counters = _run_engine(
             m, stimulus, later, duration_ps + offset, np.random.default_rng(5), start_ps=offset
