@@ -14,26 +14,28 @@ metric, the median and quartiles of each side, the change-over-parent ratio
 of the medians and the pairs the change won; and the number of failed runs.
 One traced run per side (`--trace 1 --seed 1`) then gives each workload's
 per-layer metrics (`layers`), which show where a change's saving lands.
-It then runs `scripts/reproduce_all.py --seed 3` twice in each checkout,
-alternating sides, and records the wall time of each preset and of the
-battery. It counts the engine's deterministic work once in each checkout:
-clicks, uniforms, segment-end crossings and lone clicks (those the first
-layer accepts in bulk, 0 for an engine without one), each per click, and
-the pulses the resolver evaluated and skipped, over the
-seed-3 runs of fig4, fig8, fig9 and fig10 and over dark runs at 23.0 and
-25.2 uA (`engine_work`). Last, it runs the Tier-1 suite once in each
+It then runs the preset battery at seed 3 in 10 alternating pairs, each
+side in a fresh process that times every preset with perfbench's clock,
+and summarizes the scaled time of each preset and of the battery like an
+end-to-end metric (`battery`). It counts the engine's deterministic work
+once in each checkout: clicks, uniforms, envelope steps (`crossings`) and
+lone clicks (those the first layer accepts in bulk, 0 for an engine
+without one), each per click, and the pulses the resolver evaluated and
+skipped, over the seed-3 runs of fig4, fig8, fig9 and fig10 and over dark
+runs at 23.0 and 25.2 uA (`engine_work`). Last, it runs the Tier-1 suite once in each
 checkout, the parent first, and records its wall time and summary line.
 `nproc`, the Python and NumPy versions and both commits are recorded too.
 
-Times come from `perfbench/run.py`, which scales host time by its reference
-loop (`perfbench/clock.py`); preset, import and Tier-1 times are host seconds.
+Workload and preset times are host time scaled by perfbench's reference
+loop (`perfbench/clock.py`), which cancels most of a shared host's drift;
+each preset's host seconds are recorded beside them. Import and Tier-1
+times are host seconds.
 """
 
 import argparse
 import json
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -45,7 +47,6 @@ import numpy as np
 
 SIDES = ("parent", "change")
 PAIRS = 10
-BATTERY_ROUNDS = 2
 IMPORT_ROUNDS = 5
 PRESET_SEED = 3
 RUN_TIMEOUT_S = 1800
@@ -55,8 +56,6 @@ WORK_FIGURES = ("fig4", "fig8", "fig9", "fig10")
 WORK_DARK_UA = (23.0, 25.2)
 WORK_DARK_COUNTS = 10_000
 WORK_DARK_SEEDS = (11, 12, 13)
-# one line of reproduce_all.py per preset: "fig4   ok     (  1.6 s)"
-PRESET_LINE = re.compile(r"^(\S+)\s+(ok|FAILED)\s+\(\s*([\d.]+) s\)$")
 
 
 def parse_result(stdout: str) -> dict:
@@ -71,16 +70,6 @@ def parse_result(stdout: str) -> dict:
         return {"correct": False}
     metrics = {name: m["value"] for name, m in result.get("metrics", {}).items()}
     return {"correct": bool(result.get("correct")), **metrics}
-
-
-def parse_presets(stdout: str) -> dict:
-    """Seconds per preset from the output of reproduce_all.py."""
-    times = {}
-    for line in stdout.splitlines():
-        match = PRESET_LINE.match(line)
-        if match:
-            times[match.group(1)] = float(match.group(3))
-    return times
 
 
 def _quartiles(values):
@@ -158,13 +147,43 @@ def engine_work(figures=WORK_FIGURES, dark_ua=WORK_DARK_UA, seeds=WORK_DARK_SEED
     return totals
 
 
-def _engine_work(root: Path) -> dict:
-    """engine_work() in a fresh process on the snspdsim of `root`."""
+def battery(figures=None) -> dict:
+    """Each preset of `figures` (all of presets.FIGURES by default) at
+    PRESET_SEED, timed by perfbench's clock (`perfbench/clock.py` of the
+    current directory): whether its checks passed, its host seconds and its
+    seconds scaled by the reference loop. It runs the snspdsim that is first
+    on sys.path."""
+    sys.path.insert(0, str(Path.cwd() / "perfbench"))
+    from clock import Clock
+    from snspdsim import presets
+
+    clock = Clock()
+    out = {}
+    with tempfile.TemporaryDirectory() as out_dir:
+        for name in figures or presets.FIGURES:
+            runner = presets.FIGURES[name]
+            report, host, scaled = clock.time(lambda: runner(Path(out_dir) / name, seed=PRESET_SEED))
+            out[name] = {"passed": report.passed, "host_s": host, "scaled_s": scaled}
+    return out
+
+
+def _in_fresh_process(root: Path, call: str):
+    """The JSON result of `bench_pairs.<call>` in a fresh process in `root`,
+    on the snspdsim of `root`."""
     code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
-            "import bench_pairs; print(json.dumps(bench_pairs.engine_work()))")
+            f"import bench_pairs; print(json.dumps(bench_pairs.{call}))")
     done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=RUN_TIMEOUT_S, check=True)
     return json.loads(done.stdout)
+
+
+def _battery_run(root: Path) -> dict:
+    """One battery in `root` as a run for summarize(): each preset's scaled
+    seconds and their sum, `battery_s`, correct when every preset passed."""
+    presets_s = _in_fresh_process(root, "battery()")
+    run = {name: p["scaled_s"] for name, p in presets_s.items()}
+    return {"correct": all(p["passed"] for p in presets_s.values()), "battery_s": sum(run.values()), **run,
+            "presets": presets_s}
 
 
 def _commit(root: Path) -> str:
@@ -183,18 +202,6 @@ def _bench(root: Path, workload: str, seed: int, seconds: float, trace: int = 0)
         cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
     )
     return parse_result(done.stdout) if done.returncode == 0 else {"correct": False}
-
-
-def _battery(root: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    with tempfile.TemporaryDirectory() as out_dir:
-        t0 = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "scripts/reproduce_all.py", out_dir, "--seed", str(PRESET_SEED)],
-            cwd=root, capture_output=True, text=True, env=env, timeout=RUN_TIMEOUT_S,
-        )
-        wall = time.perf_counter() - t0
-    return {"passed": done.returncode == 0, "battery_s": wall, "presets_s": parse_presets(done.stdout)}
 
 
 def _import_s(root: Path) -> float:
@@ -261,21 +268,17 @@ def main() -> int:
         result["workloads"][workload] = {"summary": summarize(runs, spec["end_to_end"]), "runs": runs,
                                          "layers": layers}
 
-    batteries = {side: [] for side in SIDES}
-    for i in range(BATTERY_ROUNDS):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            batteries[side].append(_battery(roots[side]))
-    result["battery"] = {"seed": PRESET_SEED, **{
-        side: {
-            "passed": all(b["passed"] for b in runs),
-            "battery_s": statistics.median(b["battery_s"] for b in runs),
-            "presets_s": {name: statistics.median(b["presets_s"].get(name, 0.0) for b in runs)
-                          for name in runs[0]["presets_s"]},
-            "rounds": runs,
-        } for side, runs in batteries.items() if runs
-    }}
+    runs = []
+    for i in range(PAIRS):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        runs.append({"first": order[0], **{side: _battery_run(roots[side]) for side in order}})
+        print(f"battery pair {i}: " + "  ".join(f"{side} {runs[-1][side]['battery_s']:.3f} s" for side in SIDES))
+    timed = ["battery_s", *(name for name in runs[0]["change"]["presets"] if name in runs[0]["parent"]["presets"])]
+    result["battery"] = {"seed": PRESET_SEED, "unit": "s, scaled",
+                         "summary": summarize(runs, [{"name": name, "better": "lower"} for name in timed]),
+                         "runs": runs}
 
-    result["engine_work"] = {side: _engine_work(roots[side]) for side in SIDES}
+    result["engine_work"] = {side: _in_fresh_process(roots[side], "engine_work()") for side in SIDES}
     result["tier1"] = {side: _tier1(roots[side]) for side in SIDES}
 
     with open(args.out, "w") as fh:
@@ -289,10 +292,16 @@ def main() -> int:
         parent, change = entry["layers"]["parent"], entry["layers"]["change"]
         for name in sorted(set(parent) & set(change) - {"correct"}):
             print(f"{workload} traced {name}: {parent[name]:.4g} -> {change[name]:.4g}")
+    for name in timed:
+        m = result["battery"]["summary"].get(name)
+        if m:
+            print(f"battery {name}: {m['parent_median']:.4g} -> {m['change_median']:.4g} s "
+                  f"({m['pairs_won']}/{m['pairs']} pairs won)")
     for name, entry in result["engine_work"]["change"].items():
         before = result["engine_work"]["parent"].get(name, {})
         print(f"{name}: uniforms per click {before.get('uniforms_per_click')} -> {entry['uniforms_per_click']}, "
-              f"crossings per click {before.get('crossings_per_click')} -> {entry['crossings_per_click']}")
+              f"crossings per click {before.get('crossings_per_click')} -> {entry['crossings_per_click']}, "
+              f"lone per click {before.get('lone_per_click')} -> {entry['lone_per_click']}")
     for side in SIDES:
         print(f"{side}: import {result['import_s'][side]['median']:.3f} s, "
               f"Tier-1 {result['tier1'][side]['wall_s']:.1f} s ({result['tier1'][side]['summary']})")

@@ -40,9 +40,11 @@ ENGINE_COUNTERS = (
 
 # the proposals a kernel segment may be expected to waste per click before
 # the segment builder closes it: finer segments cost more crossings, coarser
-# ones more proposals. The time per dark click at 25.0-25.2 uA is flat from
-# 0.025 to 0.06, for the profile kernel and the band-pass ones alike
-# (CPython 3.11, 2-core Xeon VM)
+# ones more proposals. Segments bound only two or more live kernels; one
+# kernel alone is bounded per sample interval. The time per dark click at
+# 25.0-25.2 uA was flat from 0.025 to 0.06 when segments bounded one kernel
+# too, for the profile kernel and the band-pass ones alike (CPython 3.11,
+# 2-core Xeon VM)
 SEGMENT_WASTE = 0.04
 
 # the most candidates, each with its window draws, that one chunk of the
@@ -391,7 +393,9 @@ def simulate(
     candidate is lone when a click there has no further event before
     quiet_ps: E proposes nothing in its window (with a kernel, E/env0 >
     end0, E > spent0 and kdur + (E - spent0)/rate_b >= t_q, the resolver's
-    own first crossing; without one, E/rate_b >= t_q), and no pulse in the
+    own first crossing, env0 and end0 being the envelope and end of the
+    kernel's first sample interval and spent0 the envelope mass of all of
+    them; without one, E/rate_b >= t_q), and no pulse in the
     window clicks (its uniform at or above its click probability from the
     scalar law, once per distinct ps offset). Lone candidates from quiet_ps
     after the last kept click on are accepted in bulk.
@@ -403,18 +407,21 @@ def simulate(
     spawned stream. It evaluates every pulse and thins every dark proposal
     until its next event lies quiet_ps or more after its last click, and
     returns that ps; the candidates before it are dropped. Dark proposals
-    come from a piecewise-constant envelope (Ogata's local bound): the
-    kernel is split into index segments (`_kernel_segments`), and the
-    envelope is dark_rate(I_b + the current segment bounds of the live
-    kernels) up to the nearest segment end, where the mass it used is spent
-    and the rest carries over (memorylessness). With one kernel live its
-    tail masses find in one step the segment where the mass runs out, or the
-    rest past its end. Recovery never exceeds I_b, so the envelope dominates
-    the rate; a violation raises SimulationError. A pulse before a proposal
+    come from a piecewise-constant envelope (Ogata's local bound), whose
+    mass used up to a step is spent and the rest carried over
+    (memorylessness). One kernel alone is bounded over each sample interval
+    [j, j+1] by the larger positive part of its two samples, and its tail
+    masses find in one bisection the interval where the mass runs out, or
+    the rest past its end. Two or more live kernels are bounded by coarse
+    index segments (`_kernel_segments`): the envelope is dark_rate(I_b + the
+    current segment bounds of the live kernels) up to the nearest segment
+    end. When one kernel is left, one bisection puts it into the interval it
+    has reached. Recovery never exceeds I_b, so the envelope dominates the
+    rate; a violation raises SimulationError. A pulse before a proposal
     leaves it standing unless the pulse clicks. A click starts its kernel
-    and, on an unshunted detector, the latch scan. The segment tables and
-    the branching probability are constants of the model, built on its first
-    run.
+    and, on an unshunted detector, the latch scan. The interval and segment
+    tables and the branching probability are constants of the model, built
+    on its first run.
 
     A model with a live kernel whose click has a mean of one or more
     further clicks, -log(1 - branching_probability(model)) >= 1, is
@@ -425,8 +432,9 @@ def simulate(
     one per candidate time (none at p_quiet = 1), 1 + slots per candidate
     window and the resolver's; `pulses_evaluated` by the resolver;
     `pulses_skipped`, the rest, candidates or stepped over, so the two sum
-    to the pulses; `coincidences_dropped`; `crossings`, the segment ends
-    the resolver's envelope crossed; and `lone`, the clicks layer 1
+    to the pulses; `coincidences_dropped`; `crossings`, the resolver's
+    envelope steps: a segment end crossed, or one bisection of a lone
+    kernel, whatever the intervals it passes; and `lone`, the clicks layer 1
     accepted in bulk.
     """
     if duration < 0:
@@ -473,7 +481,8 @@ def _kernel_segments(samples: np.ndarray, g_dark: float, rate_dt: float, branchi
     """Split the kernel's sample indices into segments [a..b] that share
     their ends; bound each by the largest positive part of its samples,
     both ends included, so the interpolated kernel stays under the bound.
-    Returns the bounds and the end index b of each.
+    Returns the bounds and the end index b of each. The segments bound a
+    kernel while another is live too.
 
     One greedy pass, linear in the samples. The slack at sample j wastes
     about rate_dt * (exp(g*bound) - exp(g*k_j)) proposals, `rate_dt` being
@@ -517,16 +526,19 @@ def _kernel_segments(samples: np.ndarray, g_dark: float, rate_dt: float, branchi
 
 
 class _KernelTables(NamedTuple):
-    """A live kernel's thinning tables: constants of the model."""
+    """A live kernel's thinning tables: constants of the model. One kernel
+    alone is thinned against its envelope over each sample interval; two or
+    more against the sum of their coarse segment bounds."""
 
     branching: float        # branching_probability(model)
     samples: list           # the kernel samples, A
     sample_period: float    # s
     duration: float         # s from the click to the last sample
-    bounds: list            # each segment's bound, A
-    ends_s: list            # each segment's end, s after the click
-    envs: list              # the envelope, 1/s, of one kernel alone in each segment
-    tails: list             # the envelope mass of the segments after each
+    bounds: list            # each coarse segment's bound, A
+    ends_s: list            # each coarse segment's end, s after the click
+    envs: list              # the envelope, 1/s, of one kernel alone in each sample interval
+    interval_ends_s: list   # each sample interval's end, s after the click
+    tails: list             # the envelope mass of the intervals after each
 
 
 def _kernel_tables(model: DetectorModel) -> _KernelTables | None:
@@ -541,17 +553,21 @@ def _kernel_tables(model: DetectorModel) -> _KernelTables | None:
     branching = branching_probability(model)
     ksp = kernel.sample_period
     bounds, ends = _kernel_segments(kernel.samples, g_dark, rate_b * ksp, branching)
-    # with one kernel alone live: its envelope in each segment (the float
-    # operations the engine uses for several live kernels, so the value is
-    # the same either way) and the mass of the segments after each
-    envs = [r_ref * math.exp(g_dark * (i_b + bound - i_ref)) for bound in bounds]
-    tails = [0.0] * len(ends)
-    for k in range(len(ends) - 2, -1, -1):
-        tails[k] = tails[k + 1] + envs[k + 1] * ((ends[k + 1] - ends[k]) * ksp)
+    # one kernel alone: each sample interval [j, j+1] is bounded by the
+    # larger positive part of its two samples, which bounds the linear
+    # interpolation between them. The envelope takes math.exp per interval,
+    # as the engine does, so its bits do not depend on NumPy's SIMD level
+    positive = np.maximum(kernel.samples, 0.0)
+    tops = np.maximum(positive[:-1], positive[1:]).tolist()
+    envs = [r_ref * math.exp(g_dark * (i_b + top - i_ref)) for top in tops]
+    # the mass of the intervals after each: a reversed running sum, in the
+    # order of a loop from the last interval back
+    masses = np.array(envs[:0:-1]) * ksp
+    tails = np.cumsum(masses)[::-1].tolist() + [0.0]
     samples = kernel.samples.tolist()
     return _KernelTables(
         branching, samples, ksp, (len(samples) - 1) * ksp,
-        bounds, [b * ksp for b in ends], envs, tails,
+        bounds, [b * ksp for b in ends], envs, (np.arange(1, len(samples)) * ksp).tolist(), tails,
     )
 
 
@@ -598,10 +614,13 @@ def _run_engine(
     if tables is not None:
         ksamp, ksp, kdur = tables.samples, tables.sample_period, tables.duration
         klast = len(ksamp) - 1
-        seg_bound, seg_end_s, seg_env, tail = tables.bounds, tables.ends_s, tables.envs, tables.tails
+        # several live kernels: the coarse segments; one alone: its intervals
+        seg_bound, seg_end_s = tables.bounds, tables.ends_s
         n_segs = len(seg_end_s)
-        # the mass of a lone kernel's segments: the resolver's first crossing
-        env0, end0 = seg_env[0], seg_end_s[0]
+        one_env, one_end_s, tail = tables.envs, tables.interval_ends_s, tables.tails
+        n_one = len(one_end_s)
+        # the mass of a lone kernel's intervals: the resolver's first crossing
+        env0, end0 = one_env[0], one_end_s[0]
         spent0 = env0 * end0 + tail[0]
         tail_up = [-m for m in tail]  # ascending, for a bisection
     else:
@@ -678,8 +697,9 @@ def _run_engine(
                         if bias_at(j * ksp, active) >= i_c:
                             latched = True
                             return end_ps + 1
-                # each live kernel's current segment and its end: the
-                # envelope's own copy, which the crossings advance
+                # each live kernel's current segment (a lone kernel's
+                # interval) and its end: the envelope's own copy, which the
+                # crossings advance
                 if len(active) == 1:
                     env_tc, segs, seg_ends = [0.0], [0], [end0]
                 else:
@@ -698,9 +718,9 @@ def _run_engine(
                         # the thinning envelope: recovery never exceeds I_b,
                         # and each live kernel adds the bound of its current
                         # segment, up to the nearest segment end; one kernel
-                        # alone reads it from `seg_env`
+                        # alone reads it from `one_env`, per sample interval
                         if len(segs) == 1:
-                            envelope, horizon = seg_env[segs[0]], seg_ends[0]
+                            envelope, horizon = one_env[segs[0]], seg_ends[0]
                         elif segs:
                             i_env = i_b
                             for k in segs:
@@ -714,31 +734,29 @@ def _run_engine(
                         # at a segment end before the proposal the mass the
                         # envelope used up to it is spent and the rest
                         # carries over, which is exact by memorylessness
+                        crossings += 1
                         if len(segs) == 1:
-                            # one kernel alone: its segment masses say in one
+                            # one kernel alone: its interval masses say in one
                             # step where the mass runs out, past its end or in
-                            # the first segment j that takes it
+                            # the first interval j that takes it
                             k = segs[0]
                             tc = env_tc[0]
-                            spent = envelope * (seg_end_s[k] - (t - tc)) + tail[k]
+                            spent = envelope * (one_end_s[k] - (t - tc)) + tail[k]
                             if mass > spent:
                                 mass -= spent
                                 t = tc + kdur
-                                crossings += n_segs - k
                                 segs, seg_ends = (), ()
                                 continue
                             mass -= spent - tail[k]
                             j = bisect.bisect_left(tail_up, mass - tail[k], k + 1)
                             mass = max(mass - (tail[k] - tail[j - 1]), 0.0)
-                            t = tc + seg_end_s[j - 1]
-                            crossings += j - k
-                            segs[0], seg_ends[0] = j, tc + seg_end_s[j]
+                            t = tc + one_end_s[j - 1]
+                            segs[0], seg_ends[0] = j, tc + one_end_s[j]
                             continue
                         mass -= envelope * (horizon - t)
                         if mass < 0.0:
                             mass = 0.0  # rounding: the proposal is at the segment end
                         t = horizon
-                        crossings += 1
                         # one kernel moves on per crossing; a second one
                         # ending its segment then crosses next, at no cost
                         idx = seg_ends.index(t)
@@ -748,6 +766,15 @@ def _run_engine(
                             seg_ends[idx] = env_tc[idx] + seg_end_s[k]
                         else:
                             del env_tc[idx], segs[idx], seg_ends[idx]
+                            if len(segs) == 1:
+                                # one kernel left: it moves from its segment
+                                # into the interval it has reached, or ends
+                                tc = env_tc[0]
+                                j = bisect.bisect_right(one_end_s, t - tc)
+                                if j < n_one:
+                                    segs[0], seg_ends[0] = j, tc + one_end_s[j]
+                                else:
+                                    segs, seg_ends = (), ()
                     mass = 0.0
                 # a pulse before the proposal leaves it standing unless it clicks
                 after = pulse_time(nxt) - epoch if nxt < n_pulses else quiet_ps

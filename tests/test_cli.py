@@ -541,13 +541,20 @@ def test_bench_pairs_times_a_fresh_import(monkeypatch):
     assert bench_pairs._import_s(Path(snspdsim.__file__).parents[2]) > 0.0
 
 
-def test_bench_pairs_reads_preset_times(monkeypatch):
+def test_bench_pairs_times_each_preset(monkeypatch):
+    # each preset is timed unrounded, in host and in scaled seconds, by
+    # perfbench's clock, which runs its reference loop around the step
     monkeypatch.syspath_prepend(str(SCRIPTS))
+    monkeypatch.chdir(SCRIPTS.parent)
+    monkeypatch.setattr(sys, "path", [*sys.path])
     import bench_pairs
 
-    out = ("figA2  ok     (  0.2 s)\n   [PASS] figA2/recovery-tau: x\n"
-           "fig4   FAILED ( 12.5 s)\nall presets passed\n")
-    assert bench_pairs.parse_presets(out) == {"figA2": 0.2, "fig4": 12.5}
+    times = bench_pairs.battery(figures=("figA2", "fig3"))
+    assert list(times) == ["figA2", "fig3"]
+    for entry in times.values():
+        assert entry["passed"] is True
+        assert entry["host_s"] > 0.0 and entry["scaled_s"] > 0.0
+        assert entry["host_s"] != round(entry["host_s"], 1)
 
 
 def test_bench_pairs_counts_engine_work(monkeypatch):
