@@ -22,8 +22,9 @@ once in each checkout: clicks, uniforms, envelope steps (`crossings`) and
 lone clicks (those the first layer accepts in bulk, 0 for an engine
 without one), each per click, and the pulses the resolver evaluated and
 skipped, over the seed-3 runs of fig4, fig8, fig9 and fig10 and over dark
-runs at 23.0 and 25.2 uA (`engine_work`). Last, it runs the Tier-1 suite once in each
-checkout, the parent first, and records its wall time and summary line.
+runs at 23.0 and 25.2 uA (`engine_work`). Last, it runs the Tier-1 suite
+once in each checkout, the parent first, and records its wall time and
+summary line.
 `nproc`, the Python and NumPy versions and both commits are recorded too.
 
 Workload and preset times are host time scaled by perfbench's reference

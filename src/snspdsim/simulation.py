@@ -42,9 +42,9 @@ ENGINE_COUNTERS = (
 # the segment builder closes it: finer segments cost more crossings, coarser
 # ones more proposals. Segments bound only two or more live kernels; one
 # kernel alone is bounded per sample interval. The time per dark click at
-# 25.0-25.2 uA was flat from 0.025 to 0.06 when segments bounded one kernel
-# too, for the profile kernel and the band-pass ones alike (CPython 3.11,
-# 2-core Xeon VM)
+# 25.0-25.2 uA with the profile kernel is flat from 0.01 to 0.08, and
+# 1.1-1.3x higher at 0.16 and 3.7-5.5x at 0.64 (CPython 3.11, 2-core Xeon
+# VM)
 SEGMENT_WASTE = 0.04
 
 # the most candidates, each with its window draws, that one chunk of the
@@ -618,7 +618,6 @@ def _run_engine(
         seg_bound, seg_end_s = tables.bounds, tables.ends_s
         n_segs = len(seg_end_s)
         one_env, one_end_s, tail = tables.envs, tables.interval_ends_s, tables.tails
-        n_one = len(one_end_s)
         # the mass of a lone kernel's intervals: the resolver's first crossing
         env0, end0 = one_env[0], one_end_s[0]
         spent0 = env0 * end0 + tail[0]
@@ -771,7 +770,7 @@ def _run_engine(
                                 # into the interval it has reached, or ends
                                 tc = env_tc[0]
                                 j = bisect.bisect_right(one_end_s, t - tc)
-                                if j < n_one:
+                                if j < len(one_end_s):
                                     segs[0], seg_ends[0] = j, tc + one_end_s[j]
                                 else:
                                     segs, seg_ends = (), ()

@@ -545,9 +545,10 @@ class TestEngineCounters:
         engine, clicks = s.metadata["engine"], s.detector_events.size
         assert clicks > 3000
         assert engine["uniforms"] <= 3 * clicks
-        # a window ends at a click with none in the quiet_ps after it; each
-        # the resolver takes crosses at least its last kernel's end, the
-        # last one's perhaps after the run, and a lone click is one alone
+        # a window of clicks ends at one with no other in the quiet_ps after
+        # it; a lone click is a window alone, and every other window is the
+        # resolver's, whose envelope crosses at least its last kernel's end
+        # (the run's last window perhaps after the run ends)
         quiet_ps = math.ceil(max(m.circuit.settle_time, m.kernel.duration) * PS_PER_SECOND)
         windows = np.count_nonzero(np.diff(s.detector_events) >= quiet_ps) + 1
         assert engine["crossings"] >= windows - engine["lone"] - 1
@@ -867,9 +868,10 @@ class TestPinnedRealizations:
         The reference engine agrees with these runs only statistically;
         the digests pin them byte for byte: the candidates and their window
         draws, the lone test, the resolver's pulses and thinning, latching
-        under a laser, the null kernel, the segment-bounded kernel thinning
-        and the epoch clock. A change that consumes the random streams
-        differently on purpose must re-pin them and say so in CHANGES.md.
+        under a laser, the null kernel, the kernel thinning bounded per
+        sample interval and per segment, and the epoch clock. A change that
+        consumes the random streams differently on purpose must re-pin them
+        and say so in CHANGES.md.
         """
         model, stimulus, duration, seed = PINNED_RUNS[case]()
         s = simulate(model, stimulus, duration, seed)
