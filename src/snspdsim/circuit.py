@@ -99,10 +99,6 @@ class CircuitParams:
     def amplifier_gain(self) -> float:
         return 10.0 ** (self.amplifier_gain_db / 20.0)
 
-    @property
-    def is_validly_biased(self) -> bool:
-        return self.bias_current < self.critical_current
-
 
 @dataclass(frozen=True, eq=False)
 class Waveform:
@@ -215,24 +211,6 @@ class BiquadCascade:
 
     sos: np.ndarray           # (n_sections, 6), rows (b0, b1, b2, 1, a1, a2)
     sample_period: float
-
-    @property
-    def poles(self) -> np.ndarray:
-        return np.concatenate([np.roots(section[3:]) for section in self.sos])
-
-    def response(self, frequencies) -> np.ndarray:
-        """Complex frequency response at the given frequencies (Hz)."""
-        z = np.exp(2j * np.pi * np.asarray(frequencies, dtype=float) * self.sample_period)
-        zi = 1.0 / z
-        h = np.ones_like(z)
-        for b0, b1, b2, a0, a1, a2 in self.sos:
-            h *= (b0 + b1 * zi + b2 * zi**2) / (a0 + a1 * zi + a2 * zi**2)
-        return h
-
-    def magnitude_db(self, frequencies) -> np.ndarray:
-        mag = np.abs(self.response(frequencies))
-        with np.errstate(divide="ignore"):
-            return 20.0 * np.log10(mag)
 
 
 def design_bandpass(spec: FilterSpec, sample_period: float) -> BiquadCascade:
@@ -399,9 +377,10 @@ class PerturbationKernel:
     def max_remaining(self) -> np.ndarray:
         """For each sample index i, max of the positive part over [i:].
 
-        This table bounds future kernel contributions and only ever decays:
-        the thinning envelope of the reference engine in the tests.
-        `simulate` bounds a kernel by segments instead.
+        This table bounds future kernel contributions and only ever decays.
+        `simulate` lifts the newest click's thinning envelope by it for each
+        older live kernel, and the reference engine in the tests bounds
+        every live kernel by it.
         """
         positive = np.maximum(self.samples, 0.0)
         return np.maximum.accumulate(positive[::-1])[::-1]
@@ -424,8 +403,10 @@ def gaussian_kernel(
         raise ConfigError("kernel width must be positive and center non-negative")
     span = min(center + extent * width, MAX_KERNEL_DURATION)
     n = max(int(round(span / sample_period)) + 1, 2)
-    t = np.arange(n) * sample_period
-    return PerturbationKernel(amplitude * np.exp(-0.5 * ((t - center) / width) ** 2), sample_period)
+    # math.exp per sample: NumPy's SIMD exp gives different bits at
+    # different dispatch levels, and the engine reads these samples
+    z = ((t - center) / width for t in (np.arange(n) * sample_period).tolist())
+    return PerturbationKernel([amplitude * math.exp(-0.5 * (x * x)) for x in z], sample_period)
 
 
 def overshoot_kernel(

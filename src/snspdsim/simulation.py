@@ -38,15 +38,6 @@ ENGINE_COUNTERS = (
     "uniforms", "pulses_evaluated", "pulses_skipped", "coincidences_dropped", "crossings", "lone"
 )
 
-# the proposals a kernel segment may be expected to waste per click before
-# the segment builder closes it: finer segments cost more crossings, coarser
-# ones more proposals. Segments bound only two or more live kernels; one
-# kernel alone is bounded per sample interval. The time per dark click at
-# 25.0-25.2 uA with the profile kernel is flat from 0.01 to 0.08, and
-# 1.1-1.3x higher at 0.16 and 3.7-5.5x at 0.64 (CPython 3.11, 2-core Xeon
-# VM)
-SEGMENT_WASTE = 0.04
-
 # the most candidates, each with its window draws, that one chunk of the
 # engine's first layer draws from a stream: memory stays bounded whatever
 # the run's length
@@ -391,11 +382,10 @@ def simulate(
     the most pulses that can lie within quiet_ps after it (`_window_slots`,
     at most WINDOW_SLOTS: a window with more pulses is never lone). A
     candidate is lone when a click there has no further event before
-    quiet_ps: E proposes nothing in its window (with a kernel, E/env0 >
-    end0, E > spent0 and kdur + (E - spent0)/rate_b >= t_q, the resolver's
-    own first crossing, env0 and end0 being the envelope and end of the
-    kernel's first sample interval and spent0 the envelope mass of all of
-    them; without one, E/rate_b >= t_q), and no pulse in the
+    quiet_ps: E proposes nothing in its window (with a kernel, E/envs[0] >
+    the sample period, E >= M and kdur + (E - M)/rate_b >= t_q, the
+    resolver's own first bisection, M being the envelope mass of all the
+    kernel's intervals; without one, E/rate_b >= t_q), and no pulse in the
     window clicks (its uniform at or above its click probability from the
     scalar law, once per distinct ps offset). Lone candidates from quiet_ps
     after the last kept click on are accepted in bulk.
@@ -409,19 +399,23 @@ def simulate(
     returns that ps; the candidates before it are dropped. Dark proposals
     come from a piecewise-constant envelope (Ogata's local bound), whose
     mass used up to a step is spent and the rest carried over
-    (memorylessness). One kernel alone is bounded over each sample interval
-    [j, j+1] by the larger positive part of its two samples, and its tail
-    masses find in one bisection the interval where the mass runs out, or
-    the rest past its end. Two or more live kernels are bounded by coarse
-    index segments (`_kernel_segments`): the envelope is dark_rate(I_b + the
-    current segment bounds of the live kernels) up to the nearest segment
-    end. When one kernel is left, one bisection puts it into the interval it
-    has reached. Recovery never exceeds I_b, so the envelope dominates the
-    rate; a violation raises SimulationError. A pulse before a proposal
-    leaves it standing unless the pulse clicks. A click starts its kernel
-    and, on an unshunted detector, the latch scan. The interval and segment
-    tables and the branching probability are constants of the model, built
-    on its first run.
+    (memorylessness). The newest click is bounded over each of its kernel
+    sample intervals k by envs[k], the dark rate at the larger recovery at
+    the interval's ends (the recovery falls, then rises) plus the larger
+    positive part of its two samples. Each older live kernel lifts that by
+    exp(g * its suffix maximum from its age on) (`max_remaining`), which can
+    only fall, so one lift holds from the time it is taken. The interval
+    masses find in one bisection where the mass, divided by the lift, runs
+    out, up to the end of the interval that holds the oldest older kernel's
+    end; past the newest kernel the envelope is rate_b. The lift is taken
+    again only at times the mass drawn does not choose: at a click, at that
+    interval end, and at a proposal that does not click (a stopping time),
+    never at the interval where a bisection lands. Recovery never exceeds
+    I_b, so the envelope dominates the rate; a violation raises
+    SimulationError. A pulse before a proposal leaves it standing unless the
+    pulse clicks. A click starts its kernel and, on an unshunted detector,
+    the latch scan. The interval tables and the branching probability are
+    constants of the model, built on its first run.
 
     A model with a live kernel whose click has a mean of one or more
     further clicks, -log(1 - branching_probability(model)) >= 1, is
@@ -433,8 +427,8 @@ def simulate(
     window and the resolver's; `pulses_evaluated` by the resolver;
     `pulses_skipped`, the rest, candidates or stepped over, so the two sum
     to the pulses; `coincidences_dropped`; `crossings`, the resolver's
-    envelope steps: a segment end crossed, or one bisection of a lone
-    kernel, whatever the intervals it passes; and `lone`, the clicks layer 1
+    envelope steps: one bisection past the end of the current interval,
+    whatever the intervals it passes; and `lone`, the clicks layer 1
     accepted in bulk.
     """
     if duration < 0:
@@ -477,68 +471,19 @@ def _seed_label(seed) -> str:
     return str(seed)
 
 
-def _kernel_segments(samples: np.ndarray, g_dark: float, rate_dt: float, branching: float):
-    """Split the kernel's sample indices into segments [a..b] that share
-    their ends; bound each by the largest positive part of its samples,
-    both ends included, so the interpolated kernel stays under the bound.
-    Returns the bounds and the end index b of each. The segments bound a
-    kernel while another is live too.
-
-    One greedy pass, linear in the samples. The slack at sample j wastes
-    about rate_dt * (exp(g*bound) - exp(g*k_j)) proposals, `rate_dt` being
-    the dark rate at I_b times the sample period, times the lift exp(g*k)
-    of another kernel live then. An afterpulse mostly lands on the peak of
-    its parent's kernel, so with the branching probability a click has a
-    parent `peak` samples older and a child `peak` samples younger. A
-    segment is closed once its expected waste passes SEGMENT_WASTE.
-    """
-    positive = np.maximum(samples, 0.0)
-    lifts = np.exp(g_dark * positive)
-    n, peak = lifts.size, int(np.argmax(lifts))
-    other = np.ones(n)
-    other[: n - peak] += branching * (lifts[peak:] - 1.0)  # the parent
-    other[peak:] += branching * (lifts[: n - peak] - 1.0)  # the child
-    weights = rate_dt * other
-    weighted = (weights * lifts).tolist()
-    weights = weights.tolist()
-    lifts = lifts.tolist()
-    positive = positive.tolist()
-    bounds: list[float] = []
-    ends: list[int] = []
-    # top: index of the largest sample; the waste is lifts[top] * w - wl
-    start, top, w, wl = 0, 0, weights[0], weighted[0]
-    for j in range(1, n):
-        if lifts[j] > lifts[top]:
-            top = j
-        w += weights[j]
-        wl += weighted[j]
-        if j - 1 > start and lifts[top] * w - wl > SEGMENT_WASTE:
-            # close at j - 1, which also opens the next segment
-            bounds.append(max(positive[start:j]))
-            ends.append(j - 1)
-            start = j - 1
-            top = start if lifts[start] >= lifts[j] else j
-            w = weights[start] + weights[j]
-            wl = weighted[start] + weighted[j]
-    bounds.append(max(positive[start:]))
-    ends.append(n - 1)
-    return bounds, ends
-
-
 class _KernelTables(NamedTuple):
-    """A live kernel's thinning tables: constants of the model. One kernel
-    alone is thinned against its envelope over each sample interval; two or
-    more against the sum of their coarse segment bounds."""
+    """A live kernel's thinning tables: constants of the model. The newest
+    click is bounded over each kernel sample interval k by envs[k], which
+    covers its recovery and its own kernel; each older live kernel lifts
+    that by exp(g * suffix[i]), i being the interval of its age."""
 
     branching: float        # branching_probability(model)
     samples: list           # the kernel samples, A
     sample_period: float    # s
     duration: float         # s from the click to the last sample
-    bounds: list            # each coarse segment's bound, A
-    ends_s: list            # each coarse segment's end, s after the click
-    envs: list              # the envelope, 1/s, of one kernel alone in each sample interval
-    interval_ends_s: list   # each sample interval's end, s after the click
-    tails: list             # the envelope mass of the intervals after each
+    envs: list              # the newest click's envelope, 1/s, in each sample interval
+    masses: list            # the envelope mass of intervals 0..k-1, for k = 0..len(envs)
+    suffix: list            # PerturbationKernel.max_remaining(), A
 
 
 def _kernel_tables(model: DetectorModel) -> _KernelTables | None:
@@ -547,28 +492,63 @@ def _kernel_tables(model: DetectorModel) -> _KernelTables | None:
     kernel = model.kernel
     if kernel is None or not np.any(kernel.samples):
         return None
-    rates, i_b = model.rates, model.circuit.bias_current
+    circ, rates = model.circuit, model.rates
     r_ref, g_dark, i_ref = rates.dark_rate_ref, rates.dark_rate_slope, rates.reference_bias
-    rate_b = r_ref * math.exp(g_dark * (i_b - i_ref))
-    branching = branching_probability(model)
-    ksp = kernel.sample_period
-    bounds, ends = _kernel_segments(kernel.samples, g_dark, rate_b * ksp, branching)
-    # one kernel alone: each sample interval [j, j+1] is bounded by the
-    # larger positive part of its two samples, which bounds the linear
-    # interpolation between them. The envelope takes math.exp per interval,
-    # as the engine does, so its bits do not depend on NumPy's SIMD level
+    ksp, n = kernel.sample_period, kernel.samples.size - 1
+    kdur = n * ksp
+    # over each sample interval [k, k+1] the recovery, which falls and then
+    # rises, is largest at an end, and the interpolated kernel is at most
+    # the larger positive part of its two samples. The envelope takes
+    # math.exp per interval, as the engine does, so its bits do not depend
+    # on NumPy's SIMD level
+    recovery = _scalar_law(circ, max(circ.settle_time, kdur), (), ksp, kdur)
+    recovered = [recovery(k * ksp, ()) for k in range(n + 1)]
     positive = np.maximum(kernel.samples, 0.0)
     tops = np.maximum(positive[:-1], positive[1:]).tolist()
-    envs = [r_ref * math.exp(g_dark * (i_b + top - i_ref)) for top in tops]
-    # the mass of the intervals after each: a reversed running sum, in the
-    # order of a loop from the last interval back
-    masses = np.array(envs[:0:-1]) * ksp
-    tails = np.cumsum(masses)[::-1].tolist() + [0.0]
-    samples = kernel.samples.tolist()
+    envs = [
+        r_ref * math.exp(g_dark * (max(a, b) + top - i_ref))
+        for a, b, top in zip(recovered, recovered[1:], tops)
+    ]
+    masses = list(itertools.accumulate((env * ksp for env in envs), initial=0.0))
     return _KernelTables(
-        branching, samples, ksp, (len(samples) - 1) * ksp,
-        bounds, [b * ksp for b in ends], envs, (np.arange(1, len(samples)) * ksp).tolist(), tails,
+        branching_probability(model), kernel.samples.tolist(), ksp, kdur,
+        envs, masses, kernel.max_remaining().tolist(),
     )
+
+
+def _scalar_law(circ: CircuitParams, t_quiet: float, samples, ksp: float, kdur: float):
+    """The scalar form of the effective-bias law, the engine's only one:
+    bias_at(when, kernels) is circuit.nanowire_current `when` s after the
+    last click plus the kernels of `samples` at their click times
+    `kernels`, s since that click. It stays scalar math.exp in this
+    operation order, as one NumPy call costs more than a whole thinning
+    proposal. From t_quiet on it returns exactly I_b
+    (CircuitParams.settle_time)."""
+    i_b = circ.bias_current
+    i_ss = circ.resistive_branch_current
+    i_end = circ.hotspot_end_current
+    t_hs = circ.hotspot_duration
+    tau_fall = circ.fall_tau
+    tau_rec = circ.recovery_tau
+    exp = math.exp
+
+    def bias_at(when: float, kernels) -> float:
+        if when >= t_quiet:
+            i = i_b
+        elif when <= t_hs:
+            i = i_ss + (i_b - i_ss) * exp(-when / tau_fall)
+        else:
+            i = i_b - (i_b - i_end) * exp(-(when - t_hs) / tau_rec)
+        for tc in kernels:
+            d = when - tc
+            if 0.0 <= d < kdur:
+                x = d / ksp
+                j = int(x)
+                f = x - j
+                i += samples[j] * (1.0 - f) + samples[j + 1] * f
+        return i
+
+    return bias_at
 
 
 def _window_slots(train: StimulusTrain, quiet_ps: int) -> int:
@@ -593,11 +573,6 @@ def _run_engine(
     rates = model.rates
     i_b = circ.bias_current
     i_c = circ.critical_current
-    i_ss = circ.resistive_branch_current
-    i_end = circ.hotspot_end_current
-    t_hs = circ.hotspot_duration
-    tau_fall = circ.fall_tau
-    tau_rec = circ.recovery_tau
     r_ref = rates.dark_rate_ref
     i_ref = rates.reference_bias
     g_dark = rates.dark_rate_slope
@@ -613,17 +588,10 @@ def _run_engine(
     rate_b = r_ref * exp(g_dark * (i_b - i_ref))  # the dark rate with no kernel live
     if tables is not None:
         ksamp, ksp, kdur = tables.samples, tables.sample_period, tables.duration
-        klast = len(ksamp) - 1
-        # several live kernels: the coarse segments; one alone: its intervals
-        seg_bound, seg_end_s = tables.bounds, tables.ends_s
-        n_segs = len(seg_end_s)
-        one_env, one_end_s, tail = tables.envs, tables.interval_ends_s, tables.tails
-        # the mass of a lone kernel's intervals: the resolver's first crossing
-        env0, end0 = one_env[0], one_end_s[0]
-        spent0 = env0 * end0 + tail[0]
-        tail_up = [-m for m in tail]  # ascending, for a bisection
+        envs, masses, suffix = tables.envs, tables.masses, tables.suffix
+        n_int = len(envs)
     else:
-        ksp = kdur = 0.0
+        ksamp, ksp, kdur, n_int = (), 0.0, 0.0, 0
     # from t_quiet after a click the detector is quiescent: the current is
     # exactly I_b, and no kernel is live, as every click starts one
     t_quiet = max(circ.settle_time, kdur)
@@ -634,33 +602,26 @@ def _run_engine(
     n_pulses = train.n_pulses
     slots = min(_window_slots(train, quiet_ps), WINDOW_SLOTS) if n_pulses else 0
     chunk = max(1, CANDIDATE_CHUNK // (1 + slots))
-
-    # the scalar form of the effective-bias law (circuit.nanowire_current
-    # plus the kernels at their click times `kernels`, s since the last
-    # click), the engine's only one. It stays scalar math.exp in this
-    # operation order, as one NumPy call costs more than a whole proposal.
-    # From t_quiet on the law returns exactly I_b (CircuitParams.settle_time)
-    def bias_at(when: float, kernels) -> float:
-        if when >= t_quiet:
-            i = i_b
-        elif when <= t_hs:
-            i = i_ss + (i_b - i_ss) * exp(-when / tau_fall)
-        else:
-            i = i_b - (i_b - i_end) * exp(-(when - t_hs) / tau_rec)
-        for tc in kernels:
-            d = when - tc
-            if 0.0 <= d < kdur:
-                x = d / ksp
-                j = int(x)
-                f = x - j
-                i += ksamp[j] * (1.0 - f) + ksamp[j + 1] * f
-        return i
+    bias_at = _scalar_law(circ, t_quiet, ksamp, ksp, kdur)
 
     def click_probability(bias: float) -> float:
         eta = eta_max * exp(g_eta * (bias - i_ref))
         if eta > eta_max:
             eta = eta_max
         return 1.0 - exp(-mu * eta) if mu > 0.0 else 0.0
+
+    def lifted(older: list, t: float, k: int):
+        """The older kernels still live at t; their lift from t on, exp(g
+        times the sum of their suffix maxima at their ages), which can only
+        fall; and the masses index up to which it holds, the end of the
+        interval (k or later) that holds the oldest one's end."""
+        older = [tc for tc in older if t - tc < kdur]
+        if not older:
+            return older, 1.0, n_int
+        total = 0.0
+        for tc in older:
+            total += suffix[int((t - tc) / ksp)]
+        return older, exp(g_dark * total), max(int((older[0] + kdur) / ksp), k) + 1
 
     laser_rng, window_rng, resolver_rng = rng.spawn(3)
     # the resolver's uniforms, drawn in blocks behind a C-level `next`
@@ -675,36 +636,30 @@ def _run_engine(
         """Layer 2: the true law from a click at `epoch` ps, whose mass and
         pulse uniforms come from its window draws, until the next event lies
         quiet_ps or more after the last click; returns that ps. It makes no
-        Python call per proposal but bias_at's."""
+        Python call per proposal but bias_at's, and lifted's while an older
+        kernel is live."""
         nonlocal evaluated, dropped, crossings, drawn, latched
         w_base, w_end = nxt, nxt + len(window_u)
         active: list[float] = []  # the kernels' click times, s since the epoch
-        segs = seg_ends = ()
         shift = 0.0               # the new click, s after the one before
         while True:
             out.append(epoch)
             end = (end_ps - epoch) / PS_PER_SECOND
             limit = quiet_s if quiet_s < end else end
-            t = 0.0
+            # t, s since the epoch, lies in the newest kernel's interval k;
+            # the older kernels lift its envelope up to masses index hi
+            t, k, lift, hi, older = 0.0, 0, 1.0, n_int, []
             if tables is not None:
-                if active:
-                    active = [tc - shift for tc in active if shift - tc < kdur]
-                active.append(0.0)
+                older = [tc - shift for tc in active if shift - tc < kdur]
+                active = older + [0.0]
                 if latching:
                     # scan the kernel horizon for the first crossing of I_c
-                    for j in range(klast + 1):
+                    for j in range(n_int + 1):
                         if bias_at(j * ksp, active) >= i_c:
                             latched = True
                             return end_ps + 1
-                # each live kernel's current segment (a lone kernel's
-                # interval) and its end: the envelope's own copy, which the
-                # crossings advance
-                if len(active) == 1:
-                    env_tc, segs, seg_ends = [0.0], [0], [end0]
-                else:
-                    env_tc = list(active)
-                    segs = [bisect.bisect_right(seg_end_s, -tc) for tc in env_tc]
-                    seg_ends = [tc + seg_end_s[k] for tc, k in zip(env_tc, segs)]
+                if older:
+                    older, lift, hi = lifted(older, t, k)
             proposal = -1.0  # none drawn
             while True:
                 if proposal < 0.0 and not dark:
@@ -713,67 +668,35 @@ def _run_engine(
                     if mass <= 0.0:
                         mass = -log(1.0 - next_uniform())
                         drawn += 1
-                    while True:
-                        # the thinning envelope: recovery never exceeds I_b,
-                        # and each live kernel adds the bound of its current
-                        # segment, up to the nearest segment end; one kernel
-                        # alone reads it from `one_env`, per sample interval
-                        if len(segs) == 1:
-                            envelope, horizon = one_env[segs[0]], seg_ends[0]
-                        elif segs:
-                            i_env = i_b
-                            for k in segs:
-                                i_env += seg_bound[k]
-                            envelope, horizon = r_ref * exp(g_dark * (i_env - i_ref)), min(seg_ends)
-                        else:
-                            envelope, horizon = rate_b, inf
+                    while k < n_int:
+                        # the thinning envelope: the newest click's over its
+                        # interval k, lifted by the older live kernels
+                        envelope = lift * envs[k]
                         proposal = t + mass / envelope if envelope > 0.0 else inf
-                        if proposal <= horizon:
+                        if proposal <= (k + 1) * ksp:
                             break
-                        # at a segment end before the proposal the mass the
-                        # envelope used up to it is spent and the rest
-                        # carries over, which is exact by memorylessness
+                        # past the interval's end the mass the envelope used
+                        # up to it is spent and the rest carries over, which
+                        # is exact by memorylessness: one bisection of the
+                        # interval masses finds where it runs out, up to the
+                        # end of the lift (index hi)
                         crossings += 1
-                        if len(segs) == 1:
-                            # one kernel alone: its interval masses say in one
-                            # step where the mass runs out, past its end or in
-                            # the first interval j that takes it
-                            k = segs[0]
-                            tc = env_tc[0]
-                            spent = envelope * (one_end_s[k] - (t - tc)) + tail[k]
-                            if mass > spent:
-                                mass -= spent
-                                t = tc + kdur
-                                segs, seg_ends = (), ()
-                                continue
-                            mass -= spent - tail[k]
-                            j = bisect.bisect_left(tail_up, mass - tail[k], k + 1)
-                            mass = max(mass - (tail[k] - tail[j - 1]), 0.0)
-                            t = tc + one_end_s[j - 1]
-                            segs[0], seg_ends[0] = j, tc + one_end_s[j]
-                            continue
-                        mass -= envelope * (horizon - t)
+                        target = masses[k] + envs[k] * (t - k * ksp) + mass / lift
+                        i = bisect.bisect_right(masses, target, k + 1, hi + 1)
+                        k = i - 1 if i > k + 1 else k + 1
+                        mass = (target - masses[k]) * lift
                         if mass < 0.0:
-                            mass = 0.0  # rounding: the proposal is at the segment end
-                        t = horizon
-                        # one kernel moves on per crossing; a second one
-                        # ending its segment then crosses next, at no cost
-                        idx = seg_ends.index(t)
-                        k = segs[idx] + 1
-                        if k < n_segs:
-                            segs[idx] = k
-                            seg_ends[idx] = env_tc[idx] + seg_end_s[k]
-                        else:
-                            del env_tc[idx], segs[idx], seg_ends[idx]
-                            if len(segs) == 1:
-                                # one kernel left: it moves from its segment
-                                # into the interval it has reached, or ends
-                                tc = env_tc[0]
-                                j = bisect.bisect_right(one_end_s, t - tc)
-                                if j < len(one_end_s):
-                                    segs[0], seg_ends[0] = j, tc + one_end_s[j]
-                                else:
-                                    segs, seg_ends = (), ()
+                            mass = 0.0  # rounding: the proposal is at the interval's start
+                        t = k * ksp
+                        if k == hi and older:
+                            # the oldest older kernel has ended, at a time
+                            # fixed in advance: the lift falls there
+                            older, lift, hi = lifted(older, t, k)
+                    else:
+                        # past the newest kernel, so past every one:
+                        # recovery never exceeds I_b
+                        envelope = rate_b
+                        proposal = t + mass / rate_b if rate_b > 0.0 else inf
                     mass = 0.0
                 # a pulse before the proposal leaves it standing unless it clicks
                 after = pulse_time(nxt) - epoch if nxt < n_pulses else quiet_ps
@@ -810,6 +733,10 @@ def _run_engine(
                     if after > 0:
                         break
                     dropped += 1
+                if older:
+                    # a proposal without a click is a stopping time: the
+                    # lift falls to the older kernels' ages there
+                    older, lift, hi = lifted(older, t, k)
             epoch += after
             shift = after / PS_PER_SECOND
 
@@ -832,7 +759,10 @@ def _run_engine(
             if tables is None:
                 lone = e / rate_b >= quiet_s
             else:
-                lone = (e / env0 > end0) & (e > spent0) & (kdur + (e - spent0) / rate_b >= quiet_s)
+                # the resolver's first bisection from a click with no older
+                # kernel live, which lands past the kernel's end
+                spent = masses[-1]
+                lone = (e / envs[0] > ksp) & (e >= spent) & (kdur + (e - spent) / rate_b >= quiet_s)
         first = train.count(x)
         if slots:
             # the pulses before min(x + quiet_ps, end_ps); stamps are whole ps

@@ -1,5 +1,5 @@
 """Deliberately naive reference implementations of every analysis and of
-the CSV time-tag codec.
+the CSV time-tag codec, and the circuit properties only tests read.
 
 Plain-Python scan-everything versions, kept structurally independent of the
 vectorized streaming code so the two can be compared for exact equality.
@@ -150,3 +150,29 @@ def reference_read_csv(path):
     if duration_ps is None:
         duration_ps = max(int(stamps.max()), 0) if stamps.size else 0
     return _split_channels(rows["channel"], stamps, duration_ps, metadata)
+
+
+def is_validly_biased(params) -> bool:
+    """A `CircuitParams` below its critical current: a valid operating point."""
+    return params.bias_current < params.critical_current
+
+
+def cascade_poles(cascade) -> np.ndarray:
+    """The poles of a `BiquadCascade`, section by section."""
+    return np.concatenate([np.roots(section[3:]) for section in cascade.sos])
+
+
+def cascade_response(cascade, frequencies) -> np.ndarray:
+    """A `BiquadCascade`'s complex frequency response at `frequencies` (Hz)."""
+    z = np.exp(2j * np.pi * np.asarray(frequencies, dtype=float) * cascade.sample_period)
+    zi = 1.0 / z
+    h = np.ones_like(z)
+    for b0, b1, b2, a0, a1, a2 in cascade.sos:
+        h *= (b0 + b1 * zi + b2 * zi**2) / (a0 + a1 * zi + a2 * zi**2)
+    return h
+
+
+def cascade_magnitude_db(cascade, frequencies) -> np.ndarray:
+    mag = np.abs(cascade_response(cascade, frequencies))
+    with np.errstate(divide="ignore"):
+        return 20.0 * np.log10(mag)

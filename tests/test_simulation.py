@@ -685,25 +685,39 @@ class TestModelTables:
     @pytest.mark.parametrize("bias_ua", [23.0, 25.2])
     @pytest.mark.parametrize("kernel", ["profile", "wide-band", "signed"])
     def test_one_kernel_envelope_bounds_the_law_in_each_interval(self, kernel, bias_ua):
-        # one kernel alone is thinned per sample interval against the larger
-        # positive part of its two samples: at least the dark rate at I_b
-        # plus the kernel (recovery never exceeds I_b) on a grid inside every
-        # interval, both ends included, to the engine's own 1e-9 check. The
-        # wide-band kernel has 80,001 samples; the signed one changes sign
-        # within most of its intervals
-        m = model_at(bias_ua * 1e-6)
-        if kernel == "wide-band":
-            m = wide_band_model(bias_ua * 1e-6)
-        elif kernel == "signed":
-            samples = presets.KERNEL_AMPLITUDE * np.sin(np.arange(301) * 2.3)
-            m = dataclasses.replace(m, kernel=PerturbationKernel(samples, 1e-9))
-        tables = m._tables
-        ksp = tables.sample_period
-        assert len(tables.envs) == len(tables.interval_ends_s) == len(tables.tails) == m.kernel.samples.size - 1
-        assert tables.interval_ends_s == [(j + 1) * ksp for j in range(len(tables.envs))]
-        d = (np.arange(len(tables.envs))[:, None] + np.linspace(0.0, 1.0, 9)) * ksp
-        law = m.rates.dark_rate(m.circuit.bias_current + m.kernel.value(d))
-        assert np.all(np.array(tables.envs)[:, None] * (1.0 + 1e-9) >= law)
+        # a click with no older kernel live is thinned per sample interval
+        # against the larger recovery at the interval's ends plus the larger
+        # positive part of its two samples: at least the array law's dark
+        # rate on a grid inside every interval, both ends included, to the
+        # engine's own 1e-9 check
+        m = table_model(kernel, bias_ua * 1e-6)
+        envs, ksp = np.array(m._tables.envs), m._tables.sample_period
+        assert envs.size == m.kernel.samples.size - 1 == len(m._tables.masses) - 1
+        d = (np.arange(envs.size)[:, None] + np.linspace(0.0, 1.0, 9)) * ksp
+        law = m.rates.dark_rate(effective_bias(m, d, [0.0]))
+        assert np.all(envs[:, None] * (1.0 + 1e-9) >= law)
+
+    @pytest.mark.parametrize("bias_ua", [23.0, 25.2])
+    @pytest.mark.parametrize("kernel", ["profile", "wide-band", "signed"])
+    def test_lifted_envelope_bounds_an_older_kernel(self, kernel, bias_ua):
+        # an older kernel clicked `age` before the newest lifts the newest's
+        # envelope by exp(g * its suffix maximum at its age). The tightest
+        # lift, taken at the time itself, must bound the array law of both
+        # clicks on a grid inside every interval while the older one is
+        # live; a lift taken earlier is larger. Ages 1-230 ns cover a child
+        # on the rise, the peak and the fall of its parent's bump (every
+        # 10 ns on the wide-band kernel's 80,000 intervals)
+        m = table_model(kernel, bias_ua * 1e-6)
+        tables, g = m._tables, m.rates.dark_rate_slope
+        envs, suffix, ksp = np.array(tables.envs), np.array(tables.suffix), tables.sample_period
+        k = np.repeat(np.arange(envs.size), 9)
+        d = (k + np.tile(np.linspace(0.0, 1.0, 9), envs.size)) * ksp
+        for age in np.arange(1, 231, 10 if kernel == "wide-band" else 1) * 1e-9:
+            live = d + age < m.kernel.duration
+            t = d[live]
+            lift = np.exp(g * suffix[((t + age) / ksp).astype(np.int64)])
+            law = m.rates.dark_rate(effective_bias(m, t, [-age, 0.0]))
+            assert np.all(lift * envs[k[live]] * (1.0 + 1e-9) >= law), f"older kernel at {age:.0e} s"
 
     @pytest.mark.parametrize("bias_ua", [23.0, 24.0, 24.9, 25.0, 25.2])
     def test_one_kernel_window_mass_is_close_to_the_law(self, bias_ua):
@@ -712,28 +726,37 @@ class TestModelTables:
         # quadrature: a candidate is sent to the resolver for a proposal
         # the law would give, seldom for one it thins away
         m = model_at(bias_ua * 1e-6)
-        tables = m._tables
-        mass = tables.envs[0] * tables.interval_ends_s[0] + tables.tails[0]
-        s = np.linspace(0.0, m.kernel.duration, len(tables.envs) * 64 + 1)
+        mass = m._tables.masses[-1]
+        s = np.linspace(0.0, m.kernel.duration, len(m._tables.envs) * 64 + 1)
         law = np.trapezoid(m.rates.dark_rate(effective_bias(m, s, [0.0])), s)
         assert law < mass < 1.10 * law
 
     @pytest.mark.parametrize("kernel", ["profile", "wide-band"])
     def test_one_kernel_tables_match_the_loop(self, kernel):
-        # the envelopes in math.exp per interval and the tails as a running
-        # sum from the last interval back, bit for bit
-        m = model_at(25.2e-6) if kernel == "profile" else wide_band_model(25.2e-6)
-        tables, rates, i_b = m._tables, m.rates, m.circuit.bias_current
+        # the envelopes in math.exp per interval, from the recovery law in
+        # math.exp at the interval ends, and the masses as a running sum,
+        # bit for bit; the suffix maxima are the kernel's own
+        m = table_model(kernel, 25.2e-6)
+        tables, rates, c = m._tables, m.rates, m.circuit
         samples, ksp = m.kernel.samples.tolist(), tables.sample_period
-        envs = [
-            rates.dark_rate_ref * math.exp(rates.dark_rate_slope * (i_b + max(a, b, 0.0) - rates.reference_bias))
-            for a, b in zip(samples, samples[1:])
-        ]
-        tails = [0.0] * len(envs)
-        for k in range(len(envs) - 2, -1, -1):
-            tails[k] = tails[k + 1] + envs[k + 1] * ksp
+        i_b, i_ss, t_hs = c.bias_current, c.resistive_branch_current, c.hotspot_duration
+        t_quiet = max(c.settle_time, m.kernel.duration)
+
+        def recovery(s):
+            if s >= t_quiet:
+                return i_b
+            if s <= t_hs:
+                return i_ss + (i_b - i_ss) * math.exp(-s / c.fall_tau)
+            return i_b - (i_b - c.hotspot_end_current) * math.exp(-(s - t_hs) / c.recovery_tau)
+
+        envs, masses = [], [0.0]
+        for k, (a, b) in enumerate(zip(samples, samples[1:])):
+            top = max(recovery(k * ksp), recovery((k + 1) * ksp)) + max(a, b, 0.0)
+            envs.append(rates.dark_rate_ref * math.exp(rates.dark_rate_slope * (top - rates.reference_bias)))
+            masses.append(masses[-1] + envs[-1] * ksp)
         assert tables.envs == envs
-        assert tables.tails == tails
+        assert tables.masses == masses
+        assert tables.suffix == m.kernel.max_remaining().tolist()
 
     def test_zero_kernel_has_no_tables(self):
         m = DetectorModel(presets.profile_circuit(25.0e-6), presets.profile_rates(),
@@ -758,6 +781,17 @@ def wide_band_model(bias):
     kernel = amplifier_kernel(presets.profile_circuit(bias), presets.WIDE_BAND,
                               amps_per_volt=amps_per_volt, time_offset=offset)
     return dataclasses.replace(model_at(bias), kernel=kernel)
+
+
+def table_model(kernel, bias):
+    # the kernels the table tests bound: the profile bump, fig11's 80,001
+    # samples and one that changes sign within most of its intervals
+    if kernel == "wide-band":
+        return wide_band_model(bias)
+    if kernel == "signed":
+        samples = presets.KERNEL_AMPLITUDE * np.sin(np.arange(301) * 2.3)
+        return dataclasses.replace(model_at(bias), kernel=PerturbationKernel(samples, 1e-9))
+    return model_at(bias)
 
 
 def two_us_kernel(bias):
@@ -806,44 +840,44 @@ PINNED_RUNS = {
 # SHA-256 of detector_events.tobytes() and metadata["engine"] of each run
 PINNED = {
     "dark-1e5-23.0uA-0.5MHz": (
-        "a4a8d17cf86b4a116637617ee9bceda5edc35b39b19be9ed3c5cb6b536f98e72",
-        {"uniforms": 509, "pulses_evaluated": 5, "pulses_skipped": 49995, "coincidences_dropped": 0, "crossings": 35, "lone": 145},
+        "c478266d32aec1cda7748424db530b454cc67f57d03f035f558d8dc9b42dcfae",
+        {"uniforms": 483, "pulses_evaluated": 5, "pulses_skipped": 49995, "coincidences_dropped": 0, "crossings": 31, "lone": 145},
     ),
     "dark-1e5-23.0uA-0.5MHz-null-kernel": (
         "6f002fa933fb03f71a4d136e08e65f5af145bdea39334becfefd8ab3b8c510a8",
         {"uniforms": 459, "pulses_evaluated": 0, "pulses_skipped": 50000, "coincidences_dropped": 0, "crossings": 0, "lone": 153},
     ),
     "double-1000ns": (
-        "58106a30eb03bb609d411cb616f5c02caa2054a6d34c250ba22da57802bb7920",
-        {"uniforms": 1708, "pulses_evaluated": 16, "pulses_skipped": 49984, "coincidences_dropped": 0, "crossings": 261, "lone": 448},
+        "faf2c8ecf44b367a3da03eaf908da258e8d49ebd047cfdfb06d16dd9583b5dd8",
+        {"uniforms": 1608, "pulses_evaluated": 13, "pulses_skipped": 49987, "coincidences_dropped": 0, "crossings": 143, "lone": 449},
     ),
     "double-180ns": (
-        "2c014b4be300928b8167a980252b628601fe5bbaefe37f104ac101614238951c",
-        {"uniforms": 2157, "pulses_evaluated": 29, "pulses_skipped": 49971, "coincidences_dropped": 0, "crossings": 232, "lone": 452},
+        "194e49b21fbf9a427c3896e5ddb666f731a42bcbdaf6e3e4399d4c3452c7981c",
+        {"uniforms": 2092, "pulses_evaluated": 28, "pulses_skipped": 49972, "coincidences_dropped": 0, "crossings": 133, "lone": 452},
     ),
     "double-80ns": (
-        "b45f322fbd2bf949547a450bab56786277a7041aa0e3abcef6782e308cfef9c1",
-        {"uniforms": 2142, "pulses_evaluated": 26, "pulses_skipped": 49974, "coincidences_dropped": 0, "crossings": 200, "lone": 456},
+        "acd9a98c10b66ef3624a8b62f0a07d1778ed064b289399dcec4089d1f0dbf648",
+        {"uniforms": 2088, "pulses_evaluated": 24, "pulses_skipped": 49976, "coincidences_dropped": 0, "crossings": 121, "lone": 456},
     ),
     "kernel-2us-1MHz-mu1e4": (
-        "dbe4ef9d237f606818b90ad9f83d5739a0e582cddd9143f68e01d7c2ee9c5e54",
-        {"uniforms": 13503, "pulses_evaluated": 1999, "pulses_skipped": 1, "coincidences_dropped": 0, "crossings": 17641, "lone": 0},
+        "aafb5cef865c1e992a644b7300b4a61e0471ddb80526e7f5311efe0aa909c840",
+        {"uniforms": 12901, "pulses_evaluated": 1999, "pulses_skipped": 1, "coincidences_dropped": 0, "crossings": 7074, "lone": 0},
     ),
     "null-kernel-1MHz": (
         "8ddb1e93f4353e93dff2a198e326ce7fcbe41c7e2bcb2174d64d12883ee0fe3b",
         {"uniforms": 1684, "pulses_evaluated": 0, "pulses_skipped": 20000, "coincidences_dropped": 0, "crossings": 0, "lone": 556},
     ),
     "periodic-0.5MHz-mu0": (
-        "049cd56274ff0339c5d3dd74bf66518519861f99fb887c9c105c414d96f2f0c2",
-        {"uniforms": 448, "pulses_evaluated": 7, "pulses_skipped": 24993, "coincidences_dropped": 0, "crossings": 60, "lone": 120},
+        "30e26bce5f6e837adc42758d464a64fa12848c3c43ec206624186367b63e4f95",
+        {"uniforms": 430, "pulses_evaluated": 7, "pulses_skipped": 24993, "coincidences_dropped": 0, "crossings": 44, "lone": 120},
     ),
     "periodic-0.5MHz-mu10": (
-        "f1062cd9e1ab7e37aa361552a97f6e94cfbbc98802f2e670ff690b1d8277404f",
-        {"uniforms": 7795, "pulses_evaluated": 11, "pulses_skipped": 9989, "coincidences_dropped": 0, "crossings": 1215, "lone": 2034},
+        "586d89956ab7a56b4ee606f2089e3d88c52a1400fd84cb7392bc98f30b8a1ab1",
+        {"uniforms": 7415, "pulses_evaluated": 11, "pulses_skipped": 9989, "coincidences_dropped": 0, "crossings": 766, "lone": 2035},
     ),
     "periodic-0.5MHz-mu1e4": (
-        "43b06ba9e07f6063fa946fda3bb4b011a12389c8351c2c855311a804e595075a",
-        {"uniforms": 4848, "pulses_evaluated": 4, "pulses_skipped": 1996, "coincidences_dropped": 0, "crossings": 1063, "lone": 1801},
+        "adb7df9a4e3a8c52256f4f43f1f866fb5e7c5e9877ba57f5f3874eb85d8b3fac",
+        {"uniforms": 4482, "pulses_evaluated": 4, "pulses_skipped": 1996, "coincidences_dropped": 0, "crossings": 618, "lone": 1805},
     ),
     "unshunted-dark-24.0uA": (
         "40fbce0ac6cfb3104c5ff732e2b8087ea35709b64f58295779160d547a12a6f1",
@@ -868,8 +902,8 @@ class TestPinnedRealizations:
         The reference engine agrees with these runs only statistically;
         the digests pin them byte for byte: the candidates and their window
         draws, the lone test, the resolver's pulses and thinning, latching
-        under a laser, the null kernel, the kernel thinning bounded per
-        sample interval and per segment, and the epoch clock. A change that
+        under a laser, the null kernel, the kernel thinning over sample
+        intervals lifted by the older live kernels, and the epoch clock. A change that
         consumes the random streams differently on purpose must re-pin them
         and say so in CHANGES.md.
         """
