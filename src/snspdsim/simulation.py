@@ -95,7 +95,7 @@ class DetectorModel:
             raise ConfigError("kernel duration must not exceed 2 us")
 
     @functools.cached_property
-    def _tables(self) -> "_KernelTables | None":
+    def _tables(self) -> "_KernelTables":
         # the thinning tables are constants of the model, which is frozen,
         # so they are built on its first run and kept for every later one
         return _kernel_tables(self)
@@ -435,7 +435,7 @@ def simulate(
         raise ConfigError(f"duration must be non-negative, got {duration!r} s")
     tables = model._tables
     # a mean of -log(1 - p) >= 1 further clicks per click
-    if tables is not None and tables.branching >= 1.0 - math.exp(-1.0):
+    if tables.branching >= 1.0 - math.exp(-1.0):
         raise ConfigError(
             f"supercritical model: a click is followed by another with probability "
             f"{tables.branching:.4g}, a mean of one or more further clicks per click"
@@ -486,12 +486,13 @@ class _KernelTables(NamedTuple):
     suffix: list            # PerturbationKernel.max_remaining(), A
 
 
-def _kernel_tables(model: DetectorModel) -> _KernelTables | None:
-    """The thinning tables of the model's kernel; None without a kernel or
-    with an identically zero one, which has no effect."""
+def _kernel_tables(model: DetectorModel) -> _KernelTables:
+    """The thinning tables of the model's kernel; empty, with no interval
+    and no branching, without a kernel or with an identically zero one,
+    which has no effect."""
     kernel = model.kernel
     if kernel is None or not np.any(kernel.samples):
-        return None
+        return _KernelTables(0.0, [], 0.0, 0.0, [], [0.0], [])
     circ, rates = model.circuit, model.rates
     r_ref, g_dark, i_ref = rates.dark_rate_ref, rates.dark_rate_slope, rates.reference_bias
     ksp, n = kernel.sample_period, kernel.samples.size - 1
@@ -584,20 +585,15 @@ def _run_engine(
     log = math.log
     inf = math.inf
 
-    tables = model._tables
     rate_b = r_ref * exp(g_dark * (i_b - i_ref))  # the dark rate with no kernel live
-    if tables is not None:
-        ksamp, ksp, kdur = tables.samples, tables.sample_period, tables.duration
-        envs, masses, suffix = tables.envs, tables.masses, tables.suffix
-        n_int = len(envs)
-    else:
-        ksamp, ksp, kdur, n_int = (), 0.0, 0.0, 0
+    _, ksamp, ksp, kdur, envs, masses, suffix = model._tables
+    n_int = len(envs)
     # from t_quiet after a click the detector is quiescent: the current is
     # exactly I_b, and no kernel is live, as every click starts one
     t_quiet = max(circ.settle_time, kdur)
     quiet_ps = math.ceil(t_quiet * PS_PER_SECOND)
     quiet_s = quiet_ps / PS_PER_SECOND
-    latching = model.can_latch and tables is not None
+    latching = model.can_latch and n_int > 0
     pulse_time = train.time
     n_pulses = train.n_pulses
     slots = min(_window_slots(train, quiet_ps), WINDOW_SLOTS) if n_pulses else 0
@@ -648,18 +644,17 @@ def _run_engine(
             limit = quiet_s if quiet_s < end else end
             # t, s since the epoch, lies in the newest kernel's interval k;
             # the older kernels lift its envelope up to masses index hi
-            t, k, lift, hi, older = 0.0, 0, 1.0, n_int, []
-            if tables is not None:
-                older = [tc - shift for tc in active if shift - tc < kdur]
-                active = older + [0.0]
-                if latching:
-                    # scan the kernel horizon for the first crossing of I_c
-                    for j in range(n_int + 1):
-                        if bias_at(j * ksp, active) >= i_c:
-                            latched = True
-                            return end_ps + 1
-                if older:
-                    older, lift, hi = lifted(older, t, k)
+            t, k, lift, hi = 0.0, 0, 1.0, n_int
+            older = [tc - shift for tc in active if shift - tc < kdur]
+            active = older + [0.0]
+            if latching:
+                # scan the kernel horizon for the first crossing of I_c
+                for j in range(n_int + 1):
+                    if bias_at(j * ksp, active) >= i_c:
+                        latched = True
+                        return end_ps + 1
+            if older:
+                older, lift, hi = lifted(older, t, k)
             proposal = -1.0  # none drawn
             while True:
                 if proposal < 0.0 and not dark:
@@ -744,7 +739,6 @@ def _run_engine(
     # this one probability, independently of the others and of the dark clicks
     p_quiet = click_probability(i_b)
     log_miss = math.log1p(-p_quiet) if 0.0 < p_quiet < 1.0 else 0.0
-    single = (0.0,) if tables is not None else ()
 
     def accept(x: np.ndarray, free: int) -> int:
         """Layer 1 on one time-ordered batch of candidates: gives each its
@@ -756,13 +750,13 @@ def _run_engine(
         mass = [-log(1.0 - u) for u in draws[:, 0].tolist()]
         e = np.array(mass)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if tables is None:
-                lone = e / rate_b >= quiet_s
-            else:
-                # the resolver's first bisection from a click with no older
-                # kernel live, which lands past the kernel's end
-                spent = masses[-1]
-                lone = (e / envs[0] > ksp) & (e >= spent) & (kdur + (e - spent) / rate_b >= quiet_s)
+            # the resolver's first bisection from a click with no older
+            # kernel live, which lands past the kernel's end; without a
+            # kernel it is e / rate_b >= t_q
+            spent = masses[-1]
+            lone = (e >= spent) & (kdur + (e - spent) / rate_b >= quiet_s)
+            if n_int:
+                lone &= e / envs[0] > ksp
         first = train.count(x)
         if slots:
             # the pulses before min(x + quiet_ps, end_ps); stamps are whole ps
@@ -772,7 +766,7 @@ def _run_engine(
                 inside = np.flatnonzero(first + k < last)
                 if inside.size:
                     offsets, which = np.unique(train.times(first[inside] + k) - x[inside], return_inverse=True)
-                    p = [click_probability(bias_at(d / PS_PER_SECOND, single)) for d in offsets.tolist()]
+                    p = [click_probability(bias_at(d / PS_PER_SECOND, (0.0,))) for d in offsets.tolist()]
                     lone[inside] &= draws[inside, 1 + k] >= np.array(p)[which]
         if latching:
             lone[:] = False

@@ -325,6 +325,15 @@ class TestLatching:
         s = simulate(m, StimulusConfig.none(), 1.0, 9)
         assert s.detector_events.size > 1000
 
+    def test_null_kernel_never_latches(self):
+        # only a kernel lifts the current past I_b, so an unshunted detector
+        # without one never latches, and layer 1 accepts its lone clicks
+        m = dataclasses.replace(model_at(25.0e-6, kernel_amplitude=0.0), shunt_enabled=False,
+                                latch_policy="permanent-until-reset")
+        s = simulate(m, StimulusConfig.none(), 1.0, 9)
+        assert s.detector_events.size > 1000
+        assert s.metadata["engine"]["lone"] > 0
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError):
             self.latch_model(True, "sticky")
@@ -758,11 +767,14 @@ class TestModelTables:
         assert tables.masses == masses
         assert tables.suffix == m.kernel.max_remaining().tolist()
 
-    def test_zero_kernel_has_no_tables(self):
+    def test_zero_kernel_has_the_empty_tables(self):
+        # an identically zero kernel has no effect: its tables are those of
+        # a model without a kernel, with no interval and no branching
         m = DetectorModel(presets.profile_circuit(25.0e-6), presets.profile_rates(),
                           gaussian_kernel(0.0))
-        assert m._tables is None
-        assert model_at(25.0e-6, kernel_amplitude=0.0)._tables is None
+        empty = model_at(25.0e-6, kernel_amplitude=0.0)._tables
+        assert m._tables == empty == _kernel_tables(m)
+        assert empty.branching == 0.0 and empty.envs == [] and empty.masses == [0.0]
 
 
 def unshunted(bias):
@@ -895,6 +907,10 @@ PINNED = {
 
 
 class TestPinnedRealizations:
+    def test_zero_kernel_pin_is_the_null_kernel_pin(self):
+        # an identically zero kernel is dropped, so its run is the null-kernel one
+        assert PINNED["zero-kernel-1MHz"] == PINNED["null-kernel-1MHz"]
+
     @pytest.mark.parametrize("case", sorted(PINNED_RUNS))
     def test_laser_realization_pinned(self, case):
         """Pins the exact realizations of engine runs, most with laser pulses.
