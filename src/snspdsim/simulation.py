@@ -373,28 +373,30 @@ def simulate(
     which the candidates are independent of all drawn before, so the split
     is exact.
 
-    Layer 1, in NumPy, draws the candidates in chunks from three of the
-    run's four streams: dark ones as exponential gaps at rate_b, each
-    rounded to whole ps, from the run's generator itself; laser ones as
-    geometric gaps over the pulse indices at p_quiet from a spawned stream;
-    and for every candidate, in time order, its window draws from a second
-    spawned stream: a unit-exponential mass E and one uniform for each of
+    Layer 1, in NumPy, draws the candidates in chunks: dark ones as
+    exponential gaps at rate_b, -log(1 - u) of the run generator's own
+    uniforms rounded to whole ps, and laser ones as geometric gaps over the
+    pulse indices at p_quiet (`Generator.geometric`, clamped to the run's
+    pulses). The generator spawns four streams, laser, window, resolver and
+    mass, so a longer run's draws extend a shorter one's. In time order,
+    each candidate gets a unit-exponential mass E
+    (`Generator.standard_exponential`) and one window uniform for each of
     the most pulses that can lie within quiet_ps after it (`_window_slots`,
     at most WINDOW_SLOTS: a window with more pulses is never lone). A
     candidate is lone when a click there has no further event before
-    quiet_ps: E proposes nothing in its window (with a kernel, E/envs[0] >
-    the sample period, E >= M and kdur + (E - M)/rate_b >= t_q, the
-    resolver's own first bisection, M being the envelope mass of all the
-    kernel's intervals; without one, E/rate_b >= t_q), and no pulse in the
-    window clicks (its uniform at or above its click probability from the
-    scalar law, once per distinct ps offset). Lone candidates from quiet_ps
-    after the last kept click on are accepted in bulk.
+    quiet_ps: E proposes nothing in its window (E/envs[0] > the sample
+    period, E >= M and kdur + (E - M)/rate_b >= t_q, the resolver's own
+    first bisection, M being the envelope mass of all the kernel's
+    intervals; without a live kernel, no interval and M = 0), and no pulse
+    in the window clicks (its uniform at or above its click probability
+    from the scalar law, once per distinct ps offset). Lone candidates from
+    quiet_ps after the last kept click on are accepted in bulk.
 
     Layer 2, the resolver, is a scalar loop. It takes every other candidate
     the detector reaches (on a model that can latch, every one), records its
     click and consumes its window draws first, so that the lone test and the
-    resolver agree on every sample, then draws from the fourth, a third
-    spawned stream. It evaluates every pulse and thins every dark proposal
+    resolver agree on every sample, then draws from the resolver
+    stream. It evaluates every pulse and thins every dark proposal
     until its next event lies quiet_ps or more after its last click, and
     returns that ps; the candidates before it are dropped. Dark proposals
     come from a piecewise-constant envelope (Ogata's local bound), whose
@@ -423,13 +425,13 @@ def simulate(
     a ConfigError before every run.
 
     `metadata["engine"]` carries deterministic work counters: `uniforms`,
-    one per candidate time (none at p_quiet = 1), 1 + slots per candidate
-    window and the resolver's; `pulses_evaluated` by the resolver;
-    `pulses_skipped`, the rest, candidates or stepped over, so the two sum
-    to the pulses; `coincidences_dropped`; `crossings`, the resolver's
-    envelope steps: one bisection past the end of the current interval,
-    whatever the intervals it passes; and `lone`, the clicks layer 1
-    accepted in bulk.
+    2 + slots per candidate (its time, its mass and its window's pulse
+    uniforms, one per variate) and the resolver's; `pulses_evaluated` by
+    the resolver; `pulses_skipped`, the rest, candidates or stepped over,
+    so the two sum to the pulses; `coincidences_dropped`; `crossings`, the
+    resolver's envelope steps: one bisection past the end of the current
+    interval, whatever the intervals it passes; and `lone`, the clicks
+    layer 1 accepted in bulk.
     """
     if duration < 0:
         raise ConfigError(f"duration must be non-negative, got {duration!r} s")
@@ -472,10 +474,12 @@ def _seed_label(seed) -> str:
 
 
 class _KernelTables(NamedTuple):
-    """A live kernel's thinning tables: constants of the model. The newest
+    """The kernel's thinning tables: constants of the model. The newest
     click is bounded over each kernel sample interval k by envs[k], which
     covers its recovery and its own kernel; each older live kernel lifts
-    that by exp(g * suffix[i]), i being the interval of its age."""
+    that by exp(g * suffix[i]), i being the interval of its age. A model
+    without a live kernel has the empty table: no interval, masses [0.0]
+    and no branching, as no kernel means no cascade."""
 
     branching: float        # branching_probability(model)
     samples: list           # the kernel samples, A
@@ -619,7 +623,7 @@ def _run_engine(
             total += suffix[int((t - tc) / ksp)]
         return older, exp(g_dark * total), max(int((older[0] + kdur) / ksp), k) + 1
 
-    laser_rng, window_rng, resolver_rng = rng.spawn(3)
+    laser_rng, window_rng, resolver_rng, mass_rng = rng.spawn(4)
     # the resolver's uniforms, drawn in blocks behind a C-level `next`
     blocks = iter(lambda: resolver_rng.random(1 << 10).tolist(), None)
     next_uniform = itertools.chain.from_iterable(blocks).__next__
@@ -738,7 +742,6 @@ def _run_engine(
     # a quiescent detector sits at exactly I_b, so every pulse clicks with
     # this one probability, independently of the others and of the dark clicks
     p_quiet = click_probability(i_b)
-    log_miss = math.log1p(-p_quiet) if 0.0 < p_quiet < 1.0 else 0.0
 
     def accept(x: np.ndarray, free: int) -> int:
         """Layer 1 on one time-ordered batch of candidates: gives each its
@@ -746,9 +749,8 @@ def _run_engine(
         every other reached one to the resolver; returns the new `free`."""
         nonlocal n_lone
         m = x.size
-        draws = window_rng.random(m * (1 + slots)).reshape(m, 1 + slots)
-        mass = [-log(1.0 - u) for u in draws[:, 0].tolist()]
-        e = np.array(mass)
+        e = mass_rng.standard_exponential(m)
+        draws = window_rng.random(m * slots).reshape(m, slots)
         with np.errstate(divide="ignore", invalid="ignore"):
             # the resolver's first bisection from a click with no older
             # kernel live, which lands past the kernel's end; without a
@@ -767,7 +769,7 @@ def _run_engine(
                 if inside.size:
                     offsets, which = np.unique(train.times(first[inside] + k) - x[inside], return_inverse=True)
                     p = [click_probability(bias_at(d / PS_PER_SECOND, (0.0,))) for d in offsets.tolist()]
-                    lone[inside] &= draws[inside, 1 + k] >= np.array(p)[which]
+                    lone[inside] &= draws[inside, k] >= np.array(p)[which]
         if latching:
             lone[:] = False
         xs, after = x.tolist(), first.tolist()
@@ -790,7 +792,7 @@ def _run_engine(
                 n_lone += 1
                 free = xs[b] + quiet_ps
             else:
-                free = resolve(xs[b], mass[b], draws[b, 1:1 + window[b]].tolist(), after[b])
+                free = resolve(xs[b], float(e[b]), draws[b, :window[b]].tolist(), after[b])
                 if latched:
                     return free
             i = bisect.bisect_left(xs, free, b + 1)
@@ -804,7 +806,7 @@ def _run_engine(
     dark_at, dark_more = start_ps, rate_b > 0.0
     laser_at, laser_more = -1, p_quiet > 0.0 and n_pulses > 0
     free = start_ps
-    n_dark = n_laser = n_candidates = 0
+    n_candidates = 0
     while not latched:
         if dark_more and not dark_x.size:
             n = min(chunk, int(rate_b * (end_ps - dark_at) / PS_PER_SECOND * 1.1) + 16)
@@ -815,19 +817,14 @@ def _run_engine(
             dark_x = dark_at + steps[:k].astype(np.int64)
             dark_more = k == n
             dark_at = int(dark_x[-1]) if k else dark_at
-            n_dark += k
         if laser_more and not laser_x.size:
-            if p_quiet < 1.0:
-                n = min(chunk, int(p_quiet * (n_pulses - laser_at) * 1.1) + 16)
-                misses = np.array([log(1.0 - u) for u in laser_rng.random(n).tolist()]) / log_miss
-                idx = laser_at + np.cumsum(np.minimum(misses, n_pulses).astype(np.int64) + 1)
-            else:
-                idx = laser_at + 1 + np.arange(chunk)
+            n = min(chunk, int(p_quiet * (n_pulses - laser_at) * 1.1) + 16)
+            # a tiny p_quiet gives skips up to INT64_MAX: clamped before the sum
+            idx = laser_at + np.cumsum(np.minimum(laser_rng.geometric(p_quiet, n), n_pulses))
             k = int(np.searchsorted(idx, n_pulses))
             laser_x = train.times(idx[:k])
             laser_more = k == idx.size
             laser_at = int(idx[k - 1]) if k else laser_at
-            n_laser += k if p_quiet < 1.0 else 0
         ends = [s[-1] for s, more in ((dark_x, dark_more), (laser_x, laser_more)) if more]
         cut = min(ends) if ends else INT64_MAX
         kd = int(np.searchsorted(dark_x, cut, side="right"))
@@ -842,6 +839,6 @@ def _run_engine(
 
     # every pulse the resolver did not evaluate was a candidate or decided
     # with one (stepped over)
-    uniforms = n_dark + n_laser + n_candidates * (1 + slots) + drawn
+    uniforms = n_candidates * (2 + slots) + drawn
     counters = (uniforms, evaluated, n_pulses - evaluated, dropped, crossings, n_lone)
     return np.asarray(out, dtype=np.int64), dict(zip(ENGINE_COUNTERS, counters))

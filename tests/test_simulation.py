@@ -616,7 +616,7 @@ class TestEngineCounters:
         s = simulate(m, StimulusConfig.periodic(1e6, 1.0), 0.01, 1)
         clicks = s.detector_events.size
         engine = s.metadata["engine"]
-        assert clicks == 248
+        assert clicks == 241
         assert engine["lone"] == clicks and engine["pulses_evaluated"] == 0
         assert engine["uniforms"] == 3 * clicks
 
@@ -832,7 +832,7 @@ PINNED_RUNS = {
         DetectorModel(presets.profile_circuit(25.0e-6), presets.profile_rates(),
                       gaussian_kernel(0.0)),
         StimulusConfig.periodic(1e6, 1.0), 0.02, 3),
-    # p_quiet = 1: every quiet pulse clicks, no geometric draw
+    # p_quiet = 1: every quiet pulse clicks, and each geometric skip is 1
     "periodic-0.5MHz-mu1e4": lambda: (
         model_at(25.0e-6), StimulusConfig.periodic(0.5e6, 1e4), 0.004, 1),
     # p_quiet = 0: no laser candidate; only the resolver evaluates pulses
@@ -852,56 +852,56 @@ PINNED_RUNS = {
 # SHA-256 of detector_events.tobytes() and metadata["engine"] of each run
 PINNED = {
     "dark-1e5-23.0uA-0.5MHz": (
-        "c478266d32aec1cda7748424db530b454cc67f57d03f035f558d8dc9b42dcfae",
-        {"uniforms": 483, "pulses_evaluated": 5, "pulses_skipped": 49995, "coincidences_dropped": 0, "crossings": 31, "lone": 145},
+        "410d78f13297fefba78d1c74606ad4b4bfc58cfd1ff934f5eb41bc14aae85a74",
+        {"uniforms": 485, "pulses_evaluated": 2, "pulses_skipped": 49998, "coincidences_dropped": 0, "crossings": 29, "lone": 147},
     ),
     "dark-1e5-23.0uA-0.5MHz-null-kernel": (
-        "6f002fa933fb03f71a4d136e08e65f5af145bdea39334becfefd8ab3b8c510a8",
-        {"uniforms": 459, "pulses_evaluated": 0, "pulses_skipped": 50000, "coincidences_dropped": 0, "crossings": 0, "lone": 153},
+        "04a084315c8055992307ff8c5f84f20a5b445b2217b5e06ca4b586c186cfdaf6",
+        {"uniforms": 462, "pulses_evaluated": 0, "pulses_skipped": 50000, "coincidences_dropped": 0, "crossings": 0, "lone": 154},
     ),
     "double-1000ns": (
-        "faf2c8ecf44b367a3da03eaf908da258e8d49ebd047cfdfb06d16dd9583b5dd8",
-        {"uniforms": 1608, "pulses_evaluated": 13, "pulses_skipped": 49987, "coincidences_dropped": 0, "crossings": 143, "lone": 449},
+        "b35de6b5388c823d2809cc7f58bb5d871b6b8ee1afafdf054a66cb2d30a6f488",
+        {"uniforms": 1667, "pulses_evaluated": 16, "pulses_skipped": 49984, "coincidences_dropped": 0, "crossings": 131, "lone": 478},
     ),
     "double-180ns": (
-        "194e49b21fbf9a427c3896e5ddb666f731a42bcbdaf6e3e4399d4c3452c7981c",
-        {"uniforms": 2092, "pulses_evaluated": 28, "pulses_skipped": 49972, "coincidences_dropped": 0, "crossings": 133, "lone": 452},
+        "6636bb8ef09ca1e37cef9f1a892a95f1096fe9341521d81771b2eb006964b712",
+        {"uniforms": 2195, "pulses_evaluated": 34, "pulses_skipped": 49966, "coincidences_dropped": 0, "crossings": 140, "lone": 472},
     ),
     "double-80ns": (
-        "acd9a98c10b66ef3624a8b62f0a07d1778ed064b289399dcec4089d1f0dbf648",
-        {"uniforms": 2088, "pulses_evaluated": 24, "pulses_skipped": 49976, "coincidences_dropped": 0, "crossings": 121, "lone": 456},
+        "ded4309b456e010fbdeefaf34f0d1a886a630a10b8814d2600f0f46f7734c11b",
+        {"uniforms": 2193, "pulses_evaluated": 30, "pulses_skipped": 49970, "coincidences_dropped": 0, "crossings": 136, "lone": 475},
     ),
     "kernel-2us-1MHz-mu1e4": (
         "aafb5cef865c1e992a644b7300b4a61e0471ddb80526e7f5311efe0aa909c840",
-        {"uniforms": 12901, "pulses_evaluated": 1999, "pulses_skipped": 1, "coincidences_dropped": 0, "crossings": 7074, "lone": 0},
+        {"uniforms": 14901, "pulses_evaluated": 1999, "pulses_skipped": 1, "coincidences_dropped": 0, "crossings": 7074, "lone": 0},
     ),
     "null-kernel-1MHz": (
-        "8ddb1e93f4353e93dff2a198e326ce7fcbe41c7e2bcb2174d64d12883ee0fe3b",
-        {"uniforms": 1684, "pulses_evaluated": 0, "pulses_skipped": 20000, "coincidences_dropped": 0, "crossings": 0, "lone": 556},
+        "c742e0aa467fd345096b6f2f84fdf5c440877dfe10a2c09401057447967f5d87",
+        {"uniforms": 1677, "pulses_evaluated": 2, "pulses_skipped": 19998, "coincidences_dropped": 0, "crossings": 0, "lone": 552},
     ),
     "periodic-0.5MHz-mu0": (
-        "30e26bce5f6e837adc42758d464a64fa12848c3c43ec206624186367b63e4f95",
-        {"uniforms": 430, "pulses_evaluated": 7, "pulses_skipped": 24993, "coincidences_dropped": 0, "crossings": 44, "lone": 120},
+        "518cbc69010da719c7d6fb3179f527256625f65749f864c64c2a17e3bb5c5e0a",
+        {"uniforms": 450, "pulses_evaluated": 11, "pulses_skipped": 24989, "coincidences_dropped": 0, "crossings": 66, "lone": 115},
     ),
     "periodic-0.5MHz-mu10": (
-        "586d89956ab7a56b4ee606f2089e3d88c52a1400fd84cb7392bc98f30b8a1ab1",
-        {"uniforms": 7415, "pulses_evaluated": 11, "pulses_skipped": 9989, "coincidences_dropped": 0, "crossings": 766, "lone": 2035},
+        "65d7dad30185be717885e13f4947f34c5f44105d792652ddf08f6ae7f7e3e7f2",
+        {"uniforms": 7606, "pulses_evaluated": 7, "pulses_skipped": 9993, "coincidences_dropped": 0, "crossings": 771, "lone": 2082},
     ),
     "periodic-0.5MHz-mu1e4": (
-        "adb7df9a4e3a8c52256f4f43f1f866fb5e7c5e9877ba57f5f3874eb85d8b3fac",
-        {"uniforms": 4482, "pulses_evaluated": 4, "pulses_skipped": 1996, "coincidences_dropped": 0, "crossings": 618, "lone": 1805},
+        "5104981f0fb5e2e5872e258fa2d3e90762be4ef5bad301912c4dc010f739672a",
+        {"uniforms": 6578, "pulses_evaluated": 3, "pulses_skipped": 1997, "coincidences_dropped": 0, "crossings": 758, "lone": 1763},
     ),
     "unshunted-dark-24.0uA": (
         "40fbce0ac6cfb3104c5ff732e2b8087ea35709b64f58295779160d547a12a6f1",
         {"uniforms": 46, "pulses_evaluated": 0, "pulses_skipped": 0, "coincidences_dropped": 0, "crossings": 0, "lone": 0},
     ),
     "unshunted-latching-1MHz": (
-        "0470d971efa94186b9a0ff311b8570a06f61d5591d3f1e47ab1c518aa21b892c",
-        {"uniforms": 864, "pulses_evaluated": 0, "pulses_skipped": 10000, "coincidences_dropped": 0, "crossings": 0, "lone": 0},
+        "991731e9ee48aaf0a804649f3237051ffe5f5a00cbaa1e0fd8ec63b3c74e5bee",
+        {"uniforms": 912, "pulses_evaluated": 0, "pulses_skipped": 10000, "coincidences_dropped": 0, "crossings": 0, "lone": 0},
     ),
     "zero-kernel-1MHz": (
-        "8ddb1e93f4353e93dff2a198e326ce7fcbe41c7e2bcb2174d64d12883ee0fe3b",
-        {"uniforms": 1684, "pulses_evaluated": 0, "pulses_skipped": 20000, "coincidences_dropped": 0, "crossings": 0, "lone": 556},
+        "c742e0aa467fd345096b6f2f84fdf5c440877dfe10a2c09401057447967f5d87",
+        {"uniforms": 1677, "pulses_evaluated": 2, "pulses_skipped": 19998, "coincidences_dropped": 0, "crossings": 0, "lone": 552},
     ),
 }
 
