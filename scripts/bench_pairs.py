@@ -21,8 +21,9 @@ end-to-end metric (`battery`). It counts the engine's deterministic work
 once in each checkout: clicks, uniforms, envelope steps (`crossings`) and
 lone clicks (those the first layer accepts in bulk, 0 for an engine
 without one), each per click, and the pulses the resolver evaluated and
-skipped, over the seed-3 runs of fig4, fig8, fig9 and fig10 and over dark
-runs at 23.0 and 25.2 uA (`engine_work`). Last, it runs the Tier-1 suite
+skipped, over the seed-3 runs of fig4, fig8, fig9 and fig10, over dark
+runs at 23.0 and 25.2 uA and over a dense train, a 1 GHz laser at mu = 1
+and 25.0 uA, where the resolver evaluates most pulses (`engine_work`). Last, it runs the Tier-1 suite
 once in each checkout, the parent first, and records its wall time and
 summary line.
 `nproc`, the Python and NumPy versions and both commits are recorded too.
@@ -57,6 +58,10 @@ WORK_FIGURES = ("fig4", "fig8", "fig9", "fig10")
 WORK_DARK_UA = (23.0, 25.2)
 WORK_DARK_COUNTS = 10_000
 WORK_DARK_SEEDS = (11, 12, 13)
+# the dense-train run of engine_work: a WORK_DENSE_HZ laser for WORK_DENSE_S
+# at each of WORK_DARK_SEEDS, at mu = 1 and 25.0 uA
+WORK_DENSE_HZ = 1e9
+WORK_DENSE_S = 100e-6
 
 
 def parse_result(stdout: str) -> dict:
@@ -110,13 +115,14 @@ def summarize(runs, end_to_end) -> dict:
 
 
 def engine_work(figures=WORK_FIGURES, dark_ua=WORK_DARK_UA, seeds=WORK_DARK_SEEDS,
-                counts=WORK_DARK_COUNTS) -> dict:
+                counts=WORK_DARK_COUNTS, dense_s=WORK_DENSE_S) -> dict:
     """Clicks, uniforms, crossings, lone clicks and the pulses evaluated and
     skipped (`metadata["engine"]`) summed over the `simulate` calls of each
     preset of `figures` at PRESET_SEED and of the dark runs of `counts`
-    primary counts at each bias of `dark_ua` (uA) and each seed; uniforms,
-    crossings and lone clicks also per click. It runs the snspdsim that is
-    first on sys.path."""
+    primary counts at each bias of `dark_ua` (uA) and each seed, and of the
+    dense train of `dense_s` s at each seed; uniforms, crossings, lone clicks and pulses
+    evaluated also per click. It runs the snspdsim that is first on
+    sys.path."""
     from snspdsim import presets
     from snspdsim.simulation import StimulusConfig, simulate
 
@@ -142,8 +148,11 @@ def engine_work(figures=WORK_FIGURES, dark_ua=WORK_DARK_UA, seeds=WORK_DARK_SEED
         duration = counts / float(model.rates.dark_rate(bias_ua * 1e-6))
         for seed in seeds:
             count(f"dark-{bias_ua}uA", simulate(model, StimulusConfig.none(), duration, seed))
+    dense = StimulusConfig.periodic(WORK_DENSE_HZ, 1.0)
+    for seed in seeds:
+        count("dense-1GHz", simulate(presets.profile_model(25.0e-6), dense, dense_s, seed))
     for entry in totals.values():
-        for key in ("uniforms", "crossings", "lone"):
+        for key in ("uniforms", "crossings", "lone", "pulses_evaluated"):
             entry[f"{key}_per_click"] = entry[key] / entry["clicks"] if entry["clicks"] else None
     return totals
 
@@ -302,7 +311,9 @@ def main() -> int:
         before = result["engine_work"]["parent"].get(name, {})
         print(f"{name}: uniforms per click {before.get('uniforms_per_click')} -> {entry['uniforms_per_click']}, "
               f"crossings per click {before.get('crossings_per_click')} -> {entry['crossings_per_click']}, "
-              f"lone per click {before.get('lone_per_click')} -> {entry['lone_per_click']}")
+              f"lone per click {before.get('lone_per_click')} -> {entry['lone_per_click']}, "
+              f"pulses evaluated per click {before.get('pulses_evaluated_per_click')} -> "
+              f"{entry['pulses_evaluated_per_click']}")
     for side in SIDES:
         print(f"{side}: import {result['import_s'][side]['median']:.3f} s, "
               f"Tier-1 {result['tier1'][side]['wall_s']:.1f} s ({result['tier1'][side]['summary']})")

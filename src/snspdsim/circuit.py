@@ -106,7 +106,6 @@ class Waveform:
 
     samples: np.ndarray
     sample_period: float
-    t0: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
@@ -124,7 +123,7 @@ class Waveform:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.samples.size) * self.sample_period
+        return np.arange(self.samples.size) * self.sample_period
 
 
 def waveform_table(wave: Waveform):
@@ -337,7 +336,7 @@ def apply_filter(cascade: BiquadCascade, wave: Waveform) -> Waveform:
             s2 = b2 * xn - a2 * yn
             append(yn)
         x = y
-    return Waveform(np.array(x), wave.sample_period, wave.t0)
+    return Waveform(np.array(x), wave.sample_period)
 
 
 @dataclass(frozen=True, eq=False)

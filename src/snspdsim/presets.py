@@ -101,12 +101,12 @@ def profile_model(
     )
 
 
-def overshoot_coupling(sample_period: float = circuit.DEFAULT_SAMPLE_PERIOD):
+def overshoot_coupling():
     """Volts-to-amps coupling and time offset that make the narrow-band
     readout overshoot reproduce the calibrated kernel: amplitude pinned to
     the profile value, peak moved to 180 ns (the readout transient and the
     bias perturbation peak at different times)."""
-    raw = circuit.amplifier_kernel(profile_circuit(), NARROW_BAND, sample_period, amps_per_volt=1.0)
+    raw = circuit.amplifier_kernel(profile_circuit(), NARROW_BAND, amps_per_volt=1.0)
     peak_volts = raw.peak
     peak_time = float(np.argmax(raw.samples)) * raw.sample_period
     return KERNEL_AMPLITUDE / peak_volts, KERNEL_CENTER - peak_time

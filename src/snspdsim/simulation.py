@@ -320,17 +320,15 @@ def effective_bias(model: DetectorModel, t, click_history=()):
     return float(out) if out.ndim == 0 else out
 
 
-def branching_probability(
-    model: DetectorModel, window: float = 1e-6, n_grid: int = 20_001
-) -> float:
+def branching_probability(model: DetectorModel) -> float:
     """Probability that a click triggers at least one further click within
-    `window` seconds, from the model's own post-click dark rate:
-    1 - exp(-integral of dark_rate(I_recovery + kernel)).
+    1 us, from the model's own post-click dark rate: 1 - exp(-integral of
+    dark_rate(I_recovery + kernel)), by the trapezoid rule on a 50 ps grid.
 
     Under the branching picture this is the per-click afterpulse
     probability, so train lengths follow P(n) = p**(n-1) * (1-p).
     """
-    s = np.linspace(0.0, window, n_grid)
+    s = np.linspace(0.0, 1e-6, 20_001)
     bias = effective_bias(model, s, [0.0])
     lam = model.rates.dark_rate(bias)
     return 1.0 - math.exp(-float(np.trapezoid(lam, s)))
@@ -422,7 +420,8 @@ def simulate(
     A model with a live kernel whose click has a mean of one or more
     further clicks, -log(1 - branching_probability(model)) >= 1, is
     supercritical: its afterpulse trains never end, so it is refused with
-    a ConfigError before every run.
+    a ConfigError before every run, as is one whose dark rate overflows a
+    float or whose rate_b exceeds 1e12/s (a mean gap under the 1 ps stamp).
 
     `metadata["engine"]` carries deterministic work counters: `uniforms`,
     2 + slots per candidate (its time, its mass and its window's pulse
@@ -435,7 +434,14 @@ def simulate(
     """
     if duration < 0:
         raise ConfigError(f"duration must be non-negative, got {duration!r} s")
-    tables = model._tables
+    try:
+        tables, rate_b = model._tables, _quiet_dark_rate(model)
+        if not math.isfinite(tables.masses[-1]):
+            raise OverflowError
+    except OverflowError:
+        raise ConfigError(f"dark rate overflows a float: slope {model.rates.dark_rate_slope!r}/A") from None
+    if rate_b > PS_PER_SECOND:
+        raise ConfigError(f"dark rate {rate_b:.4g}/s at the bias is above 1e12/s, a mean gap under 1 ps")
     # a mean of -log(1 - p) >= 1 further clicks per click
     if tables.branching >= 1.0 - math.exp(-1.0):
         raise ConfigError(
@@ -488,6 +494,12 @@ class _KernelTables(NamedTuple):
     envs: list              # the newest click's envelope, 1/s, in each sample interval
     masses: list            # the envelope mass of intervals 0..k-1, for k = 0..len(envs)
     suffix: list            # PerturbationKernel.max_remaining(), A
+
+
+def _quiet_dark_rate(model: DetectorModel) -> float:
+    """rate_b, the dark rate at I_b with no kernel live, by math.exp."""
+    r = model.rates
+    return r.dark_rate_ref * math.exp(r.dark_rate_slope * (model.circuit.bias_current - r.reference_bias))
 
 
 def _kernel_tables(model: DetectorModel) -> _KernelTables:
@@ -589,7 +601,7 @@ def _run_engine(
     log = math.log
     inf = math.inf
 
-    rate_b = r_ref * exp(g_dark * (i_b - i_ref))  # the dark rate with no kernel live
+    rate_b = _quiet_dark_rate(model)
     _, ksamp, ksp, kdur, envs, masses, suffix = model._tables
     n_int = len(envs)
     # from t_quiet after a click the detector is quiescent: the current is

@@ -126,6 +126,30 @@ def test_sub_ps_pulse_period_is_error(config_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+STEEP = {"dark_rate_slope_per_amp: 2.0934e6": "dark_rate_slope_per_amp: 1e12",
+         "bias_current: 25.0 uA": "bias_current: 25.2 uA"}
+NO_KERNEL = {"type: gaussian\n  amplitude: 3.7 uA\n  center: 180 ns\n  width: 15 ns": "type: none"}
+
+
+@pytest.mark.parametrize("edits, message", [
+    (STEEP, "overflows"),
+    ({**STEEP, **NO_KERNEL}, "overflows"),
+    ({"dark_rate_ref: 3200 Hz": "dark_rate_ref: 1e13 Hz", **NO_KERNEL}, "above 1e12/s"),
+    ({"dark_rate_ref: 3200 Hz": "dark_rate_ref: 1e15 Hz", **NO_KERNEL}, "above 1e12/s"),
+], ids=["overflow", "overflow-null-kernel", "sub-ps-gap-1e13", "sub-ps-gap-1e15"])
+def test_unrunnable_dark_rate_is_error(tmp_path, capsys, edits, message):
+    # refused before the run, where it would overflow or never end
+    text = CONFIG.format(duration="1 us")
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out.nptt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_invalid_config_reports_field(config_path, tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(config_path.read_text().replace("seed: 5", "seed: 5\n  bogus: 1"))
@@ -563,12 +587,19 @@ def test_bench_pairs_counts_engine_work(monkeypatch):
 
     from snspdsim import presets, simulation
 
-    work = bench_pairs.engine_work(figures=("fig4",), dark_ua=(23.0,), seeds=(1, 2), counts=200)
+    work = bench_pairs.engine_work(figures=("fig4",), dark_ua=(23.0,), seeds=(1, 2), counts=200,
+                                   dense_s=10e-6)
     assert presets.simulate is simulation.simulate
-    assert set(work) == {"fig4", "dark-23.0uA"}
+    assert set(work) == {"fig4", "dark-23.0uA", "dense-1GHz"}
     for entry in work.values():
         assert entry["clicks"] > 0
         assert entry["uniforms_per_click"] == entry["uniforms"] / entry["clicks"]
         assert entry["crossings_per_click"] == entry["crossings"] / entry["clicks"]
-        assert 0 < entry["lone"] <= entry["clicks"]
         assert entry["lone_per_click"] == entry["lone"] / entry["clicks"]
+        assert entry["pulses_evaluated_per_click"] == entry["pulses_evaluated"] / entry["clicks"]
+    assert 0 < work["fig4"]["lone"] <= work["fig4"]["clicks"]
+    assert 0 < work["dark-23.0uA"]["lone"] <= work["dark-23.0uA"]["clicks"]
+    # a 1 GHz train puts more pulses in every window than it has slots:
+    # the resolver evaluates them one by one
+    dense = work["dense-1GHz"]
+    assert dense["lone"] == 0 and dense["pulses_evaluated_per_click"] > 10

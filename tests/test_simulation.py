@@ -691,6 +691,24 @@ class TestModelTables:
             with pytest.raises(ConfigError, match="supercritical"):
                 simulate(m, StimulusConfig.none(), 1e-5, 1)
 
+    @pytest.mark.parametrize("kernel_amplitude", [presets.KERNEL_AMPLITUDE, 0.0], ids=["kernel", "null-kernel"])
+    def test_overflowing_dark_rate_is_refused(self, kernel_amplitude):
+        # a slope of 1e12/A at 25.2 uA puts 2e5 into math.exp, in the tables
+        # or, without a kernel, in rate_b
+        m = model_at(25.2e-6, kernel_amplitude)
+        m = dataclasses.replace(m, rates=dataclasses.replace(m.rates, dark_rate_slope=1e12))
+        with pytest.raises(ConfigError, match="overflows"):
+            simulate(m, StimulusConfig.none(), 1e-6, 1)
+
+    @pytest.mark.parametrize("rate", [1.000001e12, 1e13, 1e15])
+    def test_mean_dark_gap_under_a_ps_is_refused(self, rate):
+        # nearly every gap would round to 0 ps, and the run would not end;
+        # exactly 1e12/s runs (test_sub_ps_coincidences_counted)
+        m = model_at(25.0e-6, kernel_amplitude=0.0)
+        m = dataclasses.replace(m, rates=dataclasses.replace(m.rates, dark_rate_ref=rate))
+        with pytest.raises(ConfigError, match="above 1e12/s"):
+            simulate(m, StimulusConfig.none(), 1e-6, 1)
+
     @pytest.mark.parametrize("bias_ua", [23.0, 25.2])
     @pytest.mark.parametrize("kernel", ["profile", "wide-band", "signed"])
     def test_one_kernel_envelope_bounds_the_law_in_each_interval(self, kernel, bias_ua):
