@@ -115,13 +115,13 @@ def summarize(runs, end_to_end) -> dict:
 
 
 def engine_work(figures=WORK_FIGURES, dark_ua=WORK_DARK_UA, seeds=WORK_DARK_SEEDS,
-                counts=WORK_DARK_COUNTS, dense_s=WORK_DENSE_S) -> dict:
+                counts=WORK_DARK_COUNTS) -> dict:
     """Clicks, uniforms, crossings, lone clicks and the pulses evaluated and
     skipped (`metadata["engine"]`) summed over the `simulate` calls of each
     preset of `figures` at PRESET_SEED and of the dark runs of `counts`
     primary counts at each bias of `dark_ua` (uA) and each seed, and of the
-    dense train of `dense_s` s at each seed; uniforms, crossings, lone clicks and pulses
-    evaluated also per click. It runs the snspdsim that is first on
+    dense train of WORK_DENSE_S s at each seed; uniforms, crossings, lone clicks
+    and pulses evaluated also per click. It runs the snspdsim that is first on
     sys.path."""
     from snspdsim import presets
     from snspdsim.simulation import StimulusConfig, simulate
@@ -150,7 +150,7 @@ def engine_work(figures=WORK_FIGURES, dark_ua=WORK_DARK_UA, seeds=WORK_DARK_SEED
             count(f"dark-{bias_ua}uA", simulate(model, StimulusConfig.none(), duration, seed))
     dense = StimulusConfig.periodic(WORK_DENSE_HZ, 1.0)
     for seed in seeds:
-        count("dense-1GHz", simulate(presets.profile_model(25.0e-6), dense, dense_s, seed))
+        count("dense-1GHz", simulate(presets.profile_model(25.0e-6), dense, WORK_DENSE_S, seed))
     for entry in totals.values():
         for key in ("uniforms", "crossings", "lone", "pulses_evaluated"):
             entry[f"{key}_per_click"] = entry[key] / entry["clicks"] if entry["clicks"] else None

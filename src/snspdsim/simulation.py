@@ -374,10 +374,10 @@ def simulate(
     Layer 1, in NumPy, draws the candidates in chunks: dark ones as
     exponential gaps at rate_b, -log(1 - u) of the run generator's own
     uniforms rounded to whole ps, and laser ones as geometric gaps over the
-    pulse indices at p_quiet (`Generator.geometric`, clamped to the run's
-    pulses). The generator spawns four streams, laser, window, resolver and
-    mass, so a longer run's draws extend a shorter one's. In time order,
-    each candidate gets a unit-exponential mass E
+    pulse indices at p_quiet (`Generator.geometric`, clamped to just past
+    the last pulse). The generator spawns four streams, laser, window,
+    resolver and mass, so a longer run's draws extend a shorter one's. In
+    time order, each candidate gets a unit-exponential mass E
     (`Generator.standard_exponential`) and one window uniform for each of
     the most pulses that can lie within quiet_ps after it (`_window_slots`,
     at most WINDOW_SLOTS: a window with more pulses is never lone). A
@@ -831,8 +831,9 @@ def _run_engine(
             dark_at = int(dark_x[-1]) if k else dark_at
         if laser_more and not laser_x.size:
             n = min(chunk, int(p_quiet * (n_pulses - laser_at) * 1.1) + 16)
-            # a tiny p_quiet gives skips up to INT64_MAX: clamped before the sum
-            idx = laser_at + np.cumsum(np.minimum(laser_rng.geometric(p_quiet, n), n_pulses))
+            # a tiny p_quiet gives skips up to INT64_MAX: clamped before the
+            # sum to n_pulses + 1, past the last pulse even from laser_at = -1
+            idx = laser_at + np.cumsum(np.minimum(laser_rng.geometric(p_quiet, n), n_pulses + 1))
             k = int(np.searchsorted(idx, n_pulses))
             laser_x = train.times(idx[:k])
             laser_more = k == idx.size

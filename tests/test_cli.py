@@ -587,8 +587,8 @@ def test_bench_pairs_counts_engine_work(monkeypatch):
 
     from snspdsim import presets, simulation
 
-    work = bench_pairs.engine_work(figures=("fig4",), dark_ua=(23.0,), seeds=(1, 2), counts=200,
-                                   dense_s=10e-6)
+    monkeypatch.setattr(bench_pairs, "WORK_DENSE_S", 10e-6)
+    work = bench_pairs.engine_work(figures=("fig4",), dark_ua=(23.0,), seeds=(1, 2), counts=200)
     assert presets.simulate is simulation.simulate
     assert set(work) == {"fig4", "dark-23.0uA", "dense-1GHz"}
     for entry in work.values():
