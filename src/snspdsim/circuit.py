@@ -378,8 +378,7 @@ class PerturbationKernel:
 
         This table bounds future kernel contributions and only ever decays.
         `simulate` lifts the newest click's thinning envelope by it for each
-        older live kernel, and the reference engine in the tests bounds
-        every live kernel by it.
+        older live kernel.
         """
         positive = np.maximum(self.samples, 0.0)
         return np.maximum.accumulate(positive[::-1])[::-1]

@@ -244,10 +244,9 @@ def _field(cols, neg):
 
 def _cut(block: bytes):
     """A block cut to digits, commas and line ends, a sign that starts a field a 0, and where a '-' stood."""
-    # a byte set to CR is cut; a byte the grammar refuses stays, for `_rows` to refuse
+    # a block's line ends are LFs, so a byte set to CR is cut; a byte the
+    # grammar refuses stays, for `_rows` to refuse
     raw = np.frombuffer(block, np.uint8).copy()
-    if b"\r" in block:  # a lone CR ends a line
-        raw[(raw == _CR) & np.append(raw[1:] != _LF, True)] = _LF
     lf = np.flatnonzero(raw == _LF)
     # a comment runs from the first '#' of a line to the line end; in a block
     # that is not UTF-8 none is cut, so `_rows` refuses the block
@@ -315,6 +314,8 @@ def _read_csv(path) -> TimeTagStream:
     with open(path, "rb") as fh:
         fh.seek(offset)
         for n_before, block in enumerate(_blocks(fh)):
+            if b"\r" in block:  # every line end an LF, once
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             if (rows := _rows(block)) is None:
                 # the first refused line ends the shortest refused run of the block's lines
                 lines = block.splitlines(keepends=True)

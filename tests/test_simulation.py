@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from law_oracle import TEST_ALPHA
 from snspdsim import presets
 from snspdsim.circuit import (
     CircuitParams,
@@ -314,6 +315,16 @@ class TestLatching:
         m = self.latch_model(False, "permanent-until-reset")
         s = simulate(m, StimulusConfig.none(), 5.0, 9)
         assert s.detector_events.size == 1
+
+    def test_unshunted_detector_clicks_once_at_the_quiet_rate(self):
+        # the first click latches, and before it the detector is quiescent:
+        # one click a run, at an Exp(rate_b) time (the unshunted-dark-24.0uA
+        # pin holds such a run's bits)
+        m = self.latch_model(False, "permanent-until-reset")
+        rate_b = float(m.rates.dark_rate(m.circuit.bias_current))
+        runs = [simulate(m, StimulusConfig.none(), 1500 / rate_b, seed).detector_events for seed in range(300)]
+        assert {r.size for r in runs} == {1}
+        assert stats.kstest([r[0] / PS_PER_SECOND * rate_b for r in runs], "expon").pvalue > TEST_ALPHA
 
     def test_shunt_prevents_latching(self):
         m = self.latch_model(True, "permanent-until-reset")
@@ -949,13 +960,14 @@ class TestPinnedRealizations:
     def test_laser_realization_pinned(self, case):
         """Pins the exact realizations of engine runs, most with laser pulses.
 
-        The reference engine agrees with these runs only statistically;
-        the digests pin them byte for byte: the candidates and their window
-        draws, the lone test, the resolver's pulses and thinning, latching
-        under a laser, the null kernel, the kernel thinning over sample
-        intervals lifted by the older live kernels, and the epoch clock. A change that
-        consumes the random streams differently on purpose must re-pin them
-        and say so in CHANGES.md.
+        The law oracle (test_law_oracle.py) judges runs like these only
+        statistically; the digests pin them byte for byte: the candidates
+        and their window draws, the lone test, the resolver's pulses and
+        thinning, latching under a laser and on the first dark click, the
+        null kernel, the kernel thinning over sample intervals lifted by the
+        older live kernels, and the epoch clock. A change that consumes the
+        random streams differently on purpose must re-pin them and say so in
+        CHANGES.md.
         """
         model, stimulus, duration, seed = PINNED_RUNS[case]()
         s = simulate(model, stimulus, duration, seed)
