@@ -91,8 +91,8 @@ def test_dark_clicks_end_quiet_stretches():
 
 @settings(max_examples=20, derandomize=True, deadline=None, phases=[Phase.generate])  # a run per example: no shrinking
 @given(
-    bias=st.floats(23.0e-6, 25.2e-6), amplitude=st.floats(0.0, 6e-6),
-    center=st.floats(20e-9, 600e-9), width=st.floats(3e-9, 60e-9),
+    bias=st.floats(23.0e-6, 25.2e-6), amplitude=st.floats(0.0, 4e-6),
+    center=st.floats(20e-9, 600e-9), width=st.floats(3e-9, 30e-9),
     stimulus=st.one_of(
         st.just(StimulusConfig.none()),
         st.builds(StimulusConfig.periodic, st.floats(1e5, 5e6), st.floats(0.5, 30.0)),
