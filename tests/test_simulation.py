@@ -326,6 +326,20 @@ class TestLatching:
         assert {r.size for r in runs} == {1}
         assert stats.kstest([r[0] / PS_PER_SECOND * rate_b for r in runs], "expon").pvalue > TEST_ALPHA
 
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    @pytest.mark.parametrize("case", ["unshunted-latching"])
+    def test_dark_streams_byte_identical(self, case, seed):
+        # latching ends the run and changes nothing before it: the latched
+        # run is, byte for byte, the first click of the same seed's run
+        # without the latch policy
+        m = self.latch_model(False, "permanent-until-reset")
+        duration = 1500 / float(m.rates.dark_rate(m.circuit.bias_current))
+        got = simulate(m, StimulusConfig.none(), duration, seed).detector_events
+        free = simulate(dataclasses.replace(m, latch_policy="none"), StimulusConfig.none(), duration, seed)
+        assert got.size == 1
+        assert free.detector_events.size > 1
+        assert got.tobytes() == free.detector_events[:1].tobytes()
+
     def test_shunt_prevents_latching(self):
         m = self.latch_model(True, "permanent-until-reset")
         s = simulate(m, StimulusConfig.none(), 1.0, 9)
