@@ -371,23 +371,24 @@ def simulate(
     which the candidates are independent of all drawn before, so the split
     is exact.
 
-    Layer 1, in NumPy, draws the candidates in chunks: dark ones as
-    exponential gaps at rate_b, -log(1 - u) of the run generator's own
-    uniforms rounded to whole ps, and laser ones as geometric gaps over the
-    pulse indices at p_quiet (`Generator.geometric`, clamped to just past
-    the last pulse). The generator spawns four streams, laser, window,
-    resolver and mass, so a longer run's draws extend a shorter one's. In
-    time order, each candidate gets a unit-exponential mass E
-    (`Generator.standard_exponential`) and one window uniform for each of
-    the most pulses that can lie within quiet_ps after it (`_window_slots`,
-    at most WINDOW_SLOTS: a window with more pulses is never lone). A
-    candidate is lone when a click there has no further event before
-    quiet_ps: E proposes nothing in its window (E/envs[0] > the sample
-    period, E >= M and kdur + (E - M)/rate_b >= t_q, the resolver's own
-    first bisection, M being the envelope mass of all the kernel's
+    Layer 1, in NumPy, draws the candidates in chunks, both streams as the
+    trials that succeed among Bernoulli trials, by `Generator.geometric`
+    skips (Devroye 1986) clamped to just past the last trial: dark ones on
+    the run's ps at p_dark = 1 - exp(-rate_b * 1 ps), from the run
+    generator's own draws, the exact ps image of the quiescent process, and
+    laser ones on the pulses at p_quiet. The generator spawns four streams,
+    laser, window, resolver and mass, so a longer run's draws extend a
+    shorter one's. In time order, each candidate gets a unit-exponential
+    mass E (`Generator.standard_exponential`) and one window uniform for
+    each of the most pulses that can lie within quiet_ps after it
+    (`_window_slots`, at most WINDOW_SLOTS: a window with more pulses is
+    never lone). A candidate is lone when a click there has no further event
+    before quiet_ps: E proposes nothing in its window (E/envs[0] > the
+    sample period, E >= M and kdur + (E - M)/rate_b >= t_q, the resolver's
+    own first bisection, M being the envelope mass of all the kernel's
     intervals; without a live kernel, no interval and M = 0), and no pulse
-    in the window clicks (its uniform at or above its click probability
-    from the scalar law, once per distinct ps offset). Lone candidates from
+    in the window clicks (its uniform at or above its click probability from
+    the scalar law, once per distinct ps offset). Lone candidates from
     quiet_ps after the last kept click on are accepted in bulk.
 
     Layer 2, the resolver, is a scalar loop. It takes every other candidate
@@ -810,45 +811,46 @@ def _run_engine(
             i = bisect.bisect_left(xs, free, b + 1)
         return free
 
-    # the candidates: dark ones as exponential gaps at rate_b from the run's
-    # own generator, laser ones as geometric gaps over the pulse indices at
-    # p_quiet from a spawned one, each drawn in chunks and merged in time
-    # order up to the earlier of the two last drawn
-    dark_x = laser_x = np.empty(0, np.int64)
-    dark_at, dark_more = start_ps, rate_b > 0.0
-    laser_at, laser_more = -1, p_quiet > 0.0 and n_pulses > 0
-    free = start_ps
-    n_candidates = 0
-    while not latched:
-        if dark_more and not dark_x.size:
-            n = min(chunk, int(rate_b * (end_ps - dark_at) / PS_PER_SECOND * 1.1) + 16)
-            gaps = np.array([-log(1.0 - u) for u in rng.random(n).tolist()]) / rate_b * PS_PER_SECOND
-            steps = np.cumsum(np.rint(np.minimum(gaps, 2.0**62)).astype(np.uint64))
-            beyond = steps > end_ps - dark_at
-            k = int(np.argmax(beyond)) if beyond.any() else n
-            dark_x = dark_at + steps[:k].astype(np.int64)
-            dark_more = k == n
-            dark_at = int(dark_x[-1]) if k else dark_at
-        if laser_more and not laser_x.size:
-            n = min(chunk, int(p_quiet * (n_pulses - laser_at) * 1.1) + 16)
-            # a tiny p_quiet gives skips up to INT64_MAX: clamped before the
-            # sum to n_pulses + 1, past the last pulse even from laser_at = -1
-            idx = laser_at + np.cumsum(np.minimum(laser_rng.geometric(p_quiet, n), n_pulses + 1))
-            k = int(np.searchsorted(idx, n_pulses))
-            laser_x = train.times(idx[:k])
-            laser_more = k == idx.size
-            laser_at = int(idx[k - 1]) if k else laser_at
-        ends = [s[-1] for s, more in ((dark_x, dark_more), (laser_x, laser_more)) if more]
+    def successes(gen: np.random.Generator, p: float, n: int, site):
+        """The ps `site` of the trials, 1 to n, that succeed among n Bernoulli(p)
+        trials, as geometric skips (Devroye 1986) in chunks of at most `chunk`,
+        each with whether more may follow. p = 0 draws nothing."""
+        at = 0
+        while p > 0.0 and at < n:
+            m = min(chunk, int(p * (n - at) * 1.1) + 16)
+            # each skip clamped to n + 1, as is one NumPy saturated at
+            # INT64_MAX, so the first sum past n is below 2**64 and the
+            # uint64 sums are exact up to it
+            skips = gen.geometric(p, m).astype(np.uint64)
+            skips[skips >= min(n + 1, INT64_MAX)] = n + 1
+            trials = np.cumsum(skips) + np.uint64(at)
+            k = int(np.argmax(np.append(trials > n, True)))
+            at = int(trials[-1]) if k == m else n
+            yield site(trials[:k].astype(np.int64)), k == m
+
+    # the candidates: a dark one on each ps of the run on which the
+    # quiescent process has a point, from the run's own generator, and a
+    # laser one on each pulse that clicks at p_quiet, from a spawned one.
+    # Each stream is merged in time order up to the earlier of the last
+    # drawn of those that may draw more
+    p_dark = -math.expm1(-rate_b / PS_PER_SECOND)
+    streams = [
+        successes(rng, p_dark, end_ps - start_ps, lambda trials: start_ps + trials),
+        successes(laser_rng, p_quiet, n_pulses, lambda trials: train.times(trials - 1)),
+    ]
+    pending = [(np.empty(0, np.int64), True)] * len(streams)
+    free, n_candidates = start_ps, 0
+    while not latched and any(more for _, more in pending):
+        pending = [next(draw, (x, False)) if more and not x.size else (x, more)
+                   for draw, (x, more) in zip(streams, pending)]
+        ends = [x[-1] for x, more in pending if more]
         cut = min(ends) if ends else INT64_MAX
-        kd = int(np.searchsorted(dark_x, cut, side="right"))
-        kl = int(np.searchsorted(laser_x, cut, side="right"))
-        x = np.sort(np.concatenate([dark_x[:kd], laser_x[:kl]]), kind="stable")
-        dark_x, laser_x = dark_x[kd:], laser_x[kl:]
-        if x.size:
-            n_candidates += x.size
-            free = accept(x, free)
-        if not (ends or dark_x.size or laser_x.size):
-            break
+        cuts = [int(np.searchsorted(x, cut, side="right")) for x, _ in pending]
+        batch = np.sort(np.concatenate([x[:k] for (x, _), k in zip(pending, cuts)]), kind="stable")
+        pending = [(x[k:], more) for (x, more), k in zip(pending, cuts)]
+        if batch.size:
+            n_candidates += batch.size
+            free = accept(batch, free)
 
     # every pulse the resolver did not evaluate was a candidate or decided
     # with one (stepped over)

@@ -4,6 +4,7 @@ determinism, dead time, latching and the branching statistics."""
 import dataclasses
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from law_oracle import TEST_ALPHA
-from snspdsim import presets
+from snspdsim import presets, simulation
 from snspdsim.circuit import (
     CircuitParams,
     PerturbationKernel,
@@ -22,10 +23,12 @@ from snspdsim.circuit import (
 )
 from snspdsim.errors import ConfigError, StreamValidationError
 from snspdsim.simulation import (
+    INT64_MAX,
     PS_PER_SECOND,
     DetectorModel,
     RateModel,
     StimulusConfig,
+    StimulusTrain,
     TimeTagStream,
     _kernel_tables,
     _run_engine,
@@ -502,6 +505,30 @@ class TestQuiescentSkip:
         assert s.sync_events.size == 50_000
         assert s.detector_events.size == 0
 
+    def test_a_dark_rate_far_below_one_click_per_run_gives_none(self):
+        # 5e-6 clicks are expected over 5e6 s: every dark skip is past the
+        # run's last ps, the clamped ones too, as a clamp short of the run's
+        # length would put a click at it
+        model = model_at(25.0e-6, kernel_amplitude=0.0)
+        model = dataclasses.replace(model, rates=dataclasses.replace(model.rates, dark_rate_ref=1e-12))
+        s = simulate(model, StimulusConfig.none(), 5e6, 1)
+        assert s.detector_events.size == 0
+
+    @pytest.mark.parametrize("mu", [1e-300, 4e-23])
+    def test_int64_trials_end_at_the_first_skip_past_them(self, mu):
+        # 2**63 - 2 pulses and 2**63 - 1 ps, each with a chance of ~1e-302
+        # to ~1e-24 (p_quiet is 0 at mu = 1e-300, and that stream draws
+        # nothing): a skip clamped to one past the last trial ends each
+        # stream at its first draw, whose uint64 sum is exact
+        model = model_at(25.0e-6, kernel_amplitude=0.0)
+        model = dataclasses.replace(model, rates=dataclasses.replace(model.rates, dark_rate_ref=1e-290))
+        train = StimulusTrain(1, (0,), 2**63 - 2)
+        began = time.perf_counter()
+        out, engine = _run_engine(model, StimulusConfig.periodic(1e12, mu), train, INT64_MAX,
+                                  np.random.default_rng(1))
+        assert time.perf_counter() - began < 1.0
+        assert out.size == 0 and engine["uniforms"] == 0
+
 
 class TestEngineCounters:
     def test_counters_repeat_exactly(self):
@@ -545,7 +572,7 @@ class TestEngineCounters:
         assert engine["pulses_evaluated"] == engine["pulses_skipped"] == 0
         # a candidate costs two draws, its time and its window's mass, and a
         # lone one nothing more; a resolved window thins its proposals, so
-        # at 25.2 uA a click costs under 3 uniforms (250 for 99 clicks)
+        # at 25.2 uA a click costs under 3 uniforms (222 for 111 clicks)
         clicks = s.detector_events.size
         assert 0 < engine["lone"] < clicks
         assert 2 * engine["lone"] < engine["uniforms"] <= 3 * clicks
@@ -615,6 +642,25 @@ class TestEngineCounters:
         a, b = short.detector_events, longer.detector_events
         assert a.size > 100
         assert np.array_equal(a[a < cut], b[b < cut])
+
+    @pytest.mark.parametrize("chunk", [17, 64])
+    @pytest.mark.parametrize(
+        "stimulus",
+        [StimulusConfig.none(), StimulusConfig.periodic(0.5e6, 10.0),
+         StimulusConfig.double_pulse(180e-9, 1.0)],
+        ids=["dark", "periodic", "double-180ns"],
+    )
+    def test_chunk_seams_leave_the_run_unchanged(self, monkeypatch, stimulus, chunk):
+        # both candidate streams draw in sequence whatever their chunks, and
+        # the merge keeps time order across the seams; a chunk of 17 or 64
+        # draws holds 5 to 64 candidates, with their window slots
+        m = model_at(25.2e-6)
+        whole = simulate(m, stimulus, 0.05, 1)
+        monkeypatch.setattr(simulation, "CANDIDATE_CHUNK", chunk)
+        seamed = simulate(m, stimulus, 0.05, 1)
+        assert whole.detector_events.size > 100
+        assert seamed.detector_events.tobytes() == whole.detector_events.tobytes()
+        assert seamed.metadata["engine"] == whole.metadata["engine"]
 
     def test_run_end_inside_a_kernel_stops_its_crossings(self):
         # a run that ends 1 ns before an isolated click's kernel ends keeps
@@ -903,64 +949,65 @@ PINNED_RUNS = {
         two_us_kernel(25.0e-6), StimulusConfig.periodic(1e6, 1e4), 0.002, 1),
 }
 
-# the NumPy feature release the pins were made with: Generator.geometric and
-# standard_exponential feed them, and NumPy's random policy (NEP 19) does not
-# promise a Generator method's stream across feature releases
+# the NumPy feature release the pins were made with: Generator.geometric
+# draws the dark and the laser candidates and standard_exponential their
+# window masses, and NumPy's random policy (NEP 19) does not promise a
+# Generator method's stream across feature releases
 PINNED_NUMPY = "2.4"
 
 # SHA-256 of detector_events.tobytes() and metadata["engine"] of each run
 PINNED = {
     "dark-1e5-23.0uA-0.5MHz": (
-        "ee42c2cc5829e5e4b9fb5f91c688899cf34800574466ce449478f23417805859",
-        {"uniforms": 482, "pulses_evaluated": 2, "pulses_skipped": 49998, "coincidences_dropped": 0, "crossings": 29, "lone": 146},
+        "381338c624ac64853539894b50236bb45efc5fae22f0a9c18990044957270c20",
+        {"uniforms": 453, "pulses_evaluated": 3, "pulses_skipped": 49997, "coincidences_dropped": 0, "crossings": 29, "lone": 136},
     ),
     "dark-1e5-23.0uA-0.5MHz-null-kernel": (
-        "6f002fa933fb03f71a4d136e08e65f5af145bdea39334becfefd8ab3b8c510a8",
-        {"uniforms": 459, "pulses_evaluated": 0, "pulses_skipped": 50000, "coincidences_dropped": 0, "crossings": 0, "lone": 153},
+        "a9ab11969631b0d2677a611ea1adb1dd2c7ce0c76824514d8bad70a53c88aee0",
+        {"uniforms": 429, "pulses_evaluated": 0, "pulses_skipped": 50000, "coincidences_dropped": 0, "crossings": 0, "lone": 143},
     ),
     "double-1000ns": (
-        "b35de6b5388c823d2809cc7f58bb5d871b6b8ee1afafdf054a66cb2d30a6f488",
-        {"uniforms": 1667, "pulses_evaluated": 16, "pulses_skipped": 49984, "coincidences_dropped": 0, "crossings": 131, "lone": 478},
+        "a20f1a9d60c1f57be4394b4acb360b2a174139d235ca5dd86bedf8f494731758",
+        {"uniforms": 1668, "pulses_evaluated": 14, "pulses_skipped": 49986, "coincidences_dropped": 0, "crossings": 141, "lone": 473},
     ),
     "double-180ns": (
-        "6636bb8ef09ca1e37cef9f1a892a95f1096fe9341521d81771b2eb006964b712",
-        {"uniforms": 2195, "pulses_evaluated": 34, "pulses_skipped": 49966, "coincidences_dropped": 0, "crossings": 140, "lone": 472},
+        "1e8d815305c2ceb5209e0929a9a0e6de03454cd0cb303d8a0d499ebe0a4c1dcb",
+        {"uniforms": 2189, "pulses_evaluated": 37, "pulses_skipped": 49963, "coincidences_dropped": 0, "crossings": 151, "lone": 468},
     ),
     "double-80ns": (
-        "ded4309b456e010fbdeefaf34f0d1a886a630a10b8814d2600f0f46f7734c11b",
-        {"uniforms": 2193, "pulses_evaluated": 30, "pulses_skipped": 49970, "coincidences_dropped": 0, "crossings": 136, "lone": 475},
+        "5901e55fe4f643a7812de881848eb55d14fa0941b3f2f9d503bc59735e85d00d",
+        {"uniforms": 2178, "pulses_evaluated": 32, "pulses_skipped": 49968, "coincidences_dropped": 0, "crossings": 131, "lone": 472},
     ),
     "kernel-2us-1MHz-mu1e4": (
         "aafb5cef865c1e992a644b7300b4a61e0471ddb80526e7f5311efe0aa909c840",
-        {"uniforms": 14901, "pulses_evaluated": 1999, "pulses_skipped": 1, "coincidences_dropped": 0, "crossings": 7074, "lone": 0},
+        {"uniforms": 14896, "pulses_evaluated": 1999, "pulses_skipped": 1, "coincidences_dropped": 0, "crossings": 7074, "lone": 0},
     ),
     "null-kernel-1MHz": (
-        "c742e0aa467fd345096b6f2f84fdf5c440877dfe10a2c09401057447967f5d87",
-        {"uniforms": 1677, "pulses_evaluated": 2, "pulses_skipped": 19998, "coincidences_dropped": 0, "crossings": 0, "lone": 552},
+        "9612d720edb68713f34b1b8f7a84a1862a1baa553bfee4b6046503cb862df0d6",
+        {"uniforms": 1645, "pulses_evaluated": 2, "pulses_skipped": 19998, "coincidences_dropped": 0, "crossings": 0, "lone": 542},
     ),
     "periodic-0.5MHz-mu0": (
-        "518cbc69010da719c7d6fb3179f527256625f65749f864c64c2a17e3bb5c5e0a",
-        {"uniforms": 450, "pulses_evaluated": 11, "pulses_skipped": 24989, "coincidences_dropped": 0, "crossings": 66, "lone": 115},
+        "ca68ea3c42c7afbb4e75b7736488d4d21bfd731b91bbe22c6a5ac5ce02cf4390",
+        {"uniforms": 429, "pulses_evaluated": 9, "pulses_skipped": 24991, "coincidences_dropped": 0, "crossings": 65, "lone": 109},
     ),
     "periodic-0.5MHz-mu10": (
-        "65d7dad30185be717885e13f4947f34c5f44105d792652ddf08f6ae7f7e3e7f2",
-        {"uniforms": 7606, "pulses_evaluated": 7, "pulses_skipped": 9993, "coincidences_dropped": 0, "crossings": 771, "lone": 2082},
+        "a28796901250f8c997b39dd84c340a206ca4a25784ddaff16f76260b027bfa20",
+        {"uniforms": 7624, "pulses_evaluated": 10, "pulses_skipped": 9990, "coincidences_dropped": 0, "crossings": 797, "lone": 2079},
     ),
     "periodic-0.5MHz-mu1e4": (
-        "5104981f0fb5e2e5872e258fa2d3e90762be4ef5bad301912c4dc010f739672a",
-        {"uniforms": 6578, "pulses_evaluated": 3, "pulses_skipped": 1997, "coincidences_dropped": 0, "crossings": 758, "lone": 1763},
+        "6c6b8e6338ebf50769a8e70b1bf59cfa9cc5f766aeb8b82c2a8e467d1dd4e8de",
+        {"uniforms": 6577, "pulses_evaluated": 3, "pulses_skipped": 1997, "coincidences_dropped": 0, "crossings": 750, "lone": 1762},
     ),
     "unshunted-dark-24.0uA": (
-        "40fbce0ac6cfb3104c5ff732e2b8087ea35709b64f58295779160d547a12a6f1",
-        {"uniforms": 46, "pulses_evaluated": 0, "pulses_skipped": 0, "coincidences_dropped": 0, "crossings": 0, "lone": 0},
+        "c8a76e4568fe489dbd704a7d2bbadfcedc5d6137e96d3003033932f27ce35e60",
+        {"uniforms": 40, "pulses_evaluated": 0, "pulses_skipped": 0, "coincidences_dropped": 0, "crossings": 0, "lone": 0},
     ),
     "unshunted-latching-1MHz": (
         "991731e9ee48aaf0a804649f3237051ffe5f5a00cbaa1e0fd8ec63b3c74e5bee",
-        {"uniforms": 912, "pulses_evaluated": 0, "pulses_skipped": 10000, "coincidences_dropped": 0, "crossings": 0, "lone": 0},
+        {"uniforms": 948, "pulses_evaluated": 0, "pulses_skipped": 10000, "coincidences_dropped": 0, "crossings": 0, "lone": 0},
     ),
     "zero-kernel-1MHz": (
-        "c742e0aa467fd345096b6f2f84fdf5c440877dfe10a2c09401057447967f5d87",
-        {"uniforms": 1677, "pulses_evaluated": 2, "pulses_skipped": 19998, "coincidences_dropped": 0, "crossings": 0, "lone": 552},
+        "9612d720edb68713f34b1b8f7a84a1862a1baa553bfee4b6046503cb862df0d6",
+        {"uniforms": 1645, "pulses_evaluated": 2, "pulses_skipped": 19998, "coincidences_dropped": 0, "crossings": 0, "lone": 542},
     ),
 }
 
