@@ -18,9 +18,9 @@ It then runs the preset battery at seed 3 in 10 alternating pairs, each
 side in a fresh process that times every preset with perfbench's clock,
 and summarizes the scaled time of each preset and of the battery like an
 end-to-end metric (`battery`). It counts the engine's deterministic work
-once in each checkout: clicks, uniforms, envelope steps (`crossings`) and
+once in each checkout: clicks, uniforms, envelope steps (`crossings`),
 lone clicks (those the first layer accepts in bulk, 0 for an engine
-without one), each per click, and the pulses the resolver evaluated and
+without one) and dark proposals thinned, each per click, and the pulses the resolver evaluated and
 skipped, over the seed-3 runs of fig4, fig8, fig9 and fig10, over dark
 runs at 23.0 and 25.2 uA and over a dense train, a 1 GHz laser at mu = 1
 and 25.0 uA, where the resolver evaluates most pulses (`engine_work`). Last, it runs the Tier-1 suite
@@ -116,18 +116,19 @@ def summarize(runs, end_to_end) -> dict:
 
 def engine_work(figures=WORK_FIGURES, dark_ua=WORK_DARK_UA, seeds=WORK_DARK_SEEDS,
                 counts=WORK_DARK_COUNTS) -> dict:
-    """Clicks, uniforms, crossings, lone clicks and the pulses evaluated and
-    skipped (`metadata["engine"]`) summed over the `simulate` calls of each
+    """Clicks, uniforms, crossings, lone clicks, dark proposals and the pulses
+    evaluated and skipped (`metadata["engine"]`) summed over the `simulate` calls of each
     preset of `figures` at PRESET_SEED and of the dark runs of `counts`
     primary counts at each bias of `dark_ua` (uA) and each seed, and of the
-    dense train of WORK_DENSE_S s at each seed; uniforms, crossings, lone clicks
-    and pulses evaluated also per click. It runs the snspdsim that is first on
+    dense train of WORK_DENSE_S s at each seed; uniforms, crossings, lone clicks,
+    proposals and pulses evaluated also per click (an engine without the
+    proposals counter reports 0). It runs the snspdsim that is first on
     sys.path."""
     from snspdsim import presets
     from snspdsim.simulation import StimulusConfig, simulate
 
     totals = {}
-    summed = ("uniforms", "crossings", "lone", "pulses_evaluated", "pulses_skipped")
+    summed = ("uniforms", "crossings", "lone", "proposals", "pulses_evaluated", "pulses_skipped")
 
     def count(name, stream):
         entry = totals.setdefault(name, dict.fromkeys(("clicks", *summed), 0))
@@ -152,7 +153,7 @@ def engine_work(figures=WORK_FIGURES, dark_ua=WORK_DARK_UA, seeds=WORK_DARK_SEED
     for seed in seeds:
         count("dense-1GHz", simulate(presets.profile_model(25.0e-6), dense, WORK_DENSE_S, seed))
     for entry in totals.values():
-        for key in ("uniforms", "crossings", "lone", "pulses_evaluated"):
+        for key in ("uniforms", "crossings", "lone", "proposals", "pulses_evaluated"):
             entry[f"{key}_per_click"] = entry[key] / entry["clicks"] if entry["clicks"] else None
     return totals
 

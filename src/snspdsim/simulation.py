@@ -33,9 +33,11 @@ MODE_DOUBLE_PULSE = "double-pulse"
 LATCH_NONE = "none"
 LATCH_PERMANENT = "permanent-until-reset"
 
-# deterministic work counters the engine reports under metadata["engine"]
+# deterministic work counters the engine reports under metadata["engine"],
+# beside latched_at_ps
 ENGINE_COUNTERS = (
-    "uniforms", "pulses_evaluated", "pulses_skipped", "coincidences_dropped", "crossings", "lone"
+    "uniforms", "pulses_evaluated", "pulses_skipped", "coincidences_dropped", "crossings", "lone",
+    "proposals",
 )
 
 # the most candidates, each with its window draws, that one chunk of the
@@ -46,6 +48,14 @@ CANDIDATE_CHUNK = 1 << 14
 # pulses (a train faster than about 20 MHz) goes to the resolver, which
 # evaluates them one by one
 WINDOW_SLOTS = 16
+# the resolver's lockstep lanes: the passes of its loop they take in NumPy
+# before the scalar loop finishes a lane, the uniforms each lane draws in
+# layer 1, and the older kernels a lane holds
+LANE_STEPS = 4
+LANE_DRAWS = 8
+LANE_KERNELS = 2
+# fewer live lanes than this are left to the scalar loop
+LANE_FLOOR = 256
 
 
 @dataclass(frozen=True)
@@ -376,47 +386,54 @@ def simulate(
     skips (Devroye 1986) clamped to just past the last trial: dark ones on
     the run's ps at p_dark = 1 - exp(-rate_b * 1 ps), from the run
     generator's own draws, the exact ps image of the quiescent process, and
-    laser ones on the pulses at p_quiet. The generator spawns four streams,
-    laser, window, resolver and mass, so a longer run's draws extend a
-    shorter one's. In time order, each candidate gets a unit-exponential
+    laser ones on the pulses at p_quiet. The generator spawns five streams,
+    laser, window, resolver, mass and spare, so a longer run's draws extend
+    a shorter one's. In time order, each candidate gets a unit-exponential
     mass E (`Generator.standard_exponential`) and one window uniform for
     each of the most pulses that can lie within quiet_ps after it
     (`_window_slots`, at most WINDOW_SLOTS: a window with more pulses is
     never lone). A candidate is lone when a click there has no further event
     before quiet_ps: E proposes nothing in its window (E/envs[0] > the
-    sample period, E >= M and kdur + (E - M)/rate_b >= t_q, the resolver's
-    own first bisection, M being the envelope mass of all the kernel's
+    sample period, E >= M and kdur + (E - M)/rate_b >= t_q, layer 2's own
+    first bisection, M being the envelope mass of all the kernel's
     intervals; without a live kernel, no interval and M = 0), and no pulse
     in the window clicks (its uniform at or above its click probability from
     the scalar law, once per distinct ps offset). Lone candidates from
-    quiet_ps after the last kept click on are accepted in bulk.
+    quiet_ps after the last kept click on are accepted in bulk. Every other
+    one (on a model that can latch, every one) is a lane, with a block of
+    LANE_DRAWS resolver uniforms drawn in candidate order.
 
-    Layer 2, the resolver, is a scalar loop. It takes every other candidate
-    the detector reaches (on a model that can latch, every one), records its
-    click and consumes its window draws first, so that the lone test and the
-    resolver agree on every sample, then draws from the resolver
-    stream. It evaluates every pulse and thins every dark proposal
-    until its next event lies quiet_ps or more after its last click, and
-    returns that ps; the candidates before it are dropped. Dark proposals
-    come from a piecewise-constant envelope (Ogata's local bound), whose
-    mass used up to a step is spent and the rest carried over
-    (memorylessness). The newest click is bounded over each of its kernel
-    sample intervals k by envs[k], the dark rate at the larger recovery at
-    the interval's ends (the recovery falls, then rises) plus the larger
-    positive part of its two samples. Each older live kernel lifts that by
-    exp(g * its suffix maximum from its age on) (`max_remaining`), which can
-    only fall, so one lift holds from the time it is taken. The interval
-    masses find in one bisection where the mass, divided by the lift, runs
-    out, up to the end of the interval that holds the oldest older kernel's
-    end; past the newest kernel the envelope is rate_b. The lift is taken
-    again only at times the mass drawn does not choose: at a click, at that
-    interval end, and at a proposal that does not click (a stopping time),
-    never at the interval where a bisection lands. Recovery never exceeds
-    I_b, so the envelope dominates the rate; a violation raises
-    SimulationError. A pulse before a proposal leaves it standing unless the
-    pulse clicks. A click starts its kernel and, on an unshunted detector,
-    the latch scan. The interval tables and the branching probability are
-    constants of the model, built on its first run.
+    Layer 2 runs the true law from a lane's click until its next event lies
+    quiet_ps or more after its last click; the candidates before that are
+    dropped, as is a lane the detector does not reach. A lane reads its
+    window draws, so that the lone test and layer 2 agree on every sample,
+    then its block, then the spare stream in the order the trains are
+    reached, so its train does not depend on the lanes before it. A NumPy
+    lockstep takes all lanes of a chunk one pass of the loop per step, in
+    the scalar loop's operation order with math.exp and math.log per lane,
+    so its bits do not depend on the SIMD level; the scalar loop (`resolve`)
+    reruns with the same draws a lane still live after LANE_STEPS steps, or
+    holding more than LANE_KERNELS older kernels, and every lane of a chunk
+    of fewer than LANE_FLOOR or of a model that can latch. Each pass
+    evaluates the next pulse, which leaves the proposal standing unless it
+    clicks, or thins the next dark proposal of a piecewise-constant
+    envelope (Ogata's local bound), whose mass used up to a step is spent
+    and the rest carried over (memorylessness). The newest click is bounded
+    over each of its kernel sample intervals k by envs[k], the dark rate at
+    the larger recovery at the interval's ends (the recovery falls, then
+    rises) plus the larger positive part of its two samples. Each older
+    live kernel multiplies that by exp(g * its suffix maximum from its age
+    on) (`lifts`), which can only fall, so one lift holds from the time it
+    is taken. The interval masses find in one bisection where the mass,
+    divided by the lift, runs out, up to the end of the interval that holds
+    the oldest older kernel's end; past the newest kernel the envelope is
+    rate_b. The lift is taken again only at times the mass drawn does not
+    choose: at a click, at that interval end, and at a proposal that does
+    not click (a stopping time). Recovery never exceeds I_b, so the envelope
+    dominates the rate; a violation raises SimulationError. A click starts
+    its kernel and, on an unshunted detector, the latch scan, which ends
+    the run. The tables and the branching probability are constants of the
+    model, built on its first run.
 
     A model with a live kernel whose click has a mean of one or more
     further clicks, -log(1 - branching_probability(model)) >= 1, is
@@ -424,14 +441,17 @@ def simulate(
     a ConfigError before every run, as is one whose dark rate overflows a
     float or whose rate_b exceeds 1e12/s (a mean gap under the 1 ps stamp).
 
-    `metadata["engine"]` carries deterministic work counters: `uniforms`,
-    2 + slots per candidate (its time, its mass and its window's pulse
-    uniforms, one per variate) and the resolver's; `pulses_evaluated` by
-    the resolver; `pulses_skipped`, the rest, candidates or stepped over,
-    so the two sum to the pulses; `coincidences_dropped`; `crossings`, the
-    resolver's envelope steps: one bisection past the end of the current
-    interval, whatever the intervals it passes; and `lone`, the clicks
-    layer 1 accepted in bulk.
+    `metadata["engine"]` carries deterministic work counters, each up to
+    the latch of a latched run: `uniforms`, the variates read: 2 + slots
+    per candidate (its time, its mass and its window's pulse uniforms) and
+    each kept lane's reads past its window (a block's unread uniforms are
+    not counted); `pulses_evaluated` by layer 2; `pulses_skipped`, the
+    rest, candidates or stepped over, so the two sum to the pulses;
+    `coincidences_dropped`; `crossings`, layer 2's envelope steps: one
+    bisection past the end of the current interval, whatever the intervals
+    it passes; `lone`, the clicks layer 1 accepted in bulk; and
+    `proposals`, the dark proposals layer 2 thinned. `latched_at_ps` is the
+    click a latched run ends with, None for a run that does not latch.
     """
     if duration < 0:
         raise ConfigError(f"duration must be non-negative, got {duration!r} s")
@@ -452,11 +472,6 @@ def simulate(
     duration_ps = whole_ps(duration * PS_PER_SECOND, "duration")
     train = make_stimulus(stimulus, duration_ps)
     metadata = _run_metadata(model, stimulus, duration_ps, seed)
-    if duration_ps == 0:
-        metadata["engine"] = dict.fromkeys(ENGINE_COUNTERS, 0)
-        return TimeTagStream(
-            np.empty(0, np.int64), np.empty(0, np.int64), 0, metadata
-        )
     rng = np.random.default_rng(seed)
     detector, metadata["engine"] = _run_engine(model, stimulus, train, duration_ps, rng)
     return TimeTagStream(detector, train.sync_times_ps, duration_ps, metadata)
@@ -484,7 +499,7 @@ class _KernelTables(NamedTuple):
     """The kernel's thinning tables: constants of the model. The newest
     click is bounded over each kernel sample interval k by envs[k], which
     covers its recovery and its own kernel; each older live kernel lifts
-    that by exp(g * suffix[i]), i being the interval of its age. A model
+    that by lifts[i], i being the interval of its age. A model
     without a live kernel has the empty table: no interval, masses [0.0]
     and no branching, as no kernel means no cascade."""
 
@@ -494,7 +509,7 @@ class _KernelTables(NamedTuple):
     duration: float         # s from the click to the last sample
     envs: list              # the newest click's envelope, 1/s, in each sample interval
     masses: list            # the envelope mass of intervals 0..k-1, for k = 0..len(envs)
-    suffix: list            # PerturbationKernel.max_remaining(), A
+    lifts: list             # exp(g * PerturbationKernel.max_remaining()), by math.exp
 
 
 def _quiet_dark_rate(model: DetectorModel) -> float:
@@ -519,7 +534,7 @@ def _kernel_tables(model: DetectorModel) -> _KernelTables:
     # the larger positive part of its two samples. The envelope takes
     # math.exp per interval, as the engine does, so its bits do not depend
     # on NumPy's SIMD level
-    recovery = _scalar_law(circ, max(circ.settle_time, kdur), (), ksp, kdur)
+    recovery, _ = _scalar_law(circ, max(circ.settle_time, kdur), (), ksp, kdur)
     recovered = [recovery(k * ksp, ()) for k in range(n + 1)]
     positive = np.maximum(kernel.samples, 0.0)
     tops = np.maximum(positive[:-1], positive[1:]).tolist()
@@ -530,8 +545,13 @@ def _kernel_tables(model: DetectorModel) -> _KernelTables:
     masses = list(itertools.accumulate((env * ksp for env in envs), initial=0.0))
     return _KernelTables(
         branching_probability(model), kernel.samples.tolist(), ksp, kdur,
-        envs, masses, kernel.max_remaining().tolist(),
+        envs, masses, [math.exp(g_dark * s) for s in kernel.max_remaining().tolist()],
     )
+
+
+def _per_lane(f, v: np.ndarray) -> np.ndarray:
+    """math.exp or another scalar f of each element: bits free of the SIMD level."""
+    return np.fromiter(map(f, v.tolist()), float, v.size)
 
 
 def _scalar_law(circ: CircuitParams, t_quiet: float, samples, ksp: float, kdur: float):
@@ -541,7 +561,9 @@ def _scalar_law(circ: CircuitParams, t_quiet: float, samples, ksp: float, kdur: 
     `kernels`, s since that click. It stays scalar math.exp in this
     operation order, as one NumPy call costs more than a whole thinning
     proposal. From t_quiet on it returns exactly I_b
-    (CircuitParams.settle_time)."""
+    (CircuitParams.settle_time). lane_bias is bias_at for each of an array
+    of lanes, in the same operation order and with math.exp per lane, so
+    that its bits are bias_at's at every SIMD level."""
     i_b = circ.bias_current
     i_ss = circ.resistive_branch_current
     i_end = circ.hotspot_end_current
@@ -566,7 +588,25 @@ def _scalar_law(circ: CircuitParams, t_quiet: float, samples, ksp: float, kdur: 
                 i += samples[j] * (1.0 - f) + samples[j + 1] * f
         return i
 
-    return bias_at
+    samples_a = np.array(samples, dtype=float)
+
+    def lane_bias(when: np.ndarray, kernels: list) -> np.ndarray:
+        # kernels: an array per kernel, oldest first, of each lane's click
+        # time, NaN for none
+        i = np.full(when.size, i_b)
+        fall, rise = (when < t_quiet) & (when <= t_hs), (when < t_quiet) & (when > t_hs)
+        i[fall] = i_ss + (i_b - i_ss) * _per_lane(exp, -when[fall] / tau_fall)
+        i[rise] = i_b - (i_b - i_end) * _per_lane(exp, -(when[rise] - t_hs) / tau_rec)
+        for tc in kernels if kdur > 0.0 else ():
+            d = when - tc
+            on = (0.0 <= d) & (d < kdur)
+            x = np.where(on, d, 0.0) / ksp
+            j = x.astype(np.int64)
+            f = x - j
+            i += np.where(on, samples_a[j] * (1.0 - f) + samples_a[j + 1] * f, 0.0)
+        return i
+
+    return bias_at, lane_bias
 
 
 def _window_slots(train: StimulusTrain, quiet_ps: int) -> int:
@@ -603,7 +643,7 @@ def _run_engine(
     inf = math.inf
 
     rate_b = _quiet_dark_rate(model)
-    _, ksamp, ksp, kdur, envs, masses, suffix = model._tables
+    _, ksamp, ksp, kdur, envs, masses, lifts = model._tables
     n_int = len(envs)
     # from t_quiet after a click the detector is quiescent: the current is
     # exactly I_b, and no kernel is live, as every click starts one
@@ -615,7 +655,7 @@ def _run_engine(
     n_pulses = train.n_pulses
     slots = min(_window_slots(train, quiet_ps), WINDOW_SLOTS) if n_pulses else 0
     chunk = max(1, CANDIDATE_CHUNK // (1 + slots))
-    bias_at = _scalar_law(circ, t_quiet, ksamp, ksp, kdur)
+    bias_at, lane_bias = _scalar_law(circ, t_quiet, ksamp, ksp, kdur)
 
     def click_probability(bias: float) -> float:
         eta = eta_max * exp(g_eta * (bias - i_ref))
@@ -624,39 +664,39 @@ def _run_engine(
         return 1.0 - exp(-mu * eta) if mu > 0.0 else 0.0
 
     def lifted(older: list, t: float, k: int):
-        """The older kernels still live at t; their lift from t on, exp(g
-        times the sum of their suffix maxima at their ages), which can only
-        fall; and the masses index up to which it holds, the end of the
-        interval (k or later) that holds the oldest one's end."""
+        """The older kernels still live at t; their lift from t on, the
+        product of their lifts at their ages, which can only fall; and the
+        masses index up to which it holds, the end of the interval (k or
+        later) that holds the oldest one's end."""
         older = [tc for tc in older if t - tc < kdur]
         if not older:
             return older, 1.0, n_int
-        total = 0.0
+        lift = 1.0
         for tc in older:
-            total += suffix[int((t - tc) / ksp)]
-        return older, exp(g_dark * total), max(int((older[0] + kdur) / ksp), k) + 1
+            lift *= lifts[int((t - tc) / ksp)]
+        return older, lift, max(int((older[0] + kdur) / ksp), k) + 1
 
-    laser_rng, window_rng, resolver_rng, mass_rng = rng.spawn(4)
-    # the resolver's uniforms, drawn in blocks behind a C-level `next`
-    blocks = iter(lambda: resolver_rng.random(1 << 10).tolist(), None)
-    next_uniform = itertools.chain.from_iterable(blocks).__next__
-    out: list[int] = []
-    evaluated = dropped = crossings = drawn = n_lone = 0
-    latched = False
+    laser_rng, window_rng, resolver_rng, mass_rng, spare_rng = rng.spawn(5)
+    # the uniforms a resolved train reads past its lane's block, drawn in
+    # blocks behind a C-level `next`, in the order the trains are reached
+    spare = itertools.chain.from_iterable(iter(lambda: spare_rng.random(1 << 10).tolist(), None))
+    out: list[np.ndarray] = []
+    evaluated = dropped = crossings = drawn = proposals = n_lone = 0
+    latched_at = None
     dark = r_ref > 0.0
 
-    def resolve(epoch: int, mass: float, window_u: list, nxt: int) -> int:
-        """Layer 2: the true law from a click at `epoch` ps, whose mass and
-        pulse uniforms come from its window draws, until the next event lies
-        quiet_ps or more after the last click; returns that ps. It makes no
+    def resolve(epoch: int, mass: float, window_u: list, nxt: int, next_uniform, clicks: list) -> int:
+        """Layer 2's scalar loop from a click at `epoch` ps, with its mass,
+        window uniforms and `next_uniform` for the rest; appends each click
+        to `clicks` and returns the ps quiet_ps after the last. It makes no
         Python call per proposal but bias_at's, and lifted's while an older
         kernel is live."""
-        nonlocal evaluated, dropped, crossings, drawn, latched
+        nonlocal evaluated, dropped, crossings, drawn, proposals, latched_at
         w_base, w_end = nxt, nxt + len(window_u)
         active: list[float] = []  # the kernels' click times, s since the epoch
         shift = 0.0               # the new click, s after the one before
         while True:
-            out.append(epoch)
+            clicks.append(epoch)
             end = (end_ps - epoch) / PS_PER_SECOND
             limit = quiet_s if quiet_s < end else end
             # t, s since the epoch, lies in the newest kernel's interval k;
@@ -668,7 +708,7 @@ def _run_engine(
                 # scan the kernel horizon for the first crossing of I_c
                 for j in range(n_int + 1):
                     if bias_at(j * ksp, active) >= i_c:
-                        latched = True
+                        latched_at = epoch
                         return end_ps + 1
             if older:
                 older, lift, hi = lifted(older, t, k)
@@ -733,6 +773,7 @@ def _run_engine(
                     return epoch + quiet_ps
                 t = proposal
                 proposal = -1.0
+                proposals += 1
                 rate = r_ref * exp(g_dark * (bias_at(t, active) - i_ref))
                 if rate > envelope * (1.0 + 1e-9):
                     raise SimulationError(
@@ -752,15 +793,137 @@ def _run_engine(
             epoch += after
             shift = after / PS_PER_SECOND
 
+    # the tables and the law as arrays, for the lanes
+    envs_a, masses_a, lifts_a = (np.array(v, dtype=float) for v in (envs + [rate_b], masses, lifts))
+    starts_a, ends_a = np.arange(n_int + 1) * ksp, np.arange(1, n_int + 2) * ksp
+    width = LANE_KERNELS
+
+    def lockstep(x: np.ndarray, e: np.ndarray, u: np.ndarray, window: np.ndarray, first: np.ndarray):
+        """Layer 2 in lockstep. Lane i is a click at x[i] ps with mass e[i];
+        row i of `u` holds its window's pulse uniforms, then its block. A
+        lane that could read past its block or would raise is also left to
+        the scalar loop. Returns each lane's last click (-1 if left), all
+        lanes' clicks sorted by lane with each lane's offset into them, and
+        each lane's drawn, evaluated, dropped, crossings and proposals."""
+        n = x.size
+        last, work = np.full(n, -1, np.int64), np.zeros((5, n), np.int64)
+        if latching or n < LANE_FLOOR:
+            return last, x, np.zeros(n + 1, np.int64), work
+        ids, ep, mass, nxt, w_end = np.arange(n), x.copy(), e.copy(), first.copy(), first + window
+        t, k, lift, hi = np.zeros(n), np.zeros(n, np.int64), np.ones(n), np.full(n, n_int)
+        prop, env, lim = np.full(n, -1.0), np.zeros(n), np.minimum(quiet_s, (end_ps - x) / PS_PER_SECOND)
+        old, cnt, trains = np.zeros(n, bool), np.zeros((5, n), np.int64), [(np.arange(n), x)]
+        # the kernels' click times, s since the epoch, oldest first, NaN for
+        # none; no lane holds more than `depth` older ones
+        act, depth = [np.full(n, np.nan) for _ in range(width)] + [np.zeros(n)], 0
+
+        def relift(r):
+            # lifted() for the lanes r
+            if r.size:
+                t_r, product, oldest = t[r], np.ones(r.size), np.full(r.size, np.nan)
+                for tc in (a[r] for a in act[width - depth:width]):
+                    live = t_r - tc < kdur
+                    product *= np.where(live, lifts_a[(np.where(live, t_r - tc, 0.0) / ksp).astype(np.int64)], 1.0)
+                    oldest = np.where(live & np.isnan(oldest), tc, oldest)
+                lift[r], old[r] = product, ~np.isnan(oldest)
+                hi[r] = np.where(old[r], np.maximum(((np.nan_to_num(oldest) + kdur) / ksp).astype(np.int64), k[r]) + 1, n_int)
+
+        def walk(w):
+            # the interval walk of the lanes w to their proposals; past the
+            # newest kernel every lift has fallen to 1 and the envelope is rate_b
+            while w.size:
+                kw = k[w]
+                env[w] = ew = lift[w] * envs_a[kw]
+                prop[w] = p = np.where(ew > 0.0, t[w] + mass[w] / ew, inf)
+                w = w[(p > ends_a[kw]) & (kw < n_int)]
+                kw, lw = k[w], lift[w]
+                cnt[3][w] += 1
+                target = masses_a[kw] + envs_a[kw] * (t[w] - starts_a[kw]) + mass[w] / lw
+                # bisect_right(masses, target, k + 1, hi + 1) - 1, at least k + 1
+                k[w] = kw = np.maximum(np.minimum(np.searchsorted(masses_a, target, "right") - 1, hi[w]), kw + 1)
+                mass[w] = np.maximum((target - masses_a[kw]) * lw, 0.0)
+                t[w] = starts_a[kw]
+                relift(w[(kw == hi[w]) & old[w]])
+
+        for _ in range(LANE_STEPS):
+            if not ids.size:
+                break
+            need = np.flatnonzero(prop < 0.0)
+            if dark:
+                d = need[mass[need] <= 0.0]
+                mass[d] = -_per_lane(log, 1.0 - u[ids[d], slots + cnt[0][d]])
+                cnt[0][d] += 1
+                walk(need)
+                mass[need] = 0.0
+            else:
+                prop[need] = inf
+            # a pulse before the proposal leaves it standing unless it clicks
+            after = np.full(ids.size, quiet_ps)
+            if n_pulses:
+                has = np.flatnonzero(nxt < n_pulses)
+                after[has] = train.times(nxt[has]) - ep[has]
+            pulse = after / PS_PER_SECOND <= prop
+            done = np.where(pulse, after >= quiet_ps, prop >= lim)
+            eject, kernels, clicked = np.zeros(ids.size, bool), act[width - depth:], [np.empty(0, np.int64)]
+            h = np.flatnonzero(pulse & ~done)
+            if h.size:
+                inside = nxt[h] < w_end[h]
+                u_h = u[ids[h], np.where(inside, nxt[h] - first[ids[h]], slots + cnt[0][h])]
+                cnt[0][h] += ~inside
+                cnt[1][h] += 1
+                nxt[h] += 1
+                yes = u_h < _per_lane(click_probability, lane_bias(after[h] / PS_PER_SECOND, [a[h] for a in kernels]))
+                # a click on the last one's ps is a sub-ps coincidence: dropped
+                cnt[2][h[yes & (after[h] <= 0)]] += 1
+                clicked.append(h[yes & (after[h] > 0)])
+            q = np.flatnonzero(~pulse & ~done)
+            if q.size:
+                t[q] = t_q = prop[q]
+                prop[q] = -1.0
+                cnt[4][q] += 1
+                rate = r_ref * _per_lane(exp, g_dark * (lane_bias(t_q, [a[q] for a in kernels]) - i_ref))
+                eject[q[rate > env[q] * (1.0 + 1e-9)]] = True
+                yes = u[ids[q], slots + cnt[0][q]] * env[q] <= rate
+                cnt[0][q] += 1
+                after[q] = np.rint(t_q * PS_PER_SECOND)
+                cnt[2][q[yes & (after[q] <= 0)]] += 1
+                clicked.append(q[yes & (after[q] > 0)])
+                relift(q[~(yes & (after[q] > 0)) & old[q]])
+            c = np.concatenate(clicked)
+            if c.size:
+                # a new click: its older kernels are the live ones; a lane
+                # that would hold more than LANE_KERNELS leaves
+                ep[c] += after[c]
+                shift = after[c] / PS_PER_SECOND
+                tcs = [a[c] for a in act]
+                live = [shift - tc < kdur for tc in tcs]
+                eject[c[live[0]]] = True
+                for a, tc, on in zip(act, tcs[1:], live[1:]):
+                    a[c] = np.where(on, tc - shift, np.nan)
+                act[width][c], depth = 0.0, min(depth + 1, width)
+                t[c], k[c], lift[c], hi[c], prop[c] = 0.0, 0, 1.0, n_int, -1.0
+                lim[c] = np.minimum(quiet_s, (end_ps - ep[c]) / PS_PER_SECOND)
+                relift(c[np.logical_or.reduce(live[1:])])
+                trains.append((ids[c], ep[c]))
+            fin = np.flatnonzero(done)
+            last[ids[fin]], work[:, ids[fin]] = ep[fin], cnt[:, fin]
+            keep = np.flatnonzero(~(done | eject) & (cnt[0] <= LANE_DRAWS - 2))
+            ids, ep, mass, nxt, w_end, t, k, lift, hi, prop, env, lim, old = (
+                v[keep] for v in (ids, ep, mass, nxt, w_end, t, k, lift, hi, prop, env, lim, old))
+            act, cnt = [a[keep] for a in act], cnt[:, keep]
+        lane, ps = (np.concatenate(v) for v in zip(*trains))
+        order = np.argsort(lane, kind="stable")
+        return last, ps[order], np.searchsorted(lane[order], np.arange(n + 1)), work
+
     # a quiescent detector sits at exactly I_b, so every pulse clicks with
     # this one probability, independently of the others and of the dark clicks
     p_quiet = click_probability(i_b)
 
     def accept(x: np.ndarray, free: int) -> int:
-        """Layer 1 on one time-ordered batch of candidates: gives each its
-        window draws, accepts the lone ones from `free` on in bulk and sends
-        every other reached one to the resolver; returns the new `free`."""
-        nonlocal n_lone
+        """Layers 1 and 2 on one time-ordered batch of candidates: accepts
+        the lone ones from `free` on in bulk and every other reached one's
+        train; returns the new `free`."""
+        nonlocal n_lone, drawn, evaluated, dropped, crossings, proposals
         m = x.size
         e = mass_rng.standard_exponential(m)
         draws = window_rng.random(m * slots).reshape(m, slots)
@@ -773,10 +936,12 @@ def _run_engine(
             if n_int:
                 lone &= e / envs[0] > ksp
         first = train.count(x)
+        window = np.zeros(m, np.int64)
         if slots:
             # the pulses before min(x + quiet_ps, end_ps); stamps are whole ps
             last = train.count(np.minimum(x, end_ps - quiet_ps) + (quiet_ps - 1))
             lone &= last - first <= slots
+            window = np.minimum(last - first, slots)
             for k in range(slots):
                 inside = np.flatnonzero(first + k < last)
                 if inside.size:
@@ -784,31 +949,57 @@ def _run_engine(
                     p = [click_probability(bias_at(d / PS_PER_SECOND, (0.0,))) for d in offsets.tolist()]
                     lone[inside] &= draws[inside, k] >= np.array(p)[which]
         if latching:
+            # every lane of a latching model goes to the scalar loop
             lone[:] = False
-        xs, after = x.tolist(), first.tolist()
-        window = np.minimum(last - first, slots).tolist() if slots else [0] * m
-        # a break: a candidate that is not lone, or has another in its window
-        breaks = np.flatnonzero(~lone | np.append(np.diff(x) < quiet_ps, False)).tolist()
-        lone = lone.tolist()
-        i = bisect.bisect_left(xs, free)
-        at = 0
-        while i < m:
-            at = bisect.bisect_left(breaks, i, at)
-            b = breaks[at] if at < len(breaks) else m
-            # i..b-1 are lone, each past the window of the one before
-            out.extend(xs[i:b])
-            n_lone += b - i
-            if b == m:
-                return xs[-1] + quiet_ps
-            if lone[b]:
-                out.append(xs[b])
-                n_lone += 1
-                free = xs[b] + quiet_ps
+        lanes = np.flatnonzero(~lone)
+        u = np.hstack([draws[lanes], resolver_rng.random((lanes.size, LANE_DRAWS))])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ends, ps, starts, work = lockstep(x[lanes], e[lanes], u, window[lanes], first[lanes])
+        # a break: a candidate that is not lone, or has another in its
+        # window, so the lone ones between two breaks each lie past the
+        # window of the one before. A reached break's train ends at its last
+        # click (-1: the scalar loop's), and the first candidate quiet_ps
+        # after that is reached next
+        breaks = np.flatnonzero(~lone | np.append(np.diff(x) < quiet_ps, False))
+        is_lane = ~lone[breaks]
+        stop = x[breaks]
+        stop[is_lane] = ends
+        to = np.searchsorted(x - quiet_ps, stop)
+        xs, bx, stop, to, to_at = x.tolist(), breaks.tolist(), stop.tolist(), to.tolist(), np.searchsorted(breaks, to).tolist()
+        lane_at = (np.cumsum(is_lane) - 1).tolist()
+        runs, seen, scalar = [bisect.bisect_left(xs, free)], [], []
+        at = bisect.bisect_left(bx, runs[0])
+        while at < len(bx):
+            seen.append(at)
+            if stop[at] < 0:
+                c, row = bx[at], u[lane_at[at]].tolist()
+                free = resolve(xs[c], float(e[c]), row[:window[c]], int(first[c]),
+                               itertools.chain(row[slots:], spare).__next__, scalar)
+                if latched_at is not None:
+                    break
+                to[at] = bisect.bisect_left(xs, free, bx[at] + 1)
+                to_at[at] = bisect.bisect_left(bx, to[at], at)
             else:
-                free = resolve(xs[b], float(e[b]), draws[b, :window[b]].tolist(), after[b])
-                if latched:
-                    return free
-            i = bisect.bisect_left(xs, free, b + 1)
+                free = stop[at] + quiet_ps
+            runs.append(to[at])
+            at = to_at[at]
+        if latched_at is None and runs[-1] < m:
+            free = xs[-1] + quiet_ps
+        # the lone candidates reached: the run from each reached candidate
+        # to the next break, and the lone breaks; the lanes reached
+        reached = np.zeros(len(bx), bool)
+        reached[seen] = True
+        edges = np.zeros(m + 1, np.int64)
+        edges[runs] += 1
+        edges[np.append(breaks[reached], m)[:len(runs)]] -= 1
+        taken = np.cumsum(edges[:m]) > 0
+        taken[breaks[reached & ~is_lane]] = True
+        kept = reached[is_lane] & (ends >= 0)
+        n_lone += int(np.count_nonzero(taken))
+        out.append(np.sort(np.concatenate([x[taken], ps[np.repeat(kept, np.diff(starts))], np.array(scalar, np.int64)]),
+                           kind="stable"))
+        drawn, evaluated, dropped, crossings, proposals = (
+            a + b for a, b in zip((drawn, evaluated, dropped, crossings, proposals), work[:, kept].sum(1).tolist()))
         return free
 
     def successes(gen: np.random.Generator, p: float, n: int, site):
@@ -840,7 +1031,7 @@ def _run_engine(
     ]
     pending = [(np.empty(0, np.int64), True)] * len(streams)
     free, n_candidates = start_ps, 0
-    while not latched and any(more for _, more in pending):
+    while latched_at is None and any(more for _, more in pending):
         pending = [next(draw, (x, False)) if more and not x.size else (x, more)
                    for draw, (x, more) in zip(streams, pending)]
         ends = [x[-1] for x, more in pending if more]
@@ -849,11 +1040,14 @@ def _run_engine(
         batch = np.sort(np.concatenate([x[:k] for (x, _), k in zip(pending, cuts)]), kind="stable")
         pending = [(x[k:], more) for (x, more), k in zip(pending, cuts)]
         if batch.size:
-            n_candidates += batch.size
             free = accept(batch, free)
+            # a latched run counts no candidate after its latch
+            n_candidates += batch.size if latched_at is None else int(np.count_nonzero(batch <= latched_at))
 
-    # every pulse the resolver did not evaluate was a candidate or decided
-    # with one (stepped over)
+    # every pulse up to the latch that the resolver did not evaluate was a
+    # candidate or decided with one (stepped over)
+    pulses = n_pulses if latched_at is None else int(train.count(latched_at))
     uniforms = n_candidates * (2 + slots) + drawn
-    counters = (uniforms, evaluated, n_pulses - evaluated, dropped, crossings, n_lone)
-    return np.asarray(out, dtype=np.int64), dict(zip(ENGINE_COUNTERS, counters))
+    counters = (uniforms, evaluated, pulses - evaluated, dropped, crossings, n_lone, proposals)
+    clicks = np.concatenate(out) if out else np.empty(0, np.int64)
+    return clicks, {**dict(zip(ENGINE_COUNTERS, counters)), "latched_at_ps": latched_at}

@@ -572,7 +572,7 @@ class TestEngineCounters:
         assert engine["pulses_evaluated"] == engine["pulses_skipped"] == 0
         # a candidate costs two draws, its time and its window's mass, and a
         # lone one nothing more; a resolved window thins its proposals, so
-        # at 25.2 uA a click costs under 3 uniforms (222 for 111 clicks)
+        # at 25.2 uA a click costs under 3 uniforms (216 for 108 clicks)
         clicks = s.detector_events.size
         assert 0 < engine["lone"] < clicks
         assert 2 * engine["lone"] < engine["uniforms"] <= 3 * clicks
@@ -711,7 +711,10 @@ class TestEngineCounters:
 
     def test_zero_duration_counters(self):
         s = simulate(model_at(25.0e-6), StimulusConfig.periodic(1e6, 1.0), 0.0, 1)
-        assert set(s.metadata["engine"].values()) == {0}
+        engine = dict(s.metadata["engine"])
+        assert engine.pop("latched_at_ps") is None
+        assert set(engine) == set(simulation.ENGINE_COUNTERS)
+        assert set(engine.values()) == {0}
 
 
 class TestEpochClock:
@@ -810,21 +813,22 @@ class TestModelTables:
     @pytest.mark.parametrize("kernel", ["profile", "wide-band", "signed"])
     def test_lifted_envelope_bounds_an_older_kernel(self, kernel, bias_ua):
         # an older kernel clicked `age` before the newest lifts the newest's
-        # envelope by exp(g * its suffix maximum at its age). The tightest
+        # envelope by exp(g * its suffix maximum at its age), the lifts
+        # table's entry for the interval of its age. The tightest
         # lift, taken at the time itself, must bound the array law of both
         # clicks on a grid inside every interval while the older one is
         # live; a lift taken earlier is larger. Ages 1-230 ns cover a child
         # on the rise, the peak and the fall of its parent's bump (every
         # 10 ns on the wide-band kernel's 80,000 intervals)
         m = table_model(kernel, bias_ua * 1e-6)
-        tables, g = m._tables, m.rates.dark_rate_slope
-        envs, suffix, ksp = np.array(tables.envs), np.array(tables.suffix), tables.sample_period
+        tables = m._tables
+        envs, lifts, ksp = np.array(tables.envs), np.array(tables.lifts), tables.sample_period
         k = np.repeat(np.arange(envs.size), 9)
         d = (k + np.tile(np.linspace(0.0, 1.0, 9), envs.size)) * ksp
         for age in np.arange(1, 231, 10 if kernel == "wide-band" else 1) * 1e-9:
             live = d + age < m.kernel.duration
             t = d[live]
-            lift = np.exp(g * suffix[((t + age) / ksp).astype(np.int64)])
+            lift = lifts[((t + age) / ksp).astype(np.int64)]
             law = m.rates.dark_rate(effective_bias(m, t, [-age, 0.0]))
             assert np.all(lift * envs[k[live]] * (1.0 + 1e-9) >= law), f"older kernel at {age:.0e} s"
 
@@ -844,7 +848,7 @@ class TestModelTables:
     def test_one_kernel_tables_match_the_loop(self, kernel):
         # the envelopes in math.exp per interval, from the recovery law in
         # math.exp at the interval ends, and the masses as a running sum,
-        # bit for bit; the suffix maxima are the kernel's own
+        # bit for bit; the lifts are exp(g * the kernel's own suffix maxima)
         m = table_model(kernel, 25.2e-6)
         tables, rates, c = m._tables, m.rates, m.circuit
         samples, ksp = m.kernel.samples.tolist(), tables.sample_period
@@ -865,7 +869,7 @@ class TestModelTables:
             masses.append(masses[-1] + envs[-1] * ksp)
         assert tables.envs == envs
         assert tables.masses == masses
-        assert tables.suffix == m.kernel.max_remaining().tolist()
+        assert tables.lifts == [math.exp(rates.dark_rate_slope * s) for s in m.kernel.max_remaining().tolist()]
 
     def test_zero_kernel_has_the_empty_tables(self):
         # an identically zero kernel has no effect: its tables are those of
@@ -958,56 +962,56 @@ PINNED_NUMPY = "2.4"
 # SHA-256 of detector_events.tobytes() and metadata["engine"] of each run
 PINNED = {
     "dark-1e5-23.0uA-0.5MHz": (
-        "381338c624ac64853539894b50236bb45efc5fae22f0a9c18990044957270c20",
-        {"uniforms": 453, "pulses_evaluated": 3, "pulses_skipped": 49997, "coincidences_dropped": 0, "crossings": 29, "lone": 136},
+        "a9ecdb031b322c6624f6a0c3de8b10aaf43b493b090ffbd9df9726c7056e6581",
+        {"uniforms": 451, "pulses_evaluated": 3, "pulses_skipped": 49997, "coincidences_dropped": 0, "crossings": 27, "lone": 136, "proposals": 10, "latched_at_ps": None},
     ),
     "dark-1e5-23.0uA-0.5MHz-null-kernel": (
         "a9ab11969631b0d2677a611ea1adb1dd2c7ce0c76824514d8bad70a53c88aee0",
-        {"uniforms": 429, "pulses_evaluated": 0, "pulses_skipped": 50000, "coincidences_dropped": 0, "crossings": 0, "lone": 143},
+        {"uniforms": 429, "pulses_evaluated": 0, "pulses_skipped": 50000, "coincidences_dropped": 0, "crossings": 0, "lone": 143, "proposals": 0, "latched_at_ps": None},
     ),
     "double-1000ns": (
-        "a20f1a9d60c1f57be4394b4acb360b2a174139d235ca5dd86bedf8f494731758",
-        {"uniforms": 1668, "pulses_evaluated": 14, "pulses_skipped": 49986, "coincidences_dropped": 0, "crossings": 141, "lone": 473},
+        "98fb390dbfb2e40fe2df130b8366f929a4e2b26205cf93d2cb1e404621aeb153",
+        {"uniforms": 1672, "pulses_evaluated": 16, "pulses_skipped": 49984, "coincidences_dropped": 0, "crossings": 144, "lone": 473, "proposals": 51, "latched_at_ps": None},
     ),
     "double-180ns": (
-        "1e8d815305c2ceb5209e0929a9a0e6de03454cd0cb303d8a0d499ebe0a4c1dcb",
-        {"uniforms": 2189, "pulses_evaluated": 37, "pulses_skipped": 49963, "coincidences_dropped": 0, "crossings": 151, "lone": 468},
+        "17f8f399f8fa6f66f41ecc837f1d7e570776f8e577edc011db3d74bce288f8a9",
+        {"uniforms": 2194, "pulses_evaluated": 38, "pulses_skipped": 49962, "coincidences_dropped": 0, "crossings": 153, "lone": 468, "proposals": 51, "latched_at_ps": None},
     ),
     "double-80ns": (
-        "5901e55fe4f643a7812de881848eb55d14fa0941b3f2f9d503bc59735e85d00d",
-        {"uniforms": 2178, "pulses_evaluated": 32, "pulses_skipped": 49968, "coincidences_dropped": 0, "crossings": 131, "lone": 472},
+        "5d02309335b7354bd6bc41da17ea6a6338580d64c84c88863063ce2187f70f34",
+        {"uniforms": 2190, "pulses_evaluated": 34, "pulses_skipped": 49966, "coincidences_dropped": 0, "crossings": 142, "lone": 472, "proposals": 51, "latched_at_ps": None},
     ),
     "kernel-2us-1MHz-mu1e4": (
-        "aafb5cef865c1e992a644b7300b4a61e0471ddb80526e7f5311efe0aa909c840",
-        {"uniforms": 14896, "pulses_evaluated": 1999, "pulses_skipped": 1, "coincidences_dropped": 0, "crossings": 7074, "lone": 0},
+        "c0bd65de9cbd7ecc77b91eb27e1f3e0ac8e36a80a2ac9bd104723505de0d3015",
+        {"uniforms": 14843, "pulses_evaluated": 1999, "pulses_skipped": 1, "coincidences_dropped": 0, "crossings": 6999, "lone": 0, "proposals": 419, "latched_at_ps": None},
     ),
     "null-kernel-1MHz": (
         "9612d720edb68713f34b1b8f7a84a1862a1baa553bfee4b6046503cb862df0d6",
-        {"uniforms": 1645, "pulses_evaluated": 2, "pulses_skipped": 19998, "coincidences_dropped": 0, "crossings": 0, "lone": 542},
+        {"uniforms": 1645, "pulses_evaluated": 2, "pulses_skipped": 19998, "coincidences_dropped": 0, "crossings": 0, "lone": 542, "proposals": 1, "latched_at_ps": None},
     ),
     "periodic-0.5MHz-mu0": (
-        "ca68ea3c42c7afbb4e75b7736488d4d21bfd731b91bbe22c6a5ac5ce02cf4390",
-        {"uniforms": 429, "pulses_evaluated": 9, "pulses_skipped": 24991, "coincidences_dropped": 0, "crossings": 65, "lone": 109},
+        "06ed113ac53583dfe33aa6ae6499fc3f1bc2066f0b4255cebcbb66b060d894cf",
+        {"uniforms": 426, "pulses_evaluated": 10, "pulses_skipped": 24990, "coincidences_dropped": 0, "crossings": 60, "lone": 109, "proposals": 23, "latched_at_ps": None},
     ),
     "periodic-0.5MHz-mu10": (
-        "a28796901250f8c997b39dd84c340a206ca4a25784ddaff16f76260b027bfa20",
-        {"uniforms": 7624, "pulses_evaluated": 10, "pulses_skipped": 9990, "coincidences_dropped": 0, "crossings": 797, "lone": 2079},
+        "0b3c6c197190964a8008a7af6356e3cfabb5d0cc11ad3da7c061bfd8dd888f0f",
+        {"uniforms": 7610, "pulses_evaluated": 10, "pulses_skipped": 9990, "coincidences_dropped": 0, "crossings": 806, "lone": 2079, "proposals": 292, "latched_at_ps": None},
     ),
     "periodic-0.5MHz-mu1e4": (
-        "6c6b8e6338ebf50769a8e70b1bf59cfa9cc5f766aeb8b82c2a8e467d1dd4e8de",
-        {"uniforms": 6577, "pulses_evaluated": 3, "pulses_skipped": 1997, "coincidences_dropped": 0, "crossings": 750, "lone": 1762},
+        "9bb4310a0513e7edd3760a1384e61c51386a2f8402609cdf7c10b07241527241",
+        {"uniforms": 6589, "pulses_evaluated": 3, "pulses_skipped": 1997, "coincidences_dropped": 0, "crossings": 770, "lone": 1762, "proposals": 275, "latched_at_ps": None},
     ),
     "unshunted-dark-24.0uA": (
         "c8a76e4568fe489dbd704a7d2bbadfcedc5d6137e96d3003033932f27ce35e60",
-        {"uniforms": 40, "pulses_evaluated": 0, "pulses_skipped": 0, "coincidences_dropped": 0, "crossings": 0, "lone": 0},
+        {"uniforms": 2, "pulses_evaluated": 0, "pulses_skipped": 0, "coincidences_dropped": 0, "crossings": 0, "lone": 0, "proposals": 0, "latched_at_ps": 2719896643},
     ),
     "unshunted-latching-1MHz": (
         "991731e9ee48aaf0a804649f3237051ffe5f5a00cbaa1e0fd8ec63b3c74e5bee",
-        {"uniforms": 948, "pulses_evaluated": 0, "pulses_skipped": 10000, "coincidences_dropped": 0, "crossings": 0, "lone": 0},
+        {"uniforms": 3, "pulses_evaluated": 0, "pulses_skipped": 17, "coincidences_dropped": 0, "crossings": 0, "lone": 0, "proposals": 0, "latched_at_ps": 16000000},
     ),
     "zero-kernel-1MHz": (
         "9612d720edb68713f34b1b8f7a84a1862a1baa553bfee4b6046503cb862df0d6",
-        {"uniforms": 1645, "pulses_evaluated": 2, "pulses_skipped": 19998, "coincidences_dropped": 0, "crossings": 0, "lone": 542},
+        {"uniforms": 1645, "pulses_evaluated": 2, "pulses_skipped": 19998, "coincidences_dropped": 0, "crossings": 0, "lone": 542, "proposals": 1, "latched_at_ps": None},
     ),
 }
 
@@ -1035,3 +1039,102 @@ class TestPinnedRealizations:
         digest = hashlib.sha256(s.detector_events.tobytes()).hexdigest()
         assert (digest, s.metadata["engine"]) == PINNED[case], (
             f"pinned with NumPy {PINNED_NUMPY}.x, run with NumPy {np.__version__}")
+
+
+# the stimuli of the chunk-seam and longer-run-prefix tests, at 25.2 uA
+SEAM_STIMULI = {
+    "dark": StimulusConfig.none(),
+    "periodic": StimulusConfig.periodic(0.5e6, 10.0),
+    "double-180ns": StimulusConfig.double_pulse(180e-9, 1.0),
+}
+
+# the runs on which the lockstep and the scalar loop must agree byte for
+# byte: every pinned run, the seam and prefix stimuli at both their seeds,
+# the 2 us kernel, 20 us of test_dense_train_agrees's 1 GHz train and a few
+# more
+LOCKSTEP_RUNS = {
+    **PINNED_RUNS,
+    **{f"{name}-25.2uA-seed{seed}": (lambda stimulus=stimulus, seed=seed: (model_at(25.2e-6), stimulus, 0.05, seed))
+       for name, stimulus in SEAM_STIMULI.items() for seed in (1, 7)},
+    "2us-kernel-dark": lambda: (two_us_kernel(25.2e-6), StimulusConfig.none(), 0.02, 3),
+    "1GHz-20us": lambda: (model_at(25.0e-6), StimulusConfig.periodic(1e9, 1.0), 20e-6, 81),
+    # no dark proposal, so a lane ends at a pulse; and kernels that change
+    # sign or span 80,000 intervals
+    "zero-dark-1MHz": lambda: (
+        dataclasses.replace(model_at(25.0e-6), rates=dataclasses.replace(model_at(25.0e-6).rates, dark_rate_ref=0.0)),
+        StimulusConfig.periodic(1e6, 1.0), 0.01, 1),
+    "signed-kernel-dark": lambda: (table_model("signed", 25.2e-6), StimulusConfig.none(), 0.02, 2),
+    "wide-band-kernel-dark": lambda: (table_model("wide-band", 25.2e-6), StimulusConfig.none(), 0.02, 2),
+}
+
+
+class TestLockstep:
+    """Layer 2 resolves a lane in NumPy lockstep or in the scalar loop, and
+    both give the same clicks and counters: with no lockstep step (K = 0),
+    with one, and with the default LANE_STEPS, both at a lane floor of 1,
+    so that every chunk takes the lockstep, and at the default floor; and
+    with as many steps as a lane has block uniforms, so that lanes leave
+    the lockstep before they would read past their block."""
+
+    def runs(self, monkeypatch, model, stimulus, duration, seed):
+        steps, floor = simulation.LANE_STEPS, simulation.LANE_FLOOR
+        out = {}
+        for k, f in ((0, 1), (1, 1), (steps, 1), (steps, floor), (simulation.LANE_DRAWS, 1)):
+            monkeypatch.setattr(simulation, "LANE_STEPS", k)
+            monkeypatch.setattr(simulation, "LANE_FLOOR", f)
+            s = simulate(model, stimulus, duration, seed)
+            out[f"K={k}, floor={f}"] = (hashlib.sha256(s.detector_events.tobytes()).hexdigest(), s.metadata["engine"])
+        return out
+
+    def assert_agree(self, runs):
+        (_, scalar), *lockstep = runs.items()
+        for name, run in lockstep:
+            assert run == scalar, name
+
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_RUNS))
+    def test_lockstep_agrees_with_the_scalar_loop(self, monkeypatch, case):
+        self.assert_agree(self.runs(monkeypatch, *LOCKSTEP_RUNS[case]()))
+
+    @pytest.mark.parametrize("stimulus", sorted(SEAM_STIMULI))
+    def test_lockstep_agrees_across_chunk_seams(self, monkeypatch, stimulus):
+        # chunks of 64 draws hold 21 to 64 candidates, so lanes meet the
+        # lanes and trains of the chunk before
+        monkeypatch.setattr(simulation, "CANDIDATE_CHUNK", 64)
+        self.assert_agree(self.runs(monkeypatch, model_at(25.2e-6), SEAM_STIMULI[stimulus], 0.05, 1))
+
+    def test_a_lane_inside_an_earlier_lanes_train_is_dropped(self, monkeypatch):
+        # at a dark rate of 1.2e7/s no candidate is lone, and about half of
+        # them lie inside the train of a lane before them. The lockstep
+        # resolves every lane, the scalar loop only those the detector
+        # reaches, and both keep only those: every kept lane's candidate is
+        # a click, so fewer clicks than 0.6 of the candidates means 40% of
+        # them were dropped
+        m = model_at(24.0e-6, kernel_amplitude=0.0)
+        m = dataclasses.replace(m, rates=dataclasses.replace(m.rates, dark_rate_ref=1e8))
+        runs = self.runs(monkeypatch, m, StimulusConfig.none(), 2e-4, 5)
+        self.assert_agree(runs)
+        s = simulate(m, StimulusConfig.none(), 2e-4, 5)
+        candidates = 2e-4 * float(m.rates.dark_rate(m.circuit.bias_current))
+        assert s.metadata["engine"]["lone"] == 0
+        assert 0 < s.detector_events.size < 0.6 * candidates
+
+
+class TestLatchedCounters:
+    @pytest.mark.parametrize("case", ["unshunted-latching-1MHz", "unshunted-dark-24.0uA"])
+    def test_a_latched_run_counts_nothing_past_its_latch(self, case):
+        # the counters stop at the click the run latches on: the pulses
+        # evaluated and skipped are those at or before it, and the run
+        # counts what the same run cut 1 ps after the latch counts
+        model, stimulus, duration, seed = PINNED_RUNS[case]()
+        s = simulate(model, stimulus, duration, seed)
+        engine = s.metadata["engine"]
+        latch = engine["latched_at_ps"]
+        assert latch == s.detector_events[-1]
+        pulses = int(make_stimulus(stimulus, s.duration_ps).count(latch))
+        assert engine["pulses_evaluated"] + engine["pulses_skipped"] == pulses
+        cut = simulate(model, stimulus, (latch + 1) / PS_PER_SECOND, seed)
+        assert cut.metadata["engine"] == engine
+
+    def test_a_run_that_does_not_latch_has_no_latch_time(self):
+        m = TestLatching().latch_model(False, "none")
+        assert simulate(m, StimulusConfig.none(), 0.01, 9).metadata["engine"]["latched_at_ps"] is None
