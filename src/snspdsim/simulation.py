@@ -793,9 +793,6 @@ def _run_engine(
             epoch += after
             shift = after / PS_PER_SECOND
 
-    # the tables and the law as arrays, for the lanes
-    envs_a, masses_a, lifts_a = (np.array(v, dtype=float) for v in (envs + [rate_b], masses, lifts))
-    starts_a, ends_a = np.arange(n_int + 1) * ksp, np.arange(1, n_int + 2) * ksp
     width = LANE_KERNELS
 
     def lockstep(x: np.ndarray, e: np.ndarray, u: np.ndarray, window: np.ndarray, first: np.ndarray):
@@ -808,7 +805,10 @@ def _run_engine(
         n = x.size
         last, work = np.full(n, -1, np.int64), np.zeros((5, n), np.int64)
         if latching or n < LANE_FLOOR:
-            return last, x, np.zeros(n + 1, np.int64), work
+            return last, x[:0], np.zeros(n + 1, np.int64), work
+        # the tables as arrays; interval n_int, past the kernel, has rate_b
+        envs_a, masses_a, lifts_a = (np.array(v, dtype=float) for v in (envs + [rate_b], masses, lifts))
+        starts_a, ends_a = np.arange(n_int + 1) * ksp, np.arange(1, n_int + 2) * ksp
         ids, ep, mass, nxt, w_end = np.arange(n), x.copy(), e.copy(), first.copy(), first + window
         t, k, lift, hi = np.zeros(n), np.zeros(n, np.int64), np.ones(n), np.full(n, n_int)
         prop, env, lim = np.full(n, -1.0), np.zeros(n), np.minimum(quiet_s, (end_ps - x) / PS_PER_SECOND)
@@ -834,7 +834,7 @@ def _run_engine(
             while w.size:
                 kw = k[w]
                 env[w] = ew = lift[w] * envs_a[kw]
-                prop[w] = p = np.where(ew > 0.0, t[w] + mass[w] / ew, inf)
+                prop[w] = p = t[w] + np.divide(mass[w], ew, out=np.full(w.size, inf), where=ew > 0.0)
                 w = w[(p > ends_a[kw]) & (kw < n_int)]
                 kw, lw = k[w], lift[w]
                 cnt[3][w] += 1
@@ -953,8 +953,7 @@ def _run_engine(
             lone[:] = False
         lanes = np.flatnonzero(~lone)
         u = np.hstack([draws[lanes], resolver_rng.random((lanes.size, LANE_DRAWS))])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ends, ps, starts, work = lockstep(x[lanes], e[lanes], u, window[lanes], first[lanes])
+        ends, ps, starts, work = lockstep(x[lanes], e[lanes], u, window[lanes], first[lanes])
         # a break: a candidate that is not lone, or has another in its
         # window, so the lone ones between two breaks each lie past the
         # window of the one before. A reached break's train ends at its last
@@ -966,13 +965,14 @@ def _run_engine(
         stop[is_lane] = ends
         to = np.searchsorted(x - quiet_ps, stop)
         xs, bx, stop, to, to_at = x.tolist(), breaks.tolist(), stop.tolist(), to.tolist(), np.searchsorted(breaks, to).tolist()
-        lane_at = (np.cumsum(is_lane) - 1).tolist()
+        # the draws of the lanes the scalar loop resolves
+        rows = dict(zip(np.flatnonzero(is_lane)[ends < 0].tolist(), u[ends < 0].tolist()))
         runs, seen, scalar = [bisect.bisect_left(xs, free)], [], []
         at = bisect.bisect_left(bx, runs[0])
         while at < len(bx):
             seen.append(at)
             if stop[at] < 0:
-                c, row = bx[at], u[lane_at[at]].tolist()
+                c, row = bx[at], rows[at]
                 free = resolve(xs[c], float(e[c]), row[:window[c]], int(first[c]),
                                itertools.chain(row[slots:], spare).__next__, scalar)
                 if latched_at is not None:
