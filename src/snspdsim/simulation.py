@@ -796,12 +796,13 @@ def _run_engine(
     width = LANE_KERNELS
 
     def lockstep(x: np.ndarray, e: np.ndarray, u: np.ndarray, window: np.ndarray, first: np.ndarray):
-        """Layer 2 in lockstep. Lane i is a click at x[i] ps with mass e[i];
-        row i of `u` holds its window's pulse uniforms, then its block. A
-        lane that could read past its block or would raise is also left to
-        the scalar loop. Returns each lane's last click (-1 if left), all
-        lanes' clicks sorted by lane with each lane's offset into them, and
-        each lane's drawn, evaluated, dropped, crossings and proposals."""
+        """Layer 2 in lockstep (see `simulate`). Lane i is a click at x[i]
+        ps with mass e[i]; row i of `u` holds its window's pulse uniforms,
+        then its block. Besides the lanes `simulate` names, one that could
+        read past its block or would raise is left to the scalar loop.
+        Returns each lane's last click (-1 if left), all lanes' clicks
+        sorted by lane with each lane's offset into them, and each lane's
+        drawn, evaluated, dropped, crossings and proposals."""
         n = x.size
         last, work = np.full(n, -1, np.int64), np.zeros((5, n), np.int64)
         if latching or n < LANE_FLOOR:
