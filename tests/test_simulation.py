@@ -954,9 +954,10 @@ PINNED_RUNS = {
 }
 
 # the NumPy feature release the pins were made with: Generator.geometric
-# draws the dark and the laser candidates and standard_exponential their
-# window masses, and NumPy's random policy (NEP 19) does not promise a
-# Generator method's stream across feature releases
+# draws the dark and the laser candidates, standard_exponential their
+# window masses and random the window and lane uniforms, and NumPy's random
+# policy (NEP 19) does not promise a Generator method's stream across
+# feature releases
 PINNED_NUMPY = "2.4"
 
 # SHA-256 of detector_events.tobytes() and metadata["engine"] of each run
