@@ -413,8 +413,10 @@ def simulate(
     the scalar loop's operation order with math.exp and math.log per lane,
     so its bits do not depend on the SIMD level; the scalar loop (`resolve`)
     reruns with the same draws a lane still live after LANE_STEPS steps, or
-    holding more than LANE_KERNELS older kernels, and every lane of a chunk
-    of fewer than LANE_FLOOR or of a model that can latch. Each pass
+    holding more than LANE_KERNELS older kernels, and resolves, if the
+    detector reaches it, every lane of a chunk of fewer than LANE_FLOOR or
+    of a model that can latch, and one within quiet_ps after the candidate
+    before it, which mostly lies in that one's train. Each pass
     evaluates the next pulse, which leaves the proposal standing unless it
     clicks, or thins the next dark proposal of a piecewise-constant
     envelope (Ogata's local bound), whose mass used up to a step is spent
@@ -954,7 +956,11 @@ def _run_engine(
             lone[:] = False
         lanes = np.flatnonzero(~lone)
         u = np.hstack([draws[lanes], resolver_rng.random((lanes.size, LANE_DRAWS))])
-        ends, ps, starts, work = lockstep(x[lanes], e[lanes], u, window[lanes], first[lanes])
+        # a lane within quiet_ps after the candidate before it mostly lies in
+        # that one's train: the scalar loop resolves it if it is reached
+        open_ = np.flatnonzero(np.append(True, np.diff(x) >= quiet_ps)[lanes])
+        ends = np.full(lanes.size, -1, np.int64)
+        ends[open_], ps, starts, work = lockstep(*(v[open_] for v in (x[lanes], e[lanes], u, window[lanes], first[lanes])))
         # a break: a candidate that is not lone, or has another in its
         # window, so the lone ones between two breaks each lie past the
         # window of the one before. A reached break's train ends at its last
@@ -966,14 +972,13 @@ def _run_engine(
         stop[is_lane] = ends
         to = np.searchsorted(x - quiet_ps, stop)
         xs, bx, stop, to, to_at = x.tolist(), breaks.tolist(), stop.tolist(), to.tolist(), np.searchsorted(breaks, to).tolist()
-        # the draws of the lanes the scalar loop resolves
-        rows = dict(zip(np.flatnonzero(is_lane)[ends < 0].tolist(), u[ends < 0].tolist()))
+        lane_at = (np.cumsum(is_lane) - 1).tolist()
         runs, seen, scalar = [bisect.bisect_left(xs, free)], [], []
         at = bisect.bisect_left(bx, runs[0])
         while at < len(bx):
             seen.append(at)
             if stop[at] < 0:
-                c, row = bx[at], rows[at]
+                c, row = bx[at], u[lane_at[at]].tolist()
                 free = resolve(xs[c], float(e[c]), row[:window[c]], int(first[c]),
                                itertools.chain(row[slots:], spare).__next__, scalar)
                 if latched_at is not None:
@@ -997,6 +1002,7 @@ def _run_engine(
         taken[breaks[reached & ~is_lane]] = True
         kept = reached[is_lane] & (ends >= 0)
         n_lone += int(np.count_nonzero(taken))
+        kept = kept[open_]
         out.append(np.sort(np.concatenate([x[taken], ps[np.repeat(kept, np.diff(starts))], np.array(scalar, np.int64)]),
                            kind="stable"))
         drawn, evaluated, dropped, crossings, proposals = (
