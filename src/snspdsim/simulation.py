@@ -54,7 +54,8 @@ WINDOW_SLOTS = 16
 LANE_STEPS = 4
 LANE_DRAWS = 8
 LANE_KERNELS = 2
-# fewer live lanes than this are left to the scalar loop
+# a chunk with fewer lanes than this for the lockstep leaves them all to
+# the scalar loop
 LANE_FLOOR = 256
 
 
@@ -952,7 +953,8 @@ def _run_engine(
                     p = [click_probability(bias_at(d / PS_PER_SECOND, (0.0,))) for d in offsets.tolist()]
                     lone[inside] &= draws[inside, k] >= np.array(p)[which]
         if latching:
-            # every lane of a latching model goes to the scalar loop
+            # on a model that can latch every candidate is a lane, and the
+            # scalar loop resolves each one the detector reaches
             lone[:] = False
         lanes = np.flatnonzero(~lone)
         u = np.hstack([draws[lanes], resolver_rng.random((lanes.size, LANE_DRAWS))])
