@@ -23,7 +23,8 @@ lone clicks (those the first layer accepts in bulk, 0 for an engine
 without one) and dark proposals thinned, each per click, and the pulses the resolver evaluated and
 skipped, over the seed-3 runs of fig4, fig8, fig9 and fig10, over dark
 runs at 23.0 and 25.2 uA and over a dense train, a 1 GHz laser at mu = 1
-and 25.0 uA, where the resolver evaluates most pulses (`engine_work`). Last, it runs the Tier-1 suite
+and 25.0 uA, where every window holds a pulse that may click
+(`engine_work`). Last, it runs the Tier-1 suite
 once in each checkout, the parent first, and records its wall time and
 summary line.
 `nproc`, the Python and NumPy versions and both commits are recorded too.

@@ -40,14 +40,9 @@ ENGINE_COUNTERS = (
     "proposals",
 )
 
-# the most candidates, each with its window draws, that one chunk of the
-# engine's first layer draws from a stream: memory stays bounded whatever
-# the run's length
+# the most candidates that one chunk of the engine's first layer draws from
+# a stream: memory stays bounded whatever the run's length
 CANDIDATE_CHUNK = 1 << 14
-# the most pulse draws a candidate's window holds; a window with more
-# pulses (a train faster than about 20 MHz) goes to the resolver, which
-# evaluates them one by one
-WINDOW_SLOTS = 16
 # the resolver's lockstep lanes: the passes of its loop they take in NumPy
 # before the scalar loop finishes a lane, the uniforms each lane draws in
 # layer 1, and the older kernels a lane holds
@@ -292,7 +287,7 @@ class TimeTagStream:
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             object.__setattr__(self, name, arr)
             if arr.size:
-                if np.any(np.diff(arr) <= 0):
+                if np.any(arr[1:] <= arr[:-1]):
                     raise StreamValidationError(f"{name} must be strictly increasing")
                 if arr[0] < 0 or arr[-1] > self.duration_ps:
                     raise StreamValidationError(f"{name} must lie within [0, duration]")
@@ -389,54 +384,61 @@ def simulate(
     generator's own draws, the exact ps image of the quiescent process, and
     laser ones on the pulses at p_quiet. The generator spawns five streams,
     laser, window, resolver, mass and spare, so a longer run's draws extend
-    a shorter one's. In time order, each candidate gets a unit-exponential
-    mass E (`Generator.standard_exponential`) and one window uniform for
-    each of the most pulses that can lie within quiet_ps after it
-    (`_window_slots`, at most WINDOW_SLOTS: a window with more pulses is
-    never lone). A candidate is lone when a click there has no further event
-    before quiet_ps: E proposes nothing in its window (E/envs[0] > the
-    sample period, E >= M and kdur + (E - M)/rate_b >= t_q, layer 2's own
-    first bisection, M being the envelope mass of all the kernel's
-    intervals; without a live kernel, no interval and M = 0), and no pulse
-    in the window clicks (its uniform at or above its click probability from
-    the scalar law, once per distinct ps offset). Lone candidates from
-    quiet_ps after the last kept click on are accepted in bulk. Every other
-    one (on a model that can latch, every one) is a lane, with a block of
-    LANE_DRAWS resolver uniforms drawn in candidate order.
+    a shorter one's. The efficiency saturates at efficiency_max, so no pulse
+    clicks with more than p_max = 1 - exp(-mu * efficiency_max), a constant
+    of the run (0 without pulses): the pulses that may click are
+    Bernoulli(p_max) trials, independent of the clicks (so a skip drawn
+    before a click holds after it), and one that may clicks with its click
+    probability / p_max, an exact discrete thinning (Devroye 1986). In time
+    order, each candidate gets a unit-exponential mass E
+    (`Generator.standard_exponential`) and, if p_max > 0, one
+    `Generator.geometric` skip at p_max to its first pulse that may click. A
+    candidate is lone when a click there has no further event before
+    quiet_ps: E proposes nothing in its window (E/envs[0] > the sample
+    period, E >= M and kdur + (E - M)/rate_b >= t_q, layer 2's own first
+    bisection, M being the envelope mass of all the kernel's intervals;
+    without a live kernel, no interval and M = 0), and its skip passes the
+    window's pulses. Lone candidates from quiet_ps after the last kept click
+    on are accepted in bulk. Every other one (on a model that can latch,
+    every one) is a lane, with a block of LANE_DRAWS resolver uniforms drawn
+    in candidate order.
 
     Layer 2 runs the true law from a lane's click until its next event lies
     quiet_ps or more after its last click; the candidates before that are
-    dropped, as is a lane the detector does not reach. A lane reads its
-    window draws, so that the lone test and layer 2 agree on every sample,
-    then its block, then the spare stream in the order the trains are
-    reached, so its train does not depend on the lanes before it. A NumPy
-    lockstep takes all lanes of a chunk one pass of the loop per step, in
-    the scalar loop's operation order with math.exp and math.log per lane,
-    so its bits do not depend on the SIMD level; the scalar loop (`resolve`)
-    reruns with the same draws a lane still live after LANE_STEPS steps, or
-    holding more than LANE_KERNELS older kernels, and resolves, if the
-    detector reaches it, every lane of a chunk of fewer than LANE_FLOOR or
-    of a model that can latch, and one within quiet_ps after the candidate
-    before it, which mostly lies in that one's train. Each pass
-    evaluates the next pulse, which leaves the proposal standing unless it
-    clicks, or thins the next dark proposal of a piecewise-constant
-    envelope (Ogata's local bound), whose mass used up to a step is spent
-    and the rest carried over (memorylessness). The newest click is bounded
-    over each of its kernel sample intervals k by envs[k], the dark rate at
-    the larger recovery at the interval's ends (the recovery falls, then
-    rises) plus the larger positive part of its two samples. Each older
-    live kernel multiplies that by exp(g * its suffix maximum from its age
-    on) (`lifts`), which can only fall, so one lift holds from the time it
-    is taken. The interval masses find in one bisection where the mass,
-    divided by the lift, runs out, up to the end of the interval that holds
-    the oldest older kernel's end; past the newest kernel the envelope is
-    rate_b. The lift is taken again only at times the mass drawn does not
-    choose: at a click, at that interval end, and at a proposal that does
-    not click (a stopping time). Recovery never exceeds I_b, so the envelope
-    dominates the rate; a violation raises SimulationError. A click starts
-    its kernel and, on an unshunted detector, the latch scan, which ends
-    the run. The tables and the branching probability are constants of the
-    model, built on its first run.
+    dropped, as is a lane the detector does not reach. A lane starts at its
+    candidate's first pulse that may click, so that the lone test and layer
+    2 agree, and reads its block, then the spare stream in the order the
+    trains are reached, so its train does not depend on the lanes before it.
+    A NumPy lockstep takes all lanes of a chunk one pass of the loop per
+    step, in the scalar loop's operation order with math.exp and math.log
+    per lane, so its bits do not depend on the SIMD level; the scalar loop
+    (`resolve`) reruns with the same draws a lane still live after
+    LANE_STEPS steps, or holding more than LANE_KERNELS older kernels, and
+    resolves, if the detector reaches it, every lane of a chunk of fewer
+    than LANE_FLOOR or of a model that can latch, and one within quiet_ps
+    after the candidate before it, which mostly lies in that one's train.
+    Each pass evaluates the next pulse that may click, which leaves the
+    proposal standing unless it clicks (a uniform u with u * p_max below its
+    click probability), and draws the skip to the next one from a second
+    uniform, by inversion with math.log; or it thins the next dark proposal
+    of a piecewise-constant envelope (Ogata's local bound), whose mass used
+    up to a step is spent and the rest carried over (memorylessness). The
+    newest click is bounded over each of its kernel sample intervals k by
+    envs[k], the dark rate at the larger recovery at the interval's ends
+    (the recovery falls, then rises) plus the larger positive part of its
+    two samples. Each older live kernel multiplies that by exp(g * its
+    suffix maximum from its age on) (`lifts`), which can only fall, so one
+    lift holds from the time it is taken. The interval masses find in one
+    bisection where the mass, divided by the lift, runs out, up to the end
+    of the interval that holds the oldest older kernel's end; past the
+    newest kernel the envelope is rate_b. The lift is taken again only at
+    times the mass drawn does not choose: at a click, at that interval end,
+    and at a proposal that does not click (a stopping time). Recovery never
+    exceeds I_b, so the envelope dominates the rate; a violation raises
+    SimulationError. A click starts its kernel and, on an unshunted
+    detector, the latch scan, which ends the run. The tables and the
+    branching probability are constants of the model, built on its first
+    run.
 
     A model with a live kernel whose click has a mean of one or more
     further clicks, -log(1 - branching_probability(model)) >= 1, is
@@ -445,11 +447,11 @@ def simulate(
     float or whose rate_b exceeds 1e12/s (a mean gap under the 1 ps stamp).
 
     `metadata["engine"]` carries deterministic work counters, each up to
-    the latch of a latched run: `uniforms`, the variates read: 2 + slots
-    per candidate (its time, its mass and its window's pulse uniforms) and
-    each kept lane's reads past its window (a block's unread uniforms are
-    not counted); `pulses_evaluated` by layer 2; `pulses_skipped`, the
-    rest, candidates or stepped over, so the two sum to the pulses;
+    the latch of a latched run: `uniforms`, the variates read: 2 per
+    candidate (its time and its mass), 3 if p_max > 0 (and its skip), and
+    each kept lane's reads (a block's unread uniforms are not counted);
+    `pulses_evaluated` by layer 2, the pulses that may click it reached;
+    `pulses_skipped`, the rest, so the two sum to the pulses;
     `coincidences_dropped`; `crossings`, layer 2's envelope steps: one
     bisection past the end of the current interval, whatever the intervals
     it passes; `lone`, the clicks layer 1 accepted in bulk; and
@@ -612,14 +614,6 @@ def _scalar_law(circ: CircuitParams, t_quiet: float, samples, ksp: float, kdur: 
     return bias_at, lane_bias
 
 
-def _window_slots(train: StimulusTrain, quiet_ps: int) -> int:
-    """The most pulses of the train's pattern that can lie within
-    `quiet_ps` after a time: the pulse draws in each candidate's window.
-    The most lie in [p, p + quiet_ps) of a pulse p of the first period."""
-    endless = StimulusTrain(train.period_ps, train.offsets_ps, INT64_MAX)
-    return max(int(endless.count(p + quiet_ps - 1)) - k for k, p in enumerate(train.offsets_ps))
-
-
 def _run_engine(
     model: DetectorModel,
     stimulus: StimulusConfig,
@@ -656,15 +650,26 @@ def _run_engine(
     latching = model.can_latch and n_int > 0
     pulse_time = train.time
     n_pulses = train.n_pulses
-    slots = min(_window_slots(train, quiet_ps), WINDOW_SLOTS) if n_pulses else 0
-    chunk = max(1, CANDIDATE_CHUNK // (1 + slots))
     bias_at, lane_bias = _scalar_law(circ, t_quiet, ksamp, ksp, kdur)
 
     def click_probability(bias: float) -> float:
         eta = eta_max * exp(g_eta * (bias - i_ref))
         if eta > eta_max:
             eta = eta_max
-        return 1.0 - exp(-mu * eta) if mu > 0.0 else 0.0
+        return 1.0 - exp(-mu * eta)
+
+    # the efficiency saturates at eta_max, so no pulse clicks with more than
+    # p_max: the pulses that may click are Bernoulli(p_max) trials, one
+    # geometric skip apart, and one that may clicks with click_probability /
+    # p_max. With p_max = 0 no skip is drawn and no pulse is evaluated
+    p_max = 1.0 - exp(-mu * eta_max) if n_pulses else 0.0
+    log_q = math.log1p(-p_max) if p_max < 1.0 else -inf
+
+    def next_pulse(k: int, u: float) -> int:
+        """The next pulse that may click after pulse k, from a uniform: one
+        geometric skip on, by inversion; n_pulses if none is left."""
+        skip = log(1.0 - u) / log_q
+        return k + 1 + int(skip) if skip < n_pulses - k else n_pulses
 
     def lifted(older: list, t: float, k: int):
         """The older kernels still live at t; their lift from t on, the
@@ -684,124 +689,129 @@ def _run_engine(
     # blocks behind a C-level `next`, in the order the trains are reached
     spare = itertools.chain.from_iterable(iter(lambda: spare_rng.random(1 << 10).tolist(), None))
     out: list[np.ndarray] = []
-    evaluated = dropped = crossings = drawn = proposals = n_lone = 0
+    # layer 2's work: uniforms drawn, pulses evaluated, coincidences
+    # dropped, crossings and proposals
+    totals = np.zeros(5, np.int64)
+    n_lone = 0
     latched_at = None
     dark = r_ref > 0.0
 
-    def resolve(epoch: int, mass: float, window_u: list, nxt: int, next_uniform, clicks: list) -> int:
+    def resolve(epoch: int, mass: float, nxt: int, next_uniform, clicks: list) -> int:
         """Layer 2's scalar loop from a click at `epoch` ps, with its mass,
-        window uniforms and `next_uniform` for the rest; appends each click
-        to `clicks` and returns the ps quiet_ps after the last. It makes no
-        Python call per proposal but bias_at's, and lifted's while an older
-        kernel is live."""
-        nonlocal evaluated, dropped, crossings, drawn, proposals, latched_at
-        w_base, w_end = nxt, nxt + len(window_u)
+        its first pulse that may click and `next_uniform` for its draws;
+        appends each click to `clicks` and returns the ps quiet_ps after the
+        last. It makes no Python call per proposal but bias_at's, and
+        lifted's while an older kernel is live."""
+        nonlocal latched_at
+        # its work, added to the totals once, on the way out
+        drawn = evaluated = dropped = crossings = proposals = 0
         active: list[float] = []  # the kernels' click times, s since the epoch
         shift = 0.0               # the new click, s after the one before
-        while True:
-            clicks.append(epoch)
-            end = (end_ps - epoch) / PS_PER_SECOND
-            limit = quiet_s if quiet_s < end else end
-            # t, s since the epoch, lies in the newest kernel's interval k;
-            # the older kernels lift its envelope up to masses index hi
-            t, k, lift, hi = 0.0, 0, 1.0, n_int
-            older = [tc - shift for tc in active if shift - tc < kdur]
-            active = older + [0.0]
-            if latching:
-                # scan the kernel horizon for the first crossing of I_c
-                for j in range(n_int + 1):
-                    if bias_at(j * ksp, active) >= i_c:
-                        latched_at = epoch
-                        return end_ps + 1
-            if older:
-                older, lift, hi = lifted(older, t, k)
-            proposal = -1.0  # none drawn
+        try:
             while True:
-                if proposal < 0.0 and not dark:
-                    proposal = inf  # a zero dark rate proposes nothing
-                elif proposal < 0.0:
-                    if mass <= 0.0:
-                        mass = -log(1.0 - next_uniform())
-                        drawn += 1
-                    while k < n_int:
-                        # the thinning envelope: the newest click's over its
-                        # interval k, lifted by the older live kernels
-                        envelope = lift * envs[k]
-                        proposal = t + mass / envelope if envelope > 0.0 else inf
-                        if proposal <= (k + 1) * ksp:
-                            break
-                        # past the interval's end the mass the envelope used
-                        # up to it is spent and the rest carries over, which
-                        # is exact by memorylessness: one bisection of the
-                        # interval masses finds where it runs out, up to the
-                        # end of the lift (index hi)
-                        crossings += 1
-                        target = masses[k] + envs[k] * (t - k * ksp) + mass / lift
-                        i = bisect.bisect_right(masses, target, k + 1, hi + 1)
-                        k = i - 1 if i > k + 1 else k + 1
-                        mass = (target - masses[k]) * lift
-                        if mass < 0.0:
-                            mass = 0.0  # rounding: the proposal is at the interval's start
-                        t = k * ksp
-                        if k == hi and older:
-                            # the oldest older kernel has ended, at a time
-                            # fixed in advance: the lift falls there
-                            older, lift, hi = lifted(older, t, k)
-                    else:
-                        # past the newest kernel, so past every one:
-                        # recovery never exceeds I_b
-                        envelope = rate_b
-                        proposal = t + mass / rate_b if rate_b > 0.0 else inf
-                    mass = 0.0
-                # a pulse before the proposal leaves it standing unless it clicks
-                after = pulse_time(nxt) - epoch if nxt < n_pulses else quiet_ps
-                if after / PS_PER_SECOND <= proposal:
-                    if after >= quiet_ps:
-                        return epoch + quiet_ps
-                    if nxt < w_end:
-                        u = window_u[nxt - w_base]
-                    else:
+                clicks.append(epoch)
+                end = (end_ps - epoch) / PS_PER_SECOND
+                limit = quiet_s if quiet_s < end else end
+                # t, s since the epoch, lies in the newest kernel's interval k;
+                # the older kernels lift its envelope up to masses index hi
+                t, k, lift, hi = 0.0, 0, 1.0, n_int
+                older = [tc - shift for tc in active if shift - tc < kdur]
+                active = older + [0.0]
+                if latching:
+                    # scan the kernel horizon for the first crossing of I_c
+                    for j in range(n_int + 1):
+                        if bias_at(j * ksp, active) >= i_c:
+                            latched_at = epoch
+                            return end_ps + 1
+                if older:
+                    older, lift, hi = lifted(older, t, k)
+                proposal = -1.0  # none drawn
+                while True:
+                    if proposal < 0.0 and not dark:
+                        proposal = inf  # a zero dark rate proposes nothing
+                    elif proposal < 0.0:
+                        if mass <= 0.0:
+                            mass = -log(1.0 - next_uniform())
+                            drawn += 1
+                        while k < n_int:
+                            # the thinning envelope: the newest click's over its
+                            # interval k, lifted by the older live kernels
+                            envelope = lift * envs[k]
+                            proposal = t + mass / envelope if envelope > 0.0 else inf
+                            if proposal <= (k + 1) * ksp:
+                                break
+                            # past the interval's end the mass the envelope used
+                            # up to it is spent and the rest carries over, which
+                            # is exact by memorylessness: one bisection of the
+                            # interval masses finds where it runs out, up to the
+                            # end of the lift (index hi)
+                            crossings += 1
+                            target = masses[k] + envs[k] * (t - k * ksp) + mass / lift
+                            i = bisect.bisect_right(masses, target, k + 1, hi + 1)
+                            k = i - 1 if i > k + 1 else k + 1
+                            mass = (target - masses[k]) * lift
+                            if mass < 0.0:
+                                mass = 0.0  # rounding: the proposal is at the interval's start
+                            t = k * ksp
+                            if k == hi and older:
+                                # the oldest older kernel has ended, at a time
+                                # fixed in advance: the lift falls there
+                                older, lift, hi = lifted(older, t, k)
+                        else:
+                            # past the newest kernel, so past every one:
+                            # recovery never exceeds I_b
+                            envelope = rate_b
+                            proposal = t + mass / rate_b if rate_b > 0.0 else inf
+                        mass = 0.0
+                    # a pulse that may click, before the proposal, leaves it
+                    # standing unless it clicks
+                    after = pulse_time(nxt) - epoch if nxt < n_pulses else quiet_ps
+                    if after / PS_PER_SECOND <= proposal:
+                        if after >= quiet_ps:
+                            return epoch + quiet_ps
                         u = next_uniform()
-                        drawn += 1
-                    evaluated += 1
-                    nxt += 1
-                    if u < click_probability(bias_at(after / PS_PER_SECOND, active)):
-                        # a click on the last one's ps is a sub-ps
-                        # coincidence the tagger cannot resolve: dropped
+                        nxt = next_pulse(nxt, next_uniform())
+                        drawn += 2
+                        evaluated += 1
+                        if u * p_max < click_probability(bias_at(after / PS_PER_SECOND, active)):
+                            # a click on the last one's ps is a sub-ps
+                            # coincidence the tagger cannot resolve: dropped
+                            if after > 0:
+                                break
+                            dropped += 1
+                        continue
+                    if proposal >= limit:
+                        return epoch + quiet_ps
+                    t = proposal
+                    proposal = -1.0
+                    proposals += 1
+                    rate = r_ref * exp(g_dark * (bias_at(t, active) - i_ref))
+                    if rate > envelope * (1.0 + 1e-9):
+                        raise SimulationError(
+                            f"thinning envelope violated {t:.6e} s after ps {epoch}: "
+                            f"rate {rate:.3e} > envelope {envelope:.3e}"
+                        )
+                    drawn += 1
+                    if next_uniform() * envelope <= rate:
+                        after = round(t * PS_PER_SECOND)
                         if after > 0:
                             break
                         dropped += 1
-                    continue
-                if proposal >= limit:
-                    return epoch + quiet_ps
-                t = proposal
-                proposal = -1.0
-                proposals += 1
-                rate = r_ref * exp(g_dark * (bias_at(t, active) - i_ref))
-                if rate > envelope * (1.0 + 1e-9):
-                    raise SimulationError(
-                        f"thinning envelope violated {t:.6e} s after ps {epoch}: "
-                        f"rate {rate:.3e} > envelope {envelope:.3e}"
-                    )
-                drawn += 1
-                if next_uniform() * envelope <= rate:
-                    after = round(t * PS_PER_SECOND)
-                    if after > 0:
-                        break
-                    dropped += 1
-                if older:
-                    # a proposal without a click is a stopping time: the
-                    # lift falls to the older kernels' ages there
-                    older, lift, hi = lifted(older, t, k)
-            epoch += after
-            shift = after / PS_PER_SECOND
+                    if older:
+                        # a proposal without a click is a stopping time: the
+                        # lift falls to the older kernels' ages there
+                        older, lift, hi = lifted(older, t, k)
+                epoch += after
+                shift = after / PS_PER_SECOND
+        finally:
+            totals[:] += (drawn, evaluated, dropped, crossings, proposals)
 
     width = LANE_KERNELS
 
-    def lockstep(x: np.ndarray, e: np.ndarray, u: np.ndarray, window: np.ndarray, first: np.ndarray):
+    def lockstep(x: np.ndarray, e: np.ndarray, u: np.ndarray, first: np.ndarray):
         """Layer 2 in lockstep (see `simulate`). Lane i is a click at x[i]
-        ps with mass e[i]; row i of `u` holds its window's pulse uniforms,
-        then its block. Besides the lanes `simulate` names, one that could
+        ps with mass e[i] and first pulse that may click first[i]; row i of
+        `u` is its block. Besides the lanes `simulate` names, one that could
         read past its block or would raise is left to the scalar loop.
         Returns each lane's last click (-1 if left), all lanes' clicks
         sorted by lane with each lane's offset into them, and each lane's
@@ -813,7 +823,7 @@ def _run_engine(
         # the tables as arrays; interval n_int, past the kernel, has rate_b
         envs_a, masses_a, lifts_a = (np.array(v, dtype=float) for v in (envs + [rate_b], masses, lifts))
         starts_a, ends_a = np.arange(n_int + 1) * ksp, np.arange(1, n_int + 2) * ksp
-        ids, ep, mass, nxt, w_end = np.arange(n), x.copy(), e.copy(), first.copy(), first + window
+        ids, ep, mass, nxt = np.arange(n), x.copy(), e.copy(), first.copy()
         t, k, lift, hi = np.zeros(n), np.zeros(n, np.int64), np.ones(n), np.full(n, n_int)
         prop, env, lim = np.full(n, -1.0), np.zeros(n), np.minimum(quiet_s, (end_ps - x) / PS_PER_SECOND)
         old, cnt, trains = np.zeros(n, bool), np.zeros((5, n), np.int64), [(np.arange(n), x)]
@@ -855,13 +865,14 @@ def _run_engine(
             need = np.flatnonzero(prop < 0.0)
             if dark:
                 d = need[mass[need] <= 0.0]
-                mass[d] = -_per_lane(log, 1.0 - u[ids[d], slots + cnt[0][d]])
+                mass[d] = -_per_lane(log, 1.0 - u[ids[d], cnt[0][d]])
                 cnt[0][d] += 1
                 walk(need)
                 mass[need] = 0.0
             else:
                 prop[need] = inf
-            # a pulse before the proposal leaves it standing unless it clicks
+            # a pulse that may click, before the proposal, leaves it
+            # standing unless it clicks
             after = np.full(ids.size, quiet_ps)
             if n_pulses:
                 has = np.flatnonzero(nxt < n_pulses)
@@ -871,12 +882,11 @@ def _run_engine(
             eject, kernels, clicked = np.zeros(ids.size, bool), act[width - depth:], [np.empty(0, np.int64)]
             h = np.flatnonzero(pulse & ~done)
             if h.size:
-                inside = nxt[h] < w_end[h]
-                u_h = u[ids[h], np.where(inside, nxt[h] - first[ids[h]], slots + cnt[0][h])]
-                cnt[0][h] += ~inside
+                u_h = u[ids[h], cnt[0][h]]
+                nxt[h] = np.fromiter(map(next_pulse, nxt[h].tolist(), u[ids[h], cnt[0][h] + 1].tolist()), np.int64, h.size)
+                cnt[0][h] += 2
                 cnt[1][h] += 1
-                nxt[h] += 1
-                yes = u_h < _per_lane(click_probability, lane_bias(after[h] / PS_PER_SECOND, [a[h] for a in kernels]))
+                yes = u_h * p_max < _per_lane(click_probability, lane_bias(after[h] / PS_PER_SECOND, [a[h] for a in kernels]))
                 # a click on the last one's ps is a sub-ps coincidence: dropped
                 cnt[2][h[yes & (after[h] <= 0)]] += 1
                 clicked.append(h[yes & (after[h] > 0)])
@@ -887,7 +897,7 @@ def _run_engine(
                 cnt[4][q] += 1
                 rate = r_ref * _per_lane(exp, g_dark * (lane_bias(t_q, [a[q] for a in kernels]) - i_ref))
                 eject[q[rate > env[q] * (1.0 + 1e-9)]] = True
-                yes = u[ids[q], slots + cnt[0][q]] * env[q] <= rate
+                yes = u[ids[q], cnt[0][q]] * env[q] <= rate
                 cnt[0][q] += 1
                 after[q] = np.rint(t_q * PS_PER_SECOND)
                 cnt[2][q[yes & (after[q] <= 0)]] += 1
@@ -911,9 +921,11 @@ def _run_engine(
                 trains.append((ids[c], ep[c]))
             fin = np.flatnonzero(done)
             last[ids[fin]], work[:, ids[fin]] = ep[fin], cnt[:, fin]
-            keep = np.flatnonzero(~(done | eject) & (cnt[0] <= LANE_DRAWS - 2))
-            ids, ep, mass, nxt, w_end, t, k, lift, hi, prop, env, lim, old = (
-                v[keep] for v in (ids, ep, mass, nxt, w_end, t, k, lift, hi, prop, env, lim, old))
+            # a step reads at most a mass and a thinning draw, or a mass, a
+            # pulse's draw and its skip
+            keep = np.flatnonzero(~(done | eject) & (cnt[0] <= LANE_DRAWS - 2 - (p_max > 0.0)))
+            ids, ep, mass, nxt, t, k, lift, hi, prop, env, lim, old = (
+                v[keep] for v in (ids, ep, mass, nxt, t, k, lift, hi, prop, env, lim, old))
             act, cnt = [a[keep] for a in act], cnt[:, keep]
         lane, ps = (np.concatenate(v) for v in zip(*trains))
         order = np.argsort(lane, kind="stable")
@@ -927,10 +939,9 @@ def _run_engine(
         """Layers 1 and 2 on one time-ordered batch of candidates: accepts
         the lone ones from `free` on in bulk and every other reached one's
         train; returns the new `free`."""
-        nonlocal n_lone, drawn, evaluated, dropped, crossings, proposals
+        nonlocal n_lone
         m = x.size
         e = mass_rng.standard_exponential(m)
-        draws = window_rng.random(m * slots).reshape(m, slots)
         with np.errstate(divide="ignore", invalid="ignore"):
             # the resolver's first bisection from a click with no older
             # kernel live, which lands past the kernel's end; without a
@@ -939,30 +950,26 @@ def _run_engine(
             lone = (e >= spent) & (kdur + (e - spent) / rate_b >= quiet_s)
             if n_int:
                 lone &= e / envs[0] > ksp
+        # the first pulse after x that may click, one skip on (n_pulses for
+        # none), and no pulse in the window that may click, which lies past
+        # the pulses before min(x + quiet_ps, end_ps); stamps are whole ps
         first = train.count(x)
-        window = np.zeros(m, np.int64)
-        if slots:
-            # the pulses before min(x + quiet_ps, end_ps); stamps are whole ps
-            last = train.count(np.minimum(x, end_ps - quiet_ps) + (quiet_ps - 1))
-            lone &= last - first <= slots
-            window = np.minimum(last - first, slots)
-            for k in range(slots):
-                inside = np.flatnonzero(first + k < last)
-                if inside.size:
-                    offsets, which = np.unique(train.times(first[inside] + k) - x[inside], return_inverse=True)
-                    p = [click_probability(bias_at(d / PS_PER_SECOND, (0.0,))) for d in offsets.tolist()]
-                    lone[inside] &= draws[inside, k] >= np.array(p)[which]
+        if p_max > 0.0:
+            first += np.minimum(window_rng.geometric(p_max, m), n_pulses + 1 - first) - 1
+            lone &= first >= train.count(np.minimum(x, end_ps - quiet_ps) + (quiet_ps - 1))
+        else:
+            first[:] = n_pulses
         if latching:
             # on a model that can latch every candidate is a lane, and the
             # scalar loop resolves each one the detector reaches
             lone[:] = False
         lanes = np.flatnonzero(~lone)
-        u = np.hstack([draws[lanes], resolver_rng.random((lanes.size, LANE_DRAWS))])
+        u = resolver_rng.random((lanes.size, LANE_DRAWS))
         # a lane within quiet_ps after the candidate before it mostly lies in
         # that one's train: the scalar loop resolves it if it is reached
         open_ = np.flatnonzero(np.append(True, np.diff(x) >= quiet_ps)[lanes])
         ends = np.full(lanes.size, -1, np.int64)
-        ends[open_], ps, starts, work = lockstep(*(v[open_] for v in (x[lanes], e[lanes], u, window[lanes], first[lanes])))
+        ends[open_], ps, starts, work = lockstep(*(v[open_] for v in (x[lanes], e[lanes], u, first[lanes])))
         # a break: a candidate that is not lone, or has another in its
         # window, so the lone ones between two breaks each lie past the
         # window of the one before. A reached break's train ends at its last
@@ -980,9 +987,9 @@ def _run_engine(
         while at < len(bx):
             seen.append(at)
             if stop[at] < 0:
-                c, row = bx[at], u[lane_at[at]].tolist()
-                free = resolve(xs[c], float(e[c]), row[:window[c]], int(first[c]),
-                               itertools.chain(row[slots:], spare).__next__, scalar)
+                c = bx[at]
+                free = resolve(xs[c], float(e[c]), int(first[c]),
+                               itertools.chain(u[lane_at[at]].tolist(), spare).__next__, scalar)
                 if latched_at is not None:
                     break
                 to[at] = bisect.bisect_left(xs, free, bx[at] + 1)
@@ -1007,17 +1014,16 @@ def _run_engine(
         kept = kept[open_]
         out.append(np.sort(np.concatenate([x[taken], ps[np.repeat(kept, np.diff(starts))], np.array(scalar, np.int64)]),
                            kind="stable"))
-        drawn, evaluated, dropped, crossings, proposals = (
-            a + b for a, b in zip((drawn, evaluated, dropped, crossings, proposals), work[:, kept].sum(1).tolist()))
+        totals[:] += work[:, kept].sum(1)
         return free
 
     def successes(gen: np.random.Generator, p: float, n: int, site):
         """The ps `site` of the trials, 1 to n, that succeed among n Bernoulli(p)
-        trials, as geometric skips (Devroye 1986) in chunks of at most `chunk`,
-        each with whether more may follow. p = 0 draws nothing."""
+        trials, as geometric skips (Devroye 1986) in chunks of at most
+        CANDIDATE_CHUNK, each with whether more may follow; none if p = 0."""
         at = 0
         while p > 0.0 and at < n:
-            m = min(chunk, int(p * (n - at) * 1.1) + 16)
+            m = min(CANDIDATE_CHUNK, int(p * (n - at) * 1.1) + 16)
             # each skip clamped to n + 1, as is one NumPy saturated at
             # INT64_MAX, so the first sum past n is below 2**64 and the
             # uint64 sums are exact up to it
@@ -1054,9 +1060,11 @@ def _run_engine(
             n_candidates += batch.size if latched_at is None else int(np.count_nonzero(batch <= latched_at))
 
     # every pulse up to the latch that the resolver did not evaluate was a
-    # candidate or decided with one (stepped over)
+    # candidate, one that could not click, or decided with one (stepped over)
     pulses = n_pulses if latched_at is None else int(train.count(latched_at))
-    uniforms = n_candidates * (2 + slots) + drawn
+    drawn, evaluated, dropped, crossings, proposals = totals.tolist()
+    # a candidate's time, its mass and, if a pulse can click, its skip
+    uniforms = n_candidates * (2 + (p_max > 0.0)) + drawn
     counters = (uniforms, evaluated, pulses - evaluated, dropped, crossings, n_lone, proposals)
     clicks = np.concatenate(out) if out else np.empty(0, np.int64)
     return clicks, {**dict(zip(ENGINE_COUNTERS, counters)), "latched_at_ps": latched_at}

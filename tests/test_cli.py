@@ -599,7 +599,7 @@ def test_bench_pairs_counts_engine_work(monkeypatch):
         assert entry["pulses_evaluated_per_click"] == entry["pulses_evaluated"] / entry["clicks"]
     assert 0 < work["fig4"]["lone"] <= work["fig4"]["clicks"]
     assert 0 < work["dark-23.0uA"]["lone"] <= work["dark-23.0uA"]["clicks"]
-    # a 1 GHz train puts more pulses in every window than it has slots:
-    # the resolver evaluates them one by one
+    # a 1 GHz train at mu = 1 puts a pulse that may click in every window,
+    # and the resolver evaluates only those, about 3 per click
     dense = work["dense-1GHz"]
-    assert dense["lone"] == 0 and dense["pulses_evaluated_per_click"] > 10
+    assert dense["lone"] == 0 and dense["pulses_evaluated_per_click"] < 10

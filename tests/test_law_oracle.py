@@ -70,10 +70,12 @@ def test_periodic_laser_agrees():
 
 
 def test_fast_train_agrees():
-    # at 50 MHz a window holds 38 or 39 pulses, more than its draws do, so
-    # every candidate goes to the resolver, which evaluates them one by one
+    # at 50 MHz a window holds 38 or 39 pulses, none of which may click in
+    # about 4 windows of 5 at mu = 0.2: those candidates are lone, and the
+    # resolver evaluates the pulses that may click in the others
     stream = judged_run(presets.profile_model(25.0e-6), StimulusConfig.periodic(5e7, 0.2), 0.005, 71)
-    assert stream.metadata["engine"]["lone"] == 0
+    engine = stream.metadata["engine"]
+    assert 0 < engine["lone"] < stream.detector_events.size and engine["pulses_evaluated"] > 0
 
 
 def test_dense_train_agrees():
