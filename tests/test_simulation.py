@@ -554,7 +554,6 @@ class TestEngineCounters:
     def test_zero_photons_evaluate_no_pulse(self):
         # p_max = 0: no pulse may click, so no candidate draws a skip and
         # the resolver, which resolves the dark trains, evaluates no pulse
-        # (10 in this run when it evaluated every pulse of a window)
         s = simulate(model_at(24.9e-6), StimulusConfig.periodic(0.5e6, 0.0), 0.05, 1)
         engine = s.metadata["engine"]
         assert 0 < engine["lone"] < s.detector_events.size
@@ -564,14 +563,13 @@ class TestEngineCounters:
     def test_dense_train_evaluates_few_pulses_per_click(self, seed):
         # at 1 GHz and mu = 1 a window holds about 773 pulses, and one may
         # click with p_max = 0.0247: the resolver evaluates only those,
-        # about 3 per click (123 and 114 when it evaluated every pulse)
+        # about 3 per click
         s = simulate(model_at(25.0e-6), StimulusConfig.periodic(1e9, 1.0), 20e-6, seed)
         assert s.metadata["engine"]["pulses_evaluated"] < 10 * s.detector_events.size
 
     def test_a_dense_window_can_be_lone(self):
         # at 1 GHz and mu = 1e-3 none of a window's 773 pulses may click
         # with probability (1 - 2.5e-5)**773 = 0.98, so most clicks are lone
-        # (none when a window of more than 16 pulses went to the resolver)
         s = simulate(model_at(25.0e-6), StimulusConfig.periodic(1e9, 1e-3), 2e-3, 81)
         assert s.metadata["engine"]["lone"] > 0
 
