@@ -49,9 +49,6 @@ CANDIDATE_CHUNK = 1 << 14
 LANE_STEPS = 4
 LANE_DRAWS = 8
 LANE_KERNELS = 2
-# a chunk with fewer lanes than this for the lockstep leaves them all to
-# the scalar loop
-LANE_FLOOR = 256
 
 
 @dataclass(frozen=True)
@@ -249,10 +246,11 @@ class StimulusTrain:
     @property
     def sync_times_ps(self) -> np.ndarray:
         """The sync channel: pulses k = j * m, at origin_ps + j * period_ps."""
-        times = np.arange(-(-self.n_pulses // len(self.offsets_ps)), dtype=np.int64)
-        times *= self.period_ps
-        times += self.origin_ps
-        return times
+        # in one pass, to a stop half a period past the last sync, so that
+        # arange's float count cannot drop it; the stop, a Python int, may
+        # pass INT64_MAX
+        stop = self.origin_ps + -(-self.n_pulses // len(self.offsets_ps)) * self.period_ps - self.period_ps // 2
+        return np.arange(self.origin_ps, stop, self.period_ps, dtype=np.int64)
 
 
 def make_stimulus(config: StimulusConfig, duration_ps: int) -> StimulusTrain:
@@ -414,9 +412,9 @@ def simulate(
     per lane, so its bits do not depend on the SIMD level; the scalar loop
     (`resolve`) reruns with the same draws a lane still live after
     LANE_STEPS steps, or holding more than LANE_KERNELS older kernels, and
-    resolves, if the detector reaches it, every lane of a chunk of fewer
-    than LANE_FLOOR or of a model that can latch, and one within quiet_ps
-    after the candidate before it, which mostly lies in that one's train.
+    resolves, if the detector reaches it, every lane of a model that can
+    latch, and one within quiet_ps after the candidate before it, which
+    mostly lies in that one's train.
     Each pass evaluates the next pulse that may click, which leaves the
     proposal standing unless it clicks (a uniform u with u * p_max below its
     click probability), and draws the skip to the next one from a second
@@ -593,22 +591,25 @@ def _scalar_law(circ: CircuitParams, t_quiet: float, samples, ksp: float, kdur: 
                 i += samples[j] * (1.0 - f) + samples[j + 1] * f
         return i
 
-    samples_a = np.array(samples, dtype=float)
+    # each interval's two end samples
+    pairs = np.array([samples[:-1], samples[1:]], dtype=float)
 
-    def lane_bias(when: np.ndarray, kernels: list) -> np.ndarray:
-        # kernels: an array per kernel, oldest first, of each lane's click
-        # time, NaN for none
-        i = np.full(when.size, i_b)
-        fall, rise = (when < t_quiet) & (when <= t_hs), (when < t_quiet) & (when > t_hs)
-        i[fall] = i_ss + (i_b - i_ss) * _per_lane(exp, -when[fall] / tau_fall)
-        i[rise] = i_b - (i_b - i_end) * _per_lane(exp, -(when[rise] - t_hs) / tau_rec)
-        for tc in kernels if kdur > 0.0 else ():
-            d = when - tc
+    def lane_bias(when: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+        # kernels: a row per kernel, oldest first, of each lane's click time,
+        # NaN for none. The exponents are bias_at's, bit for bit: -when /
+        # tau_fall is when / -tau_fall and -(when - t_hs) the t_hs - when
+        fall = when <= t_hs
+        e = _per_lane(exp, np.where(fall, when / -tau_fall, (t_hs - when) / tau_rec))
+        i = np.where(when < t_quiet, np.where(fall, i_ss + (i_b - i_ss) * e, i_b - (i_b - i_end) * e), i_b)
+        if kdur > 0.0:
+            d = when - kernels
             on = (0.0 <= d) & (d < kdur)
             x = np.where(on, d, 0.0) / ksp
             j = x.astype(np.int64)
             f = x - j
-            i += np.where(on, samples_a[j] * (1.0 - f) + samples_a[j + 1] * f, 0.0)
+            s0, s1 = pairs.take(j, 1)
+            for v in np.where(on, s0 * (1.0 - f) + s1 * f, 0.0):
+                i += v
         return i
 
     return bias_at, lane_bias
@@ -806,130 +807,140 @@ def _run_engine(
         finally:
             totals[:] += (drawn, evaluated, dropped, crossings, proposals)
 
-    width = LANE_KERNELS
-
     def lockstep(x: np.ndarray, e: np.ndarray, u: np.ndarray, first: np.ndarray):
         """Layer 2 in lockstep (see `simulate`). Lane i is a click at x[i]
         ps with mass e[i] and first pulse that may click first[i]; row i of
-        `u` is its block. Besides the lanes `simulate` names, one that could
-        read past its block or would raise is left to the scalar loop.
-        Returns each lane's last click (-1 if left), all lanes' clicks
-        sorted by lane with each lane's offset into them, and each lane's
-        drawn, evaluated, dropped, crossings and proposals."""
-        n = x.size
+        `u` is its block. A lane that could read past its block or would
+        raise is left to the scalar loop. Returns each lane's last click (-1
+        if left), each click's lane and ps, and each lane's drawn,
+        evaluated, dropped, crossings and proposals."""
+        n, width = x.size, LANE_KERNELS
         last, work = np.full(n, -1, np.int64), np.zeros((5, n), np.int64)
-        if latching or n < LANE_FLOOR:
-            return last, x[:0], np.zeros(n + 1, np.int64), work
-        # the tables as arrays; interval n_int, past the kernel, has rate_b
-        envs_a, masses_a, lifts_a = (np.array(v, dtype=float) for v in (envs + [rate_b], masses, lifts))
-        starts_a, ends_a = np.arange(n_int + 1) * ksp, np.arange(1, n_int + 2) * ksp
-        ids, ep, mass, nxt = np.arange(n), x.copy(), e.copy(), first.copy()
-        t, k, lift, hi = np.zeros(n), np.zeros(n, np.int64), np.ones(n), np.full(n, n_int)
-        prop, env, lim = np.full(n, -1.0), np.zeros(n), np.minimum(quiet_s, (end_ps - x) / PS_PER_SECOND)
-        old, cnt, trains = np.zeros(n, bool), np.zeros((5, n), np.int64), [(np.arange(n), x)]
-        # the kernels' click times, s since the epoch, oldest first, NaN for
-        # none; no lane holds more than `depth` older ones
-        act, depth = [np.full(n, np.nan) for _ in range(width)] + [np.zeros(n)], 0
+        # per interval: the mass before it, its envelope, start and end;
+        # interval n_int, past the kernel, has rate_b and no end. A dead
+        # kernel lifts by the 1.0 past the lifts
+        tab = np.array([masses, envs + [rate_b], np.arange(n_int + 1) * ksp, np.arange(1, n_int + 2) * ksp])
+        tab[3, n_int], lifts_x, u = inf, np.array(lifts + [1.0]), u.ravel()
+        # a lane's state is a column of F and of I. F: its mass, envelope,
+        # time since the epoch, lift and proposal (-1 for none), then its
+        # kernels' click times, s since the epoch, oldest first, NaN for
+        # none, the newest, its own click, at 0. I: its lane, epoch, next
+        # pulse that may click, interval, lift end (masses index hi), next
+        # uniform (its index in u's rows laid end to end), evaluated,
+        # dropped, crossings and proposals
+        F, I = np.zeros((6 + width, n)), np.zeros((10, n), np.int64)
+        F[0], F[3:5], F[5:5 + width] = e, [[1.0], [-1.0]], np.nan
+        I[0], I[1], I[2], I[4], I[5] = np.arange(n), x, first, n_int, np.arange(0, n * LANE_DRAWS, LANE_DRAWS)
+        # a new click's time, lift and proposal, and its interval and lift end
+        fresh, fresh_k = np.array([[0.0], [1.0], [-1.0]]), np.array([[0], [n_int]])
+        old, trains, ended, depth = np.zeros(n, bool), [(np.arange(n), x)], [I[:, :0]], 0
 
         def relift(r):
-            # lifted() for the lanes r
-            if r.size:
-                t_r, product, oldest = t[r], np.ones(r.size), np.full(r.size, np.nan)
-                for tc in (a[r] for a in act[width - depth:width]):
-                    live = t_r - tc < kdur
-                    product *= np.where(live, lifts_a[(np.where(live, t_r - tc, 0.0) / ksp).astype(np.int64)], 1.0)
-                    oldest = np.where(live & np.isnan(oldest), tc, oldest)
-                lift[r], old[r] = product, ~np.isnan(oldest)
-                hi[r] = np.where(old[r], np.maximum(((np.nan_to_num(oldest) + kdur) / ksp).astype(np.int64), k[r]) + 1, n_int)
+            # lifted() for the lanes r; the live older kernels are the
+            # youngest ones, so one is live if the youngest is
+            if r.any():
+                older = F[5 + width - depth:5 + width]
+                age = t - older
+                live = age < kdur
+                np.putmask(lift, r, np.multiply.reduce(lifts_x.take(np.where(live, age / ksp, len(lifts)).astype(np.int64)), 0))
+                oldest = np.minimum.reduce(np.where(live, older, 0.0), 0)
+                np.putmask(hi, r, np.where(live[-1], np.maximum(((oldest + kdur) / ksp).astype(np.int64), k) + 1, n_int))
+                np.putmask(old, r, live[-1])
 
         def walk(w):
-            # the interval walk of the lanes w to their proposals; past the
-            # newest kernel every lift has fallen to 1 and the envelope is rate_b
-            while w.size:
-                kw = k[w]
-                env[w] = ew = lift[w] * envs_a[kw]
-                prop[w] = p = t[w] + np.divide(mass[w], ew, out=np.full(w.size, inf), where=ew > 0.0)
-                w = w[(p > ends_a[kw]) & (kw < n_int)]
-                kw, lw = k[w], lift[w]
-                cnt[3][w] += 1
-                target = masses_a[kw] + envs_a[kw] * (t[w] - starts_a[kw]) + mass[w] / lw
+            # the interval walk of the lanes w to their proposals; a lane
+            # that has found its proposal keeps its state, and so its proposal
+            need, (m_k, e_k, s_k, end_k) = w, tab.take(k, 1)
+            while True:
+                ew = lift * e_k
+                on = ew > 0.0
+                p = t + np.where(on, mass, inf) / np.where(on, ew, 1.0)
+                w = w & (p > end_k)
+                if not w.any():
+                    break
+                np.add(crossings, w, out=crossings)
                 # bisect_right(masses, target, k + 1, hi + 1) - 1, at least k + 1
-                k[w] = kw = np.maximum(np.minimum(np.searchsorted(masses_a, target, "right") - 1, hi[w]), kw + 1)
-                mass[w] = np.maximum((target - masses_a[kw]) * lw, 0.0)
-                t[w] = starts_a[kw]
-                relift(w[(kw == hi[w]) & old[w]])
+                target = m_k + e_k * (t - s_k) + mass / lift
+                np.putmask(k, w, np.minimum(np.maximum(tab[0, 1:].searchsorted(target, "right"), k + 1), hi))
+                m_k, e_k, s_k, end_k = tab.take(k, 1)
+                np.putmask(mass, w, np.maximum((target - m_k) * lift, 0.0))
+                np.putmask(t, w, s_k)
+                relift(w & (k == hi) & old)
+            np.putmask(env, need, ew)
+            np.putmask(prop, need, p)
 
         for _ in range(LANE_STEPS):
-            if not ids.size:
+            if not F.shape[1]:
                 break
-            need = np.flatnonzero(prop < 0.0)
+            # no lane holds more than `depth` older kernels
+            mass, env, t, lift, prop, kernels = *F[:5], F[5 + width - depth:]
+            ids, ep, nxt, k, hi, at, evaluated, dropped, crossings, proposals = I
+            need = prop < 0.0
             if dark:
-                d = need[mass[need] <= 0.0]
-                mass[d] = -_per_lane(log, 1.0 - u[ids[d], cnt[0][d]])
-                cnt[0][d] += 1
+                d = need & (mass <= 0.0)
+                mass[d] = -_per_lane(log, 1.0 - u.take(at[d]))
+                at += d
                 walk(need)
-                mass[need] = 0.0
+                np.putmask(mass, need, 0.0)
             else:
-                prop[need] = inf
-            # a pulse that may click, before the proposal, leaves it
-            # standing unless it clicks
-            after = np.full(ids.size, quiet_ps)
+                np.putmask(prop, need, inf)
+            lim = np.minimum(quiet_s, (end_ps - ep) / PS_PER_SECOND)
+            yes, eject = np.zeros(ids.size, bool), np.zeros(ids.size, bool)
             if n_pulses:
-                has = np.flatnonzero(nxt < n_pulses)
-                after[has] = train.times(nxt[has]) - ep[has]
-            pulse = after / PS_PER_SECOND <= prop
-            done = np.where(pulse, after >= quiet_ps, prop >= lim)
-            eject, kernels, clicked = np.zeros(ids.size, bool), act[width - depth:], [np.empty(0, np.int64)]
-            h = np.flatnonzero(pulse & ~done)
-            if h.size:
-                u_h = u[ids[h], cnt[0][h]]
-                nxt[h] = np.fromiter(map(next_pulse, nxt[h].tolist(), u[ids[h], cnt[0][h] + 1].tolist()), np.int64, h.size)
-                cnt[0][h] += 2
-                cnt[1][h] += 1
-                yes = u_h * p_max < _per_lane(click_probability, lane_bias(after[h] / PS_PER_SECOND, [a[h] for a in kernels]))
-                # a click on the last one's ps is a sub-ps coincidence: dropped
-                cnt[2][h[yes & (after[h] <= 0)]] += 1
-                clicked.append(h[yes & (after[h] > 0)])
-            q = np.flatnonzero(~pulse & ~done)
-            if q.size:
-                t[q] = t_q = prop[q]
-                prop[q] = -1.0
-                cnt[4][q] += 1
-                rate = r_ref * _per_lane(exp, g_dark * (lane_bias(t_q, [a[q] for a in kernels]) - i_ref))
-                eject[q[rate > env[q] * (1.0 + 1e-9)]] = True
-                yes = u[ids[q], cnt[0][q]] * env[q] <= rate
-                cnt[0][q] += 1
-                after[q] = np.rint(t_q * PS_PER_SECOND)
-                cnt[2][q[yes & (after[q] <= 0)]] += 1
-                clicked.append(q[yes & (after[q] > 0)])
-                relift(q[~(yes & (after[q] > 0)) & old[q]])
-            c = np.concatenate(clicked)
-            if c.size:
+                # a pulse that may click, before the proposal, leaves it
+                # standing unless it clicks
+                after = np.where(nxt < n_pulses, train.times(nxt) - ep, quiet_ps)
+                pulse = after / PS_PER_SECOND <= prop
+                done = np.where(pulse, after >= quiet_ps, prop >= lim)
+                h = (pulse & ~done).nonzero()[0]
+                if h.size:
+                    pos = at.take(h)
+                    nxt.put(h, np.fromiter(map(next_pulse, nxt.take(h).tolist(), u.take(pos + 1).tolist()), np.int64, h.size))
+                    bias = lane_bias(after.take(h) / PS_PER_SECOND, kernels.take(h, 1))
+                    yes.put(h, u.take(pos) * p_max < _per_lane(click_probability, bias))
+                    I[5:7, h] += [[2], [1]]
+                q = ~(pulse | done)
+            else:
+                after, done = np.zeros(ids.size, np.int64), prop >= lim
+                q = ~done
+            qi = q.nonzero()[0]
+            if qi.size:
+                t_q, env_q = prop.take(qi), env.take(qi)
+                rate = r_ref * _per_lane(exp, g_dark * (lane_bias(t_q, kernels.take(qi, 1)) - i_ref))
+                eject.put(qi, rate > env_q * (1.0 + 1e-9))
+                yes.put(qi, u.take(at.take(qi)) * env_q <= rate)
+                after.put(qi, np.rint(t_q * PS_PER_SECOND))
+                t[qi], prop[qi] = t_q, -1.0
+                at += q
+                proposals += q
+            # a click on the last one's ps is a sub-ps coincidence: dropped;
+            # a proposal without a click is a stopping time for the lift
+            c = yes & (after > 0)
+            dropped += yes & ~c
+            r = q & ~c & old
+            if c.any():
                 # a new click: its older kernels are the live ones; a lane
                 # that would hold more than LANE_KERNELS leaves
-                ep[c] += after[c]
-                shift = after[c] / PS_PER_SECOND
-                tcs = [a[c] for a in act]
-                live = [shift - tc < kdur for tc in tcs]
-                eject[c[live[0]]] = True
-                for a, tc, on in zip(act, tcs[1:], live[1:]):
-                    a[c] = np.where(on, tc - shift, np.nan)
-                act[width][c], depth = 0.0, min(depth + 1, width)
-                t[c], k[c], lift[c], hi[c], prop[c] = 0.0, 0, 1.0, n_int, -1.0
-                lim[c] = np.minimum(quiet_s, (end_ps - ep[c]) / PS_PER_SECOND)
-                relift(c[np.logical_or.reduce(live[1:])])
+                ep += after * c
+                shift = after / PS_PER_SECOND
+                live = shift - F[5:] < kdur
+                eject |= c & live[0]
+                F[5:5 + width] = np.where(c, np.where(live[1:], F[6:] - shift, np.nan), F[5:5 + width])
+                depth = min(depth + 1, width)
+                F[2:5] = np.where(c, fresh, F[2:5])
+                I[3:5] = np.where(c, fresh_k, I[3:5])
+                r |= c & live[-1]
                 trains.append((ids[c], ep[c]))
-            fin = np.flatnonzero(done)
-            last[ids[fin]], work[:, ids[fin]] = ep[fin], cnt[:, fin]
+            relift(r)
+            ended.append(I.compress(done, 1))
             # a step reads at most a mass and a thinning draw, or a mass, a
             # pulse's draw and its skip
-            keep = np.flatnonzero(~(done | eject) & (cnt[0] <= LANE_DRAWS - 2 - (p_max > 0.0)))
-            ids, ep, mass, nxt, t, k, lift, hi, prop, env, lim, old = (
-                v[keep] for v in (ids, ep, mass, nxt, t, k, lift, hi, prop, env, lim, old))
-            act, cnt = [a[keep] for a in act], cnt[:, keep]
-        lane, ps = (np.concatenate(v) for v in zip(*trains))
-        order = np.argsort(lane, kind="stable")
-        return last, ps[order], np.searchsorted(lane[order], np.arange(n + 1)), work
+            keep = (~(done | eject) & (at - ids * LANE_DRAWS <= LANE_DRAWS - 2 - (p_max > 0.0))).nonzero()[0]
+            F, I, old = F.take(keep, 1), I.take(keep, 1), old.take(keep)
+        ended = np.concatenate(ended, 1)
+        ended[5] -= ended[0] * LANE_DRAWS
+        last[ended[0]], work[:, ended[0]] = ended[1], ended[5:]
+        return last, *(np.concatenate(v) for v in zip(*trains)), work
 
     # a quiescent detector sits at exactly I_b, so every pulse clicks with
     # this one probability, independently of the others and of the dark clicks
@@ -953,23 +964,23 @@ def _run_engine(
         # the first pulse after x that may click, one skip on (n_pulses for
         # none), and no pulse in the window that may click, which lies past
         # the pulses before min(x + quiet_ps, end_ps); stamps are whole ps
-        first = train.count(x)
         if p_max > 0.0:
+            first = train.count(x)
             first += np.minimum(window_rng.geometric(p_max, m), n_pulses + 1 - first) - 1
             lone &= first >= train.count(np.minimum(x, end_ps - quiet_ps) + (quiet_ps - 1))
         else:
-            first[:] = n_pulses
-        if latching:
-            # on a model that can latch every candidate is a lane, and the
-            # scalar loop resolves each one the detector reaches
-            lone[:] = False
+            first = np.full(m, n_pulses)
+        # on a model that can latch every candidate is a lane, and the
+        # scalar loop resolves each one the detector reaches
+        lone &= not latching
         lanes = np.flatnonzero(~lone)
         u = resolver_rng.random((lanes.size, LANE_DRAWS))
         # a lane within quiet_ps after the candidate before it mostly lies in
-        # that one's train: the scalar loop resolves it if it is reached
-        open_ = np.flatnonzero(np.append(True, np.diff(x) >= quiet_ps)[lanes])
+        # that one's train, and every lane of a model that can latch is the
+        # scalar loop's: it resolves them if they are reached
+        open_ = np.flatnonzero(np.append(True, np.diff(x) >= quiet_ps)[lanes] & (not latching))
         ends = np.full(lanes.size, -1, np.int64)
-        ends[open_], ps, starts, work = lockstep(*(v[open_] for v in (x[lanes], e[lanes], u, first[lanes])))
+        ends[open_], lane, ps, work = lockstep(*(v[open_] for v in (x[lanes], e[lanes], u, first[lanes])))
         # a break: a candidate that is not lone, or has another in its
         # window, so the lone ones between two breaks each lie past the
         # window of the one before. A reached break's train ends at its last
@@ -980,39 +991,46 @@ def _run_engine(
         stop = x[breaks]
         stop[is_lane] = ends
         to = np.searchsorted(x - quiet_ps, stop)
-        xs, bx, stop, to, to_at = x.tolist(), breaks.tolist(), stop.tolist(), to.tolist(), np.searchsorted(breaks, to).tolist()
-        lane_at = (np.cumsum(is_lane) - 1).tolist()
-        runs, seen, scalar = [bisect.bisect_left(xs, free)], [], []
-        at = bisect.bisect_left(bx, runs[0])
-        while at < len(bx):
-            seen.append(at)
-            if stop[at] < 0:
-                c = bx[at]
-                free = resolve(xs[c], float(e[c]), int(first[c]),
-                               itertools.chain(u[lane_at[at]].tolist(), spare).__next__, scalar)
+        to_at, lane_at, succ = np.searchsorted(breaks, to), np.cumsum(is_lane) - 1, np.arange(1, breaks.size + 1)
+        # the turns: the last break, and those after which the next one
+        # reached is not the next one, or whose train the scalar loop
+        # resolves. From a reached break, every one up to the next turn is
+        # reached
+        turns = np.flatnonzero((to_at != succ) | (stop < 0) | (succ == breaks.size))
+        turn_at, turn_stop, turn_next = turns.tolist(), stop[turns].tolist(), to_at[turns].tolist()
+        reached, scalar = np.zeros(breaks.size, bool), []
+        runs = [int(x.searchsorted(free))]
+        at = int(breaks.searchsorted(runs[0]))
+        while at < breaks.size:
+            i = bisect.bisect_left(turn_at, at)
+            reached[at:turn_at[i] + 1] = True
+            if turn_stop[i] < 0:
+                c = int(breaks[turn_at[i]])
+                free = resolve(int(x[c]), float(e[c]), int(first[c]),
+                               itertools.chain(u[lane_at[turn_at[i]]].tolist(), spare).__next__, scalar)
                 if latched_at is not None:
                     break
-                to[at] = bisect.bisect_left(xs, free, bx[at] + 1)
-                to_at[at] = bisect.bisect_left(bx, to[at], at)
+                to[turn_at[i]] = max(int(x.searchsorted(free)), c + 1)
+                turn_next[i] = int(breaks.searchsorted(to[turn_at[i]]))
             else:
-                free = stop[at] + quiet_ps
-            runs.append(to[at])
-            at = to_at[at]
+                free = turn_stop[i] + quiet_ps
+            at = turn_next[i]
+        # the runs start at the first candidate from free on and past the
+        # train of each reached break but one the run latched on
+        runs = np.append(runs, to[reached])[:np.count_nonzero(reached) + (latched_at is None)]
         if latched_at is None and runs[-1] < m:
-            free = xs[-1] + quiet_ps
+            free = int(x[-1]) + quiet_ps
         # the lone candidates reached: the run from each reached candidate
         # to the next break, and the lone breaks; the lanes reached
-        reached = np.zeros(len(bx), bool)
-        reached[seen] = True
         edges = np.zeros(m + 1, np.int64)
         edges[runs] += 1
-        edges[np.append(breaks[reached], m)[:len(runs)]] -= 1
+        edges[np.append(breaks[reached], m)[:runs.size]] -= 1
         taken = np.cumsum(edges[:m]) > 0
         taken[breaks[reached & ~is_lane]] = True
         kept = reached[is_lane] & (ends >= 0)
         n_lone += int(np.count_nonzero(taken))
         kept = kept[open_]
-        out.append(np.sort(np.concatenate([x[taken], ps[np.repeat(kept, np.diff(starts))], np.array(scalar, np.int64)]),
+        out.append(np.sort(np.concatenate([x[taken], ps[kept[lane]], np.array(scalar, np.int64)]),
                            kind="stable"))
         totals[:] += work[:, kept].sum(1)
         return free

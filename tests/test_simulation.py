@@ -95,6 +95,24 @@ class TestStimulus:
         train = make_stimulus(StimulusConfig.periodic(1e6, 1.0), 0)
         assert train.pulse_times_ps.size == 0
 
+    @pytest.mark.parametrize("train", [
+        StimulusTrain(1, (0,), 0, 123),
+        StimulusTrain(2_000_000, (0,), 50, 123),
+        StimulusTrain(1, (0,), 7, 5),
+        StimulusTrain(2_000_000, (0, 180_000), 10, 7),
+        StimulusTrain(2_000_000, (0, 180_000), 9, 7),
+        # the last sync at INT64_MAX: the stop lies past it
+        StimulusTrain(1_000, (0,), 5, INT64_MAX - 4_000),
+        StimulusTrain(3, (0, 1), 8, INT64_MAX - 9),
+        # 1e5 periods of 1 s: a stop one ps past the last sync would give
+        # arange a float count that rounds the last one away
+        StimulusTrain(10**12, (0,), 100_001, 0),
+    ], ids=["none", "periodic", "1ps", "double", "double-odd", "int64-max", "double-int64-max", "1e5-seconds"])
+    def test_sync_is_every_periods_first_pulse(self, train):
+        sync = train.sync_times_ps
+        assert sync.dtype == np.int64
+        assert np.array_equal(sync, train.times(np.arange(0, train.n_pulses, len(train.offsets_ps))))
+
     @given(
         st.integers(1, 10**7),
         st.booleans(),
@@ -1075,25 +1093,27 @@ LOCKSTEP_RUNS = {
         StimulusConfig.periodic(1e6, 1.0), 0.01, 1),
     "signed-kernel-dark": lambda: (table_model("signed", 25.2e-6), StimulusConfig.none(), 0.02, 2),
     "wide-band-kernel-dark": lambda: (table_model("wide-band", 25.2e-6), StimulusConfig.none(), 0.02, 2),
+    # the dark-afterpulse benchmark's run: 5,000 primary dark counts in one
+    # chunk of about 800 lanes
+    **{f"5000-counts-25.2uA-seed{seed}": (lambda seed=seed: (
+        model_at(25.2e-6), StimulusConfig.none(), 5000 / float(model_at(25.2e-6).rates.dark_rate(25.2e-6)), seed))
+       for seed in (1, 2)},
 }
 
 
 class TestLockstep:
     """Layer 2 resolves a lane in NumPy lockstep or in the scalar loop, and
     both give the same clicks and counters: with no lockstep step (K = 0),
-    with one, and with the default LANE_STEPS, both at a lane floor of 1,
-    so that every chunk takes the lockstep, and at the default floor; and
-    with as many steps as a lane has block uniforms, so that lanes leave
-    the lockstep before they would read past their block."""
+    with one, with the default LANE_STEPS, and with as many steps as a lane
+    has block uniforms, so that lanes leave the lockstep before they would
+    read past their block."""
 
     def runs(self, monkeypatch, model, stimulus, duration, seed):
-        steps, floor = simulation.LANE_STEPS, simulation.LANE_FLOOR
         out = {}
-        for k, f in ((0, 1), (1, 1), (steps, 1), (steps, floor), (simulation.LANE_DRAWS, 1)):
+        for k in (0, 1, simulation.LANE_STEPS, simulation.LANE_DRAWS):
             monkeypatch.setattr(simulation, "LANE_STEPS", k)
-            monkeypatch.setattr(simulation, "LANE_FLOOR", f)
             s = simulate(model, stimulus, duration, seed)
-            out[f"K={k}, floor={f}"] = (hashlib.sha256(s.detector_events.tobytes()).hexdigest(), s.metadata["engine"])
+            out[f"K={k}"] = (hashlib.sha256(s.detector_events.tobytes()).hexdigest(), s.metadata["engine"])
         return out
 
     def assert_agree(self, runs):
