@@ -807,15 +807,16 @@ def _run_engine(
         finally:
             totals[:] += (drawn, evaluated, dropped, crossings, proposals)
 
-    def lockstep(x: np.ndarray, e: np.ndarray, u: np.ndarray, first: np.ndarray):
-        """Layer 2 in lockstep (see `simulate`). Lane i is a click at x[i]
-        ps with mass e[i] and first pulse that may click first[i]; row i of
-        `u` is its block. A lane that could read past its block or would
-        raise is left to the scalar loop. Returns each lane's last click (-1
-        if left), each click's lane and ps, and each lane's drawn,
-        evaluated, dropped, crossings and proposals."""
-        n, width = x.size, LANE_KERNELS
-        last, work = np.full(n, -1, np.int64), np.zeros((5, n), np.int64)
+    def lockstep(x: np.ndarray, e: np.ndarray, u: np.ndarray, first: np.ndarray, taking: np.ndarray):
+        """Layer 2 in lockstep (see `simulate`) for the lanes `taking`. Lane
+        i is a click at x[i] ps with mass e[i] and first pulse that may click
+        first[i]; row i of `u` is its block. A lane that could read past its
+        block or would raise is left to the scalar loop, as are the others.
+        Returns each lane's last click (-1 if left), each click's lane and
+        ps, and each lane's drawn, evaluated, dropped, crossings and
+        proposals."""
+        n, width = taking.size, LANE_KERNELS
+        last, work = np.full(x.size, -1, np.int64), np.zeros((5, x.size), np.int64)
         # per interval: the mass before it, its envelope, start and end;
         # interval n_int, past the kernel, has rate_b and no end. A dead
         # kernel lifts by the 1.0 past the lifts
@@ -829,11 +830,11 @@ def _run_engine(
         # uniform (its index in u's rows laid end to end), evaluated,
         # dropped, crossings and proposals
         F, I = np.zeros((6 + width, n)), np.zeros((10, n), np.int64)
-        F[0], F[3:5], F[5:5 + width] = e, [[1.0], [-1.0]], np.nan
-        I[0], I[1], I[2], I[4], I[5] = np.arange(n), x, first, n_int, np.arange(0, n * LANE_DRAWS, LANE_DRAWS)
+        F[0], F[3:5], F[5:5 + width] = e[taking], [[1.0], [-1.0]], np.nan
+        I[0], I[1], I[2], I[4], I[5] = taking, x[taking], first[taking], n_int, taking * LANE_DRAWS
         # a new click's time, lift and proposal, and its interval and lift end
         fresh, fresh_k = np.array([[0.0], [1.0], [-1.0]]), np.array([[0], [n_int]])
-        old, trains, ended, depth = np.zeros(n, bool), [(np.arange(n), x)], [I[:, :0]], 0
+        old, trains, ended, depth = np.zeros(n, bool), [(taking, x[taking])], [I[:, :0]], 0
 
         def relift(r):
             # lifted() for the lanes r; the live older kernels are the
@@ -869,7 +870,7 @@ def _run_engine(
             np.putmask(env, need, ew)
             np.putmask(prop, need, p)
 
-        for _ in range(LANE_STEPS):
+        for step in range(LANE_STEPS):
             if not F.shape[1]:
                 break
             # no lane holds more than `depth` older kernels
@@ -885,24 +886,29 @@ def _run_engine(
             else:
                 np.putmask(prop, need, inf)
             lim = np.minimum(quiet_s, (end_ps - ep) / PS_PER_SECOND)
-            yes, eject = np.zeros(ids.size, bool), np.zeros(ids.size, bool)
             if n_pulses:
                 # a pulse that may click, before the proposal, leaves it
                 # standing unless it clicks
                 after = np.where(nxt < n_pulses, train.times(nxt) - ep, quiet_ps)
                 pulse = after / PS_PER_SECOND <= prop
                 done = np.where(pulse, after >= quiet_ps, prop >= lim)
-                h = (pulse & ~done).nonzero()[0]
-                if h.size:
-                    pos = at.take(h)
-                    nxt.put(h, np.fromiter(map(next_pulse, nxt.take(h).tolist(), u.take(pos + 1).tolist()), np.int64, h.size))
-                    bias = lane_bias(after.take(h) / PS_PER_SECOND, kernels.take(h, 1))
-                    yes.put(h, u.take(pos) * p_max < _per_lane(click_probability, bias))
-                    I[5:7, h] += [[2], [1]]
                 q = ~(pulse | done)
             else:
                 after, done = np.zeros(ids.size, np.int64), prop >= lim
                 q = ~done
+            ended.append(I.compress(done, 1))
+            if step == LANE_STEPS - 1:
+                # whatever its pulse or proposal decides, a lane not done
+                # after the last step is the scalar loop's
+                break
+            yes, eject = np.zeros(ids.size, bool), np.zeros(ids.size, bool)
+            h = (~(q | done)).nonzero()[0]
+            if h.size:
+                pos = at.take(h)
+                nxt.put(h, np.fromiter(map(next_pulse, nxt.take(h).tolist(), u.take(pos + 1).tolist()), np.int64, h.size))
+                bias = lane_bias(after.take(h) / PS_PER_SECOND, kernels.take(h, 1))
+                yes.put(h, u.take(pos) * p_max < _per_lane(click_probability, bias))
+                I[5:7, h] += [[2], [1]]
             qi = q.nonzero()[0]
             if qi.size:
                 t_q, env_q = prop.take(qi), env.take(qi)
@@ -932,7 +938,6 @@ def _run_engine(
                 r |= c & live[-1]
                 trains.append((ids[c], ep[c]))
             relift(r)
-            ended.append(I.compress(done, 1))
             # a step reads at most a mass and a thinning draw, or a mass, a
             # pulse's draw and its skip
             keep = (~(done | eject) & (at - ids * LANE_DRAWS <= LANE_DRAWS - 2 - (p_max > 0.0))).nonzero()[0]
@@ -978,15 +983,15 @@ def _run_engine(
         # a lane within quiet_ps after the candidate before it mostly lies in
         # that one's train, and every lane of a model that can latch is the
         # scalar loop's: it resolves them if they are reached
-        open_ = np.flatnonzero(np.append(True, np.diff(x) >= quiet_ps)[lanes] & (not latching))
-        ends = np.full(lanes.size, -1, np.int64)
-        ends[open_], lane, ps, work = lockstep(*(v[open_] for v in (x[lanes], e[lanes], u, first[lanes])))
+        close = np.diff(x) < quiet_ps
+        taking = np.flatnonzero(~np.append(False, close)[lanes] & (not latching))
+        ends, lane, ps, work = lockstep(x[lanes], e[lanes], u, first[lanes], taking)
         # a break: a candidate that is not lone, or has another in its
         # window, so the lone ones between two breaks each lie past the
         # window of the one before. A reached break's train ends at its last
         # click (-1: the scalar loop's), and the first candidate quiet_ps
         # after that is reached next
-        breaks = np.flatnonzero(~lone | np.append(np.diff(x) < quiet_ps, False))
+        breaks = np.flatnonzero(~lone | np.append(close, False))
         is_lane = ~lone[breaks]
         stop = x[breaks]
         stop[is_lane] = ends
@@ -1029,7 +1034,6 @@ def _run_engine(
         taken[breaks[reached & ~is_lane]] = True
         kept = reached[is_lane] & (ends >= 0)
         n_lone += int(np.count_nonzero(taken))
-        kept = kept[open_]
         out.append(np.sort(np.concatenate([x[taken], ps[kept[lane]], np.array(scalar, np.int64)]),
                            kind="stable"))
         totals[:] += work[:, kept].sum(1)
