@@ -908,6 +908,7 @@ def _run_engine(
                 nxt.put(h, np.fromiter(map(next_pulse, nxt.take(h).tolist(), u.take(pos + 1).tolist()), np.int64, h.size))
                 bias = lane_bias(after.take(h) / PS_PER_SECOND, kernels.take(h, 1))
                 yes.put(h, u.take(pos) * p_max < _per_lane(click_probability, bias))
+                # the pulse's draw and its skip, and one pulse evaluated
                 I[5:7, h] += [[2], [1]]
             qi = q.nonzero()[0]
             if qi.size:
