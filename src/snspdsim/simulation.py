@@ -652,6 +652,11 @@ def _run_engine(
     pulse_time = train.time
     n_pulses = train.n_pulses
     bias_at, lane_bias = _scalar_law(circ, t_quiet, ksamp, ksp, kdur)
+    # the lockstep's tables, per interval: the mass before it, its envelope,
+    # start and end; interval n_int, past the kernel, has rate_b and no end.
+    # A dead kernel lifts by the 1.0 past the lifts
+    tab = np.array([masses, envs + [rate_b], np.arange(n_int + 1) * ksp, np.arange(1, n_int + 2) * ksp])
+    tab[3, n_int], lifts_x = inf, np.array(lifts + [1.0])
 
     def click_probability(bias: float) -> float:
         eta = eta_max * exp(g_eta * (bias - i_ref))
@@ -816,12 +821,7 @@ def _run_engine(
         ps, and each lane's drawn, evaluated, dropped, crossings and
         proposals."""
         n, width = taking.size, LANE_KERNELS
-        last, work = np.full(x.size, -1, np.int64), np.zeros((5, x.size), np.int64)
-        # per interval: the mass before it, its envelope, start and end;
-        # interval n_int, past the kernel, has rate_b and no end. A dead
-        # kernel lifts by the 1.0 past the lifts
-        tab = np.array([masses, envs + [rate_b], np.arange(n_int + 1) * ksp, np.arange(1, n_int + 2) * ksp])
-        tab[3, n_int], lifts_x, u = inf, np.array(lifts + [1.0]), u.ravel()
+        last, work, u = np.full(x.size, -1, np.int64), np.zeros((5, x.size), np.int64), u.ravel()
         # a lane's state is a column of F and of I. F: its mass, envelope,
         # time since the epoch, lift and proposal (-1 for none), then its
         # kernels' click times, s since the epoch, oldest first, NaN for
