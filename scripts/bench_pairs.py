@@ -20,11 +20,12 @@ and summarizes the scaled time of each preset and of the battery like an
 end-to-end metric (`battery`). It counts the engine's deterministic work
 once in each checkout: clicks, uniforms, envelope steps (`crossings`),
 lone clicks (those the first layer accepts in bulk, 0 for an engine
-without one) and dark proposals thinned, each per click, and the pulses the resolver evaluated and
-skipped, over the seed-3 runs of fig4, fig8, fig9 and fig10, over dark
-runs at 23.0 and 25.2 uA and over a dense train, a 1 GHz laser at mu = 1
-and 25.0 uA, where every window holds a pulse that may click
-(`engine_work`). Last, it runs the Tier-1 suite
+without one) and dark proposals thinned, each per click, and the pulses
+the resolver evaluated and skipped, over the seed-3 runs of fig4, fig8,
+fig9, fig10 and fig11 (whose wide-band kernel has 80,000 sample
+intervals), over dark runs at 23.0 and 25.2 uA and over a dense train, a
+1 GHz laser at mu = 1 and 25.0 uA, where every window holds a pulse that
+may click (`engine_work`). Last, it runs the Tier-1 suite
 once in each checkout, the parent first, and records its wall time and
 summary line.
 `nproc`, the Python and NumPy versions and both commits are recorded too.
@@ -55,7 +56,7 @@ PRESET_SEED = 3
 RUN_TIMEOUT_S = 1800
 # the engine work counted on each side (engine_work): presets at
 # PRESET_SEED, and dark runs of WORK_DARK_COUNTS primary counts per seed
-WORK_FIGURES = ("fig4", "fig8", "fig9", "fig10")
+WORK_FIGURES = ("fig4", "fig8", "fig9", "fig10", "fig11")
 WORK_DARK_UA = (23.0, 25.2)
 WORK_DARK_COUNTS = 10_000
 WORK_DARK_SEEDS = (11, 12, 13)

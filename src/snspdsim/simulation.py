@@ -434,9 +434,9 @@ def simulate(
     and at a proposal that does not click (a stopping time). Recovery never
     exceeds I_b, so the envelope dominates the rate; a violation raises
     SimulationError. A click starts its kernel and, on an unshunted
-    detector, the latch scan, which ends the run. The tables and the
-    branching probability are constants of the model, built on its first
-    run.
+    detector, the latch scan, which ends the run. The tables, lists for the
+    scalar loop and arrays for the lockstep, and the branching probability
+    are constants of the model, built on its first run.
 
     A model with a live kernel whose click has a mean of one or more
     further clicks, -log(1 - branching_probability(model)) >= 1, is
@@ -502,9 +502,10 @@ class _KernelTables(NamedTuple):
     """The kernel's thinning tables: constants of the model. The newest
     click is bounded over each kernel sample interval k by envs[k], which
     covers its recovery and its own kernel; each older live kernel lifts
-    that by lifts[i], i being the interval of its age. A model
-    without a live kernel has the empty table: no interval, masses [0.0]
-    and no branching, as no kernel means no cascade."""
+    that by lifts[i], i being the interval of its age. A model without a
+    live kernel has the empty table: no interval, masses [0.0] and no
+    branching, as no kernel means no cascade. The scalar loop reads the
+    lists, the lockstep the arrays."""
 
     branching: float        # branching_probability(model)
     samples: list           # the kernel samples, A
@@ -513,6 +514,11 @@ class _KernelTables(NamedTuple):
     envs: list              # the newest click's envelope, 1/s, in each sample interval
     masses: list            # the envelope mass of intervals 0..k-1, for k = 0..len(envs)
     lifts: list             # exp(g * PerturbationKernel.max_remaining()), by math.exp
+    pairs: np.ndarray       # each interval's two end samples
+    # per interval, and past the kernel (rate_b, no end): the mass before
+    # it, its envelope, its start (the sample grid) and its end
+    tab: np.ndarray
+    lifts_x: np.ndarray     # the lifts, then the 1.0 a dead kernel lifts by
 
 
 def _quiet_dark_rate(model: DetectorModel) -> float:
@@ -525,30 +531,31 @@ def _kernel_tables(model: DetectorModel) -> _KernelTables:
     """The thinning tables of the model's kernel; empty, with no interval
     and no branching, without a kernel or with an identically zero one,
     which has no effect."""
-    kernel = model.kernel
+    kernel, rate_b = model.kernel, _quiet_dark_rate(model)
     if kernel is None or not np.any(kernel.samples):
-        return _KernelTables(0.0, [], 0.0, 0.0, [], [0.0], [])
+        return _KernelTables(0.0, [], 0.0, 0.0, [], [0.0], [], np.zeros((2, 0)),
+                             np.array([[0.0], [rate_b], [0.0], [math.inf]]), np.ones(1))
     circ, rates = model.circuit, model.rates
     r_ref, g_dark, i_ref = rates.dark_rate_ref, rates.dark_rate_slope, rates.reference_bias
-    ksp, n = kernel.sample_period, kernel.samples.size - 1
-    kdur = n * ksp
+    samples, ksp = kernel.samples.tolist(), kernel.sample_period
+    kdur = kernel.duration
+    pairs = np.array([kernel.samples[:-1], kernel.samples[1:]])
+    grid = np.arange(len(samples)) * ksp
     # over each sample interval [k, k+1] the recovery, which falls and then
     # rises, is largest at an end, and the interpolated kernel is at most
-    # the larger positive part of its two samples. The envelope takes
+    # the larger positive part of its two samples. The recovery on the grid
+    # is one lane_bias call with no kernel row, and the envelope takes
     # math.exp per interval, as the engine does, so its bits do not depend
     # on NumPy's SIMD level
-    recovery, _ = _scalar_law(circ, max(circ.settle_time, kdur), (), ksp, kdur)
-    recovered = [recovery(k * ksp, ()) for k in range(n + 1)]
-    positive = np.maximum(kernel.samples, 0.0)
-    tops = np.maximum(positive[:-1], positive[1:]).tolist()
-    envs = [
-        r_ref * math.exp(g_dark * (max(a, b) + top - i_ref))
-        for a, b, top in zip(recovered, recovered[1:], tops)
-    ]
-    masses = list(itertools.accumulate((env * ksp for env in envs), initial=0.0))
+    _, lane_bias = _scalar_law(circ, max(circ.settle_time, kdur), samples, pairs, ksp, kdur)
+    recovered = lane_bias(grid, np.empty((0, 1)))
+    top = np.maximum(recovered[:-1], recovered[1:]) + np.maximum(pairs.max(0), 0.0)
+    envs = r_ref * _per_lane(math.exp, g_dark * (top - i_ref))
+    masses = np.cumsum(np.append(0.0, envs * ksp))
+    lifts = _per_lane(math.exp, g_dark * kernel.max_remaining())
     return _KernelTables(
-        branching_probability(model), kernel.samples.tolist(), ksp, kdur,
-        envs, masses, [math.exp(g_dark * s) for s in kernel.max_remaining().tolist()],
+        branching_probability(model), samples, ksp, kdur, envs.tolist(), masses.tolist(), lifts.tolist(), pairs,
+        np.array([masses, np.append(envs, rate_b), grid, np.append(grid[1:], math.inf)]), np.append(lifts, 1.0),
     )
 
 
@@ -557,16 +564,16 @@ def _per_lane(f, v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, v.tolist()), float, v.size)
 
 
-def _scalar_law(circ: CircuitParams, t_quiet: float, samples, ksp: float, kdur: float):
-    """The scalar form of the effective-bias law, the engine's only one:
-    bias_at(when, kernels) is circuit.nanowire_current `when` s after the
-    last click plus the kernels of `samples` at their click times
-    `kernels`, s since that click. It stays scalar math.exp in this
-    operation order, as one NumPy call costs more than a whole thinning
-    proposal. From t_quiet on it returns exactly I_b
-    (CircuitParams.settle_time). lane_bias is bias_at for each of an array
-    of lanes, in the same operation order and with math.exp per lane, so
-    that its bits are bias_at's at every SIMD level."""
+def _scalar_law(circ: CircuitParams, t_quiet: float, samples: list, pairs: np.ndarray, ksp: float, kdur: float):
+    """The engine's two copies of the effective-bias law, in one operation
+    order. bias_at(when, kernels) is circuit.nanowire_current `when` s
+    after the last click plus the kernels of `samples` at their click times
+    `kernels`, s since that click, in scalar math.exp: the scalar loop calls
+    it once per proposal or pulse, where a NumPy call costs more than the
+    whole proposal. From t_quiet on it is exactly I_b (settle_time).
+    lane_bias is bias_at for an array of times, with the samples' interval
+    ends `pairs` and math.exp per element, so its bits are bias_at's at
+    every SIMD level: the lockstep, the tables and the latch scan call it."""
     i_b = circ.bias_current
     i_ss = circ.resistive_branch_current
     i_end = circ.hotspot_end_current
@@ -591,13 +598,11 @@ def _scalar_law(circ: CircuitParams, t_quiet: float, samples, ksp: float, kdur: 
                 i += samples[j] * (1.0 - f) + samples[j + 1] * f
         return i
 
-    # each interval's two end samples
-    pairs = np.array([samples[:-1], samples[1:]], dtype=float)
-
     def lane_bias(when: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-        # kernels: a row per kernel, oldest first, of each lane's click time,
-        # NaN for none. The exponents are bias_at's, bit for bit: -when /
-        # tau_fall is when / -tau_fall and -(when - t_hs) the t_hs - when
+        # kernels: a row per kernel, oldest first, of each time's click
+        # time (a column: one for all), NaN for none. The exponents are
+        # bias_at's, bit for bit: -when / tau_fall is when / -tau_fall and
+        # -(when - t_hs) the t_hs - when
         fall = when <= t_hs
         e = _per_lane(exp, np.where(fall, when / -tau_fall, (t_hs - when) / tau_rec))
         i = np.where(when < t_quiet, np.where(fall, i_ss + (i_b - i_ss) * e, i_b - (i_b - i_end) * e), i_b)
@@ -641,7 +646,7 @@ def _run_engine(
     inf = math.inf
 
     rate_b = _quiet_dark_rate(model)
-    _, ksamp, ksp, kdur, envs, masses, lifts = model._tables
+    _, ksamp, ksp, kdur, envs, masses, lifts, pairs, tab, lifts_x = model._tables
     n_int = len(envs)
     # from t_quiet after a click the detector is quiescent: the current is
     # exactly I_b, and no kernel is live, as every click starts one
@@ -651,12 +656,7 @@ def _run_engine(
     latching = model.can_latch and n_int > 0
     pulse_time = train.time
     n_pulses = train.n_pulses
-    bias_at, lane_bias = _scalar_law(circ, t_quiet, ksamp, ksp, kdur)
-    # the lockstep's tables, per interval: the mass before it, its envelope,
-    # start and end; interval n_int, past the kernel, has rate_b and no end.
-    # A dead kernel lifts by the 1.0 past the lifts
-    tab = np.array([masses, envs + [rate_b], np.arange(n_int + 1) * ksp, np.arange(1, n_int + 2) * ksp])
-    tab[3, n_int], lifts_x = inf, np.array(lifts + [1.0])
+    bias_at, lane_bias = _scalar_law(circ, t_quiet, ksamp, pairs, ksp, kdur)
 
     def click_probability(bias: float) -> float:
         eta = eta_max * exp(g_eta * (bias - i_ref))
@@ -723,12 +723,10 @@ def _run_engine(
                 t, k, lift, hi = 0.0, 0, 1.0, n_int
                 older = [tc - shift for tc in active if shift - tc < kdur]
                 active = older + [0.0]
-                if latching:
-                    # scan the kernel horizon for the first crossing of I_c
-                    for j in range(n_int + 1):
-                        if bias_at(j * ksp, active) >= i_c:
-                            latched_at = epoch
-                            return end_ps + 1
+                # scan the kernel horizon, the sample grid, for a crossing of I_c
+                if latching and (lane_bias(tab[2], np.reshape(active, (-1, 1))) >= i_c).any():
+                    latched_at = epoch
+                    return end_ps + 1
                 if older:
                     older, lift, hi = lifted(older, t, k)
                 proposal = -1.0  # none drawn

@@ -781,7 +781,8 @@ class TestModelTables:
         copy = dataclasses.replace(m)
         third = simulate(copy, stimulus, 0.02, 5)
         assert m._tables is tables
-        assert copy._tables is not tables and copy._tables == _kernel_tables(m) == tables
+        assert copy._tables is not tables
+        assert same_tables(copy._tables, _kernel_tables(m)) and same_tables(copy._tables, tables)
         assert first.detector_events.size > 0
         assert first == second == third
 
@@ -869,11 +870,13 @@ class TestModelTables:
         law = np.trapezoid(m.rates.dark_rate(effective_bias(m, s, [0.0])), s)
         assert law < mass < 1.10 * law
 
-    @pytest.mark.parametrize("kernel", ["profile", "wide-band"])
+    @pytest.mark.parametrize("kernel", ["profile", "wide-band", "signed"])
     def test_one_kernel_tables_match_the_loop(self, kernel):
         # the envelopes in math.exp per interval, from the recovery law in
         # math.exp at the interval ends, and the masses as a running sum,
-        # bit for bit; the lifts are exp(g * the kernel's own suffix maxima)
+        # bit for bit; the lifts are exp(g * the kernel's own suffix maxima).
+        # The lockstep's arrays hold the same values, past the kernel rate_b
+        # and a lift of 1.0
         m = table_model(kernel, 25.2e-6)
         tables, rates, c = m._tables, m.rates, m.circuit
         samples, ksp = m.kernel.samples.tolist(), tables.sample_period
@@ -895,6 +898,31 @@ class TestModelTables:
         assert tables.envs == envs
         assert tables.masses == masses
         assert tables.lifts == [math.exp(rates.dark_rate_slope * s) for s in m.kernel.max_remaining().tolist()]
+        starts = [k * ksp for k in range(len(samples))]
+        rate_b = rates.dark_rate_ref * math.exp(rates.dark_rate_slope * (i_b - rates.reference_bias))
+        assert tables.tab.tolist() == [masses, envs + [rate_b], starts, starts[1:] + [math.inf]]
+        assert tables.lifts_x.tolist() == tables.lifts + [1.0]
+        assert tables.pairs.tolist() == [samples[:-1], samples[1:]]
+
+    @pytest.mark.parametrize("live", [1, 3, 6])
+    @pytest.mark.parametrize("kernel", ["profile", "wide-band"])
+    def test_lane_bias_is_bias_at_on_the_grid(self, kernel, live):
+        # the latch scan passes every active kernel as a row of lane_bias,
+        # more than the lockstep's LANE_KERNELS + 1: on the kernel's sample
+        # grid it is bias_at bit for bit, with kernels clicked at assorted
+        # ages before the newest at 0.0, on and off the grid, live and dead
+        m = table_model(kernel, 25.2e-6)
+        tables, c = m._tables, m.circuit
+        ksp, kdur = tables.sample_period, tables.duration
+        bias_at, lane_bias = simulation._scalar_law(
+            c, max(c.settle_time, kdur), tables.samples, tables.pairs, ksp, kdur
+        )
+        ages = [1.25 * kdur, 0.73 * kdur, 117 * ksp, 40.5 * ksp, 3.3e-9, 0.0][-live:]
+        active = [-age for age in ages]
+        grid = tables.tab[2]
+        assert grid.size == len(tables.samples)
+        lanes = lane_bias(grid, np.reshape(active, (-1, 1)))
+        assert lanes.tolist() == [bias_at(when, active) for when in grid.tolist()]
 
     def test_zero_kernel_has_the_empty_tables(self):
         # an identically zero kernel has no effect: its tables are those of
@@ -902,8 +930,14 @@ class TestModelTables:
         m = DetectorModel(presets.profile_circuit(25.0e-6), presets.profile_rates(),
                           gaussian_kernel(0.0))
         empty = model_at(25.0e-6, kernel_amplitude=0.0)._tables
-        assert m._tables == empty == _kernel_tables(m)
+        assert same_tables(m._tables, empty) and same_tables(empty, _kernel_tables(m))
         assert empty.branching == 0.0 and empty.envs == [] and empty.masses == [0.0]
+
+
+def same_tables(a, b):
+    # a table's lists and numbers compare with ==, its arrays element by
+    # element
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
 
 def unshunted(bias):
