@@ -20,25 +20,28 @@ is exactly the 64-byte header.
 
 The CSV twin has the schema `channel,timestamp_ps` with a one-line header;
 run duration and metadata ride along in `#`-comment lines before the header
-so the text form round-trips too. The reader's grammar, for a UTF-8 file: a
-line ends at LF, CRLF or a lone CR, and `#` starts a comment that runs to the
-line end. A body line that is empty once its comment is cut is skipped; each
-other one is a row of two fields split by a comma, the channel (0 or 1) and
-the stamp (an int64). A field is optional whitespace, an optional `+` or `-`,
-digits and optional whitespace; whitespace is space, tab, `\v`, `\f` and
-`\x1c`-`\x1f`. So a line of whitespace alone (`"  "`, `"  # c"`), an empty
-field, `5.7`, `1e3`, `1_000`, `- 5`, `5 6` and `\x00` are refused, and so is
-whitespace beyond ASCII (U+00A0, U+2003): the one departure from NumPy's
-loadtxt, which reads it as whitespace. The `# duration_ps=` value reads as a
-stamp. The first refused line raises a `FormatError` that names it; a broken
-stream invariant raises `StreamValidationError`.
+so the text form round-trips too. A line ends at LF, CRLF or a lone CR, and
+the reader's grammar is one line rule, `_LINE` as `_row` applies it: a body
+line must be UTF-8, and `#` starts a comment that runs to the line end. A
+line that is empty once its comment is cut is skipped; each other one is a
+row of two fields split by a comma, the channel (0 or 1) and the stamp (an
+int64). A field is optional whitespace, an optional `+` or `-`, digits and
+optional whitespace; whitespace is space, tab, `\v`, `\f` and `\x1c`-`\x1f`.
+So a line of whitespace alone (`"  "`, `"  # c"`), an empty field, `5.7`,
+`1e3`, `1_000`, `- 5`, `5 6` and `\x00` are refused, and so is whitespace
+beyond ASCII (U+00A0, U+2003): the one departure from NumPy's loadtxt, which
+reads it as whitespace. The `# duration_ps=` value reads as a stamp. Runs of
+the writer's rows (`channel,stamp` and LF, up to 19 digits) are summed in
+NumPy a digit column at a time; any other line costs one Python call of the
+line rule (about 2 us). The first refused line raises a `FormatError` that
+names it; a broken stream invariant raises `StreamValidationError`.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -61,11 +64,11 @@ _CSV_CHUNK = 16_384
 # body bytes per reader read (a block ends at its last line end): bounds the
 # text held in memory beside the parsed rows
 _CSV_BLOCK = 1 << 20
-_LF, _CR = ord("\n"), ord("\r")
-# the bytes of a field (digits and signs), and those that stand for a line's
-# edge in the reader's cut (a line end, a cut byte, 0 for the block's start)
-_FIELD, _EDGE = np.zeros((2, 256), bool)
-_FIELD[list(b"+-0123456789")], _EDGE[[0, _LF, _CR]] = True, True
+# the grammar's line rule: a body line once its comment is cut is two fields
+# split by a comma, each optional whitespace, an optional sign, digits and
+# optional whitespace; leading zeros are matched apart, so that at most 19
+# digits reach int()
+_LINE = re.compile(b",".join([rb"[ \t\v\f\x1c-\x1f]*([+-]?)0*([0-9]{1,19})[ \t\v\f\x1c-\x1f]*"] * 2))
 # the first stamp of each digit count from 2 to 19: 10, 100, ..., 10**18
 _POW10 = 10 ** np.arange(1, 19, dtype=np.uint64)
 # _DIGITS4[n] holds the four ASCII digits of n, leading zeros included, as
@@ -201,72 +204,57 @@ def _read_binary(path) -> TimeTagStream:
     return _split_channels(records["channel"], stamps, int(duration_ps), metadata)
 
 
-def _rows(block, minus=None):
-    """The channel and stamp arrays of `block`'s lines, or None if the grammar refuses one.
-    A `block` with `minus` (where a '-' stood) is one `_cut` has cut to the writer's form."""
-    tokens = np.frombuffer(block, np.uint8)
-    ends = np.flatnonzero(tokens == _LF)
-    widths, digit = np.diff(ends, prepend=-1), tokens - ord("0")  # a non-digit wraps above 9
-    commas, cols, layout = ends - widths + 2, 1, widths  # the writer's rows: one channel digit
-    if minus is not None:  # a cut block's rows: the digits before each comma, and the run key
-        commas = np.flatnonzero(tokens == ord(","))
-        cols = commas - ends + widths - 1 if commas.size == ends.size else 0
-        layout = widths << 32 | cols
-    if not (np.count_nonzero(digit > 9) == 2 * ends.size and np.all(widths > cols + 2) and np.all(cols > 0)
-            and np.all(tokens[commas] == ord(","))):  # each row a digit run, a comma and a digit run
-        return None if minus is not None else _rows(*_cut(block))
-    # a '-' stands first in the field it negates
-    neg = np.zeros((2, ends.size), bool) if minus is None else np.stack((minus[commas - cols], minus[commas + 1]))
-    runs = [0, *(np.flatnonzero(layout[1:] != layout[:-1]) + 1).tolist(), ends.size] if ends.size else []
-    channels, stamps = [], []
-    for lo, hi in zip(runs, runs[1:]):  # runs of rows of one layout, summed a digit column at a time
-        width, c = int(widths[lo]), int(commas[lo] - ends[lo] + widths[lo] - 1)
-        rows = digit[ends[lo] - width + 1 : ends[hi - 1] + 1].reshape(hi - lo, width)
-        channel, stamp = _field(rows[:, :c], neg[0, lo:hi]), _field(rows[:, c + 1 : -1], neg[1, lo:hi])
-        if channel is None or stamp is None or channel.view(np.uint64).max(initial=0) > 1:
-            return None
-        channels.append(channel.astype(np.uint8))
-        stamps.append(stamp)
-    return channels, stamps
-
-
-def _field(cols, neg):
-    """The int64 values of digit columns `cols`, a field a row, negated where `neg`; None if one overflows."""
-    lead = max(cols.shape[1] - 19, 0)  # 19 digits never overflow uint64
-    value = cols[:, lead].astype(np.uint64)
-    for column in range(lead + 1, cols.shape[1]):
-        value *= 10
-        value += cols[:, column]
-    if value.max(initial=0) > INT64_MAX and np.any(value > np.uint64(INT64_MAX) + neg) or cols[:, :lead].any():
+def _row(line: bytes):
+    """The channel and stamp of a body line without its line end, or None for one
+    that is empty once its comment is cut; a ValueError if the grammar refuses it."""
+    line.decode("utf-8")  # a UnicodeDecodeError is a ValueError
+    if not (body := line.partition(b"#")[0]):
         return None
-    return np.negative(value, out=value, where=neg).view(np.int64)
+    if (fields := _LINE.fullmatch(body)) is None:
+        raise ValueError(line)
+    channel, stamp = int(fields[1] + fields[2]), int(fields[3] + fields[4])
+    if channel not in (0, 1) or not -INT64_MAX - 1 <= stamp <= INT64_MAX:
+        raise ValueError(line)
+    return channel, stamp
 
 
-def _cut(block: bytes):
-    """A block cut to digits, commas and line ends, a sign that starts a field a 0, and where a '-' stood."""
-    # a block's line ends are LFs, so a byte set to CR is cut; a byte the
-    # grammar refuses stays, for `_rows` to refuse
-    raw = np.frombuffer(block, np.uint8).copy()
-    lf = np.flatnonzero(raw == _LF)
-    # a comment runs from the first '#' of a line to the line end; in a block
-    # that is not UTF-8 none is cut, so `_rows` refuses the block
-    utf8 = b"#" in block and (block.isascii() or block.decode("utf-8", "replace").encode("utf-8") == block)
-    hashes = np.flatnonzero(raw == ord("#")) if utf8 else lf[:0]
-    stops, first = np.unique(lf[np.searchsorted(lf, hashes)], return_index=True)
-    n = stops - hashes[first]
-    raw[np.arange(n.sum()) + np.repeat(stops - np.cumsum(n), n)] = _CR
-    starts = np.append(0, lf[:-1] + 1)
-    raw[lf[(raw[starts] == _LF) | (raw[starts] == _CR)]] = _CR  # a blank line
-    # a whitespace run is cut unless it stands inside a field or alone in a line
-    at = np.flatnonzero((raw == ord(" ")) | (raw == ord("\t")) | (raw - 11 < 2) | (raw - 28 < 4))
-    lo, hi = at[np.diff(at, prepend=-2) > 1], at[np.diff(at, append=raw.size + 1) > 1]
-    before, after = raw[lo - 1] * (lo > 0), raw[hi + 1]
-    stays = _FIELD[before] & _FIELD[after] | _EDGE[before] & _EDGE[after]
-    raw[at[~np.repeat(stays, hi - lo + 1)]] = _CR
-    tokens = np.frombuffer(bytearray(raw.tobytes().translate(None, b"\r")), np.uint8)
-    minus, signs = tokens == ord("-"), np.flatnonzero((tokens == ord("+")) | (tokens == ord("-")))
-    tokens[signs[~_FIELD[tokens[signs - 1] * (signs > 0)] & (tokens[signs + 1] - ord("0") < 10)]] = ord("0")
-    return tokens, minus
+def _rows(block, first_line):
+    """The channel and stamp arrays of `block`'s rows, and its line count; its lines
+    end in LF, and the first is file line `first_line`."""
+    tokens = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(tokens == ord("\n"))
+    widths, digit = np.diff(ends, prepend=-1), tokens - ord("0")  # a non-digit wraps above 9
+    starts = ends - widths + 1
+    # the writer's rows: a digit, a comma and digits, so two non-digits a line
+    writer = tokens[np.minimum(starts + 1, ends)] == ord(",")
+    if not (np.count_nonzero(digit > 9) == 2 * ends.size and writer.all()):
+        writer &= np.add.reduceat(digit > 9, starts, dtype=np.intp) == 2
+    layout = np.where(writer, widths, 0)
+    runs = [0, *(np.flatnonzero(layout[1:] != layout[:-1]) + 1).tolist(), ends.size]
+    channels, stamps = [], []
+    for lo, hi in zip(runs, runs[1:]):
+        if 3 < (width := int(layout[lo])) < 23:  # writer's rows of 1-19 digits, summed a digit column at a time
+            rows = digit[starts[lo] : ends[hi - 1] + 1].reshape(hi - lo, width)
+            stamp = rows[:, 2].astype(np.uint64)
+            for column in range(3, width - 1):
+                stamp *= 10
+                stamp += rows[:, column]
+            if rows[:, 0].max() <= 1 and stamp.max() <= INT64_MAX:
+                channels.append(rows[:, 0].copy())  # not a view that holds the block's digits
+                stamps.append(stamp.view(np.int64))
+                continue
+        read = []  # any other line, or a run holding a line the line rule refuses
+        for k in range(lo, hi):
+            try:
+                if (row := _row(block[starts[k] : ends[k]])) is not None:
+                    read.append(row)
+            except ValueError:
+                raise FormatError(f"line {first_line + k}: {block[starts[k] : ends[k] + 1]!r} is not a row: "
+                                  "a channel of 0 or 1, a comma, an int64") from None
+        read = np.array(read, np.int64).reshape(-1, 2)
+        channels.append(read[:, 0].astype(np.uint8))
+        stamps.append(read[:, 1])
+    return channels, stamps, ends.size
 
 
 def _blocks(fh):
@@ -299,9 +287,10 @@ def _read_csv(path) -> TimeTagStream:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("duration_ps="):  # the value reads as a stamp
-                    if (rows := _rows(b"0,%s\n" % body.split("=", 1)[1].encode("utf-8"))) is None:
-                        raise FormatError(f"line {lineno}: bad duration_ps")
-                    duration_ps = int(rows[1][0][0])
+                    try:
+                        duration_ps = _row(b"0," + body.split("=", 1)[1].encode("utf-8"))[1]
+                    except ValueError:
+                        raise FormatError(f"line {lineno}: bad duration_ps") from None
                 elif body.startswith("metadata="):
                     metadata = _decode_metadata(body.split("=", 1)[1].encode("utf-8"))
             elif line:
@@ -313,19 +302,13 @@ def _read_csv(path) -> TimeTagStream:
     channels, stamps = [np.empty(0, np.uint8)], [np.empty(0, np.int64)]
     with open(path, "rb") as fh:
         fh.seek(offset)
-        for n_before, block in enumerate(_blocks(fh)):
+        for block in _blocks(fh):
             if b"\r" in block:  # every line end an LF, once
                 block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            if (rows := _rows(block)) is None:
-                # the first refused line ends the shortest refused run of the block's lines
-                lines = block.splitlines(keepends=True)
-                k = bisect.bisect(range(len(lines)), False, key=lambda k: _rows(b"".join(lines[: k + 1])) is None)
-                fh.seek(offset)  # the lines of the blocks before, read again
-                lineno += sum(len(before.splitlines()) for _, before in zip(range(n_before), _blocks(fh)))
-                raise FormatError(
-                    f"line {lineno + k + 1}: {lines[k]!r} is not a row: a channel of 0 or 1, a comma, an int64")
-            channels += rows[0]
-            stamps += rows[1]
+            block_channels, block_stamps, lines = _rows(block, lineno + 1)
+            channels += block_channels
+            stamps += block_stamps
+            lineno += lines
     channels, stamps = np.concatenate(channels), np.concatenate(stamps)
     if duration_ps is None:
         # never negative: a negative stamp is then named by TimeTagStream

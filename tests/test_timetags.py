@@ -306,6 +306,23 @@ class TestCsvFormat:
             with pytest.raises(FormatError):
                 read_stream(path)
 
+    @pytest.mark.parametrize(
+        "text, stream",
+        [
+            (b"channel,timestamp_ps\n0," + b"0" * 5000 + b"5\n", TimeTagStream(np.array([5]), np.array([]), 5)),
+            (b"# duration_ps=" + b"0" * 5000 + b"9\nchannel,timestamp_ps\n", TimeTagStream(np.array([]), np.array([]), 9)),
+        ],
+        ids=["stamp", "duration"],
+    )
+    def test_leading_zeros_beyond_int_digit_limit(self, tmp_path, text, stream):
+        # int() refuses more than 4,300 digits; leading zeros are not read as digits
+        path = tmp_path / "s.csv"
+        path.write_bytes(text)
+        assert read_stream(path) == stream
+        path.write_bytes(b"channel,timestamp_ps\n0,12345678901234567890\n")
+        with pytest.raises(FormatError, match="^line 2: "):
+            read_stream(path)
+
     def test_non_utf8_row_named_wherever_it_sits(self, tmp_path):
         # 30 rows sit in the first ~8 KiB the text reader decodes, 3,000 rows do not
         messages = []
@@ -385,7 +402,7 @@ class TestCsvCodec:
         write_stream_csv(stream, path)
         text = path.read_bytes()
         head = text.index(b"channel,timestamp_ps\n") + len(b"channel,timestamp_ps\n")
-        channels, stamps = map(np.concatenate, timetags._rows(text[head:]))
+        channels, stamps = map(np.concatenate, timetags._rows(text[head:], 1)[:2])
         assert list(zip(stamps.tolist(), channels.tolist())) == sorted(
             [(t, 0) for t in det] + [(t, 1) for t in sync])
         # the same rows in the grammar's other forms: CRLF, comments, blank
@@ -448,6 +465,36 @@ class TestCsvCodec:
             read_stream(path)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64, None], ids=lambda b: f"block-{b or 'default'}")
+def test_line_rule_reads_only_departing_lines(tmp_path, monkeypatch, block):
+    # the writer's rows are summed in NumPy; a line in any other form is read by `_row`, once
+    path = tmp_path / "writer.csv"
+    write_stream_csv(every_width_stream(pad=200), path)
+    head, body = path.read_bytes().split(b"channel,timestamp_ps\n")
+    rows = body.splitlines()
+    # a comment line and a blank line go in before rows 5 and 40; four rows are rewritten
+    departing = [b"# note", b"", rows[80] + b" # inline", rows[120].replace(b",", b",+"),
+                 rows[160].replace(b",", b", "), b"0" + rows[200]]
+    rows[5], rows[40] = departing[0] + b"\n" + rows[5], departing[1] + b"\n" + rows[40]
+    rows[80], rows[120], rows[160], rows[200] = departing[2:]
+    edited = tmp_path / "edited.csv"
+    edited.write_bytes(head + b"channel,timestamp_ps\n" + b"\n".join(rows) + b"\n")
+    lines, row_rule = [], timetags._row
+
+    def spy(line):
+        lines.append(line)
+        return row_rule(line)
+
+    monkeypatch.setattr(timetags, "_row", spy)
+    if block is not None:
+        monkeypatch.setattr(timetags, "_CSV_BLOCK", block)
+    for csv, read in [(path, []), (edited, departing)]:
+        lines.clear()
+        assert read_stream(csv) == reference_read_csv(csv)
+        body_lines = csv.read_bytes().split(b"channel,timestamp_ps\n")[1].splitlines()
+        assert sorted(line for line in lines if line in body_lines) == sorted(read)
+
+
 LINE_ENDS = {"lf": b"\n", "crlf": b"\r\n", "lone-cr": b"\r"}
 BLOCK_HEAD = b"# duration_ps=100000\nchannel,timestamp_ps\n"
 
@@ -480,9 +527,9 @@ class TestCsvBlocks:
         path.write_bytes(BLOCK_HEAD + body)
         sizes, rows = [], timetags._rows
 
-        def spy(block, minus=None):
+        def spy(block, first_line):
             sizes.append(len(block))
-            return rows(block, minus)
+            return rows(block, first_line)
 
         monkeypatch.setattr(timetags, "_rows", spy)
         monkeypatch.setattr(timetags, "_CSV_BLOCK", 64)
