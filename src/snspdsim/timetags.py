@@ -64,10 +64,8 @@ _CSV_CHUNK = 16_384
 # body bytes per reader read (a block ends at its last line end): bounds the
 # text held in memory beside the parsed rows
 _CSV_BLOCK = 1 << 20
-# the grammar's line rule: a body line once its comment is cut is two fields
-# split by a comma, each optional whitespace, an optional sign, digits and
-# optional whitespace; leading zeros are matched apart, so that at most 19
-# digits reach int()
+# the line rule of the module docstring for a body line once its comment is
+# cut; leading zeros are matched apart, so that at most 19 digits reach int()
 _LINE = re.compile(b",".join([rb"[ \t\v\f\x1c-\x1f]*([+-]?)0*([0-9]{1,19})[ \t\v\f\x1c-\x1f]*"] * 2))
 # the first stamp of each digit count from 2 to 19: 10, 100, ..., 10**18
 _POW10 = 10 ** np.arange(1, 19, dtype=np.uint64)
