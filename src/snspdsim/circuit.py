@@ -419,7 +419,8 @@ def overshoot_kernel(
     (negative) lobe and converts volts to an equivalent bias current, either
     by pinning the residual peak to `peak_amplitude` or with an explicit
     `amps_per_volt` coupling. `time_offset` shifts the kernel to model the
-    lag between the readout transient and the current in the wire.
+    lag between the readout transient and the current in the wire; one that
+    moves the residual's first sample before the click is refused.
     """
     if (peak_amplitude is None) == (amps_per_volt is None):
         raise ConfigError("give exactly one of peak_amplitude / amps_per_volt")
@@ -442,8 +443,9 @@ def overshoot_kernel(
         scale = peak_amplitude / top
     else:
         scale = amps_per_volt
-    t_start = start * sp + time_offset
-    lead = max(int(round(t_start / sp)), 0)
+    lead = int(round((start * sp + time_offset) / sp))
+    if lead < 0:
+        raise ConfigError(f"time_offset {time_offset!r} s moves the kernel's first sample before the click")
     samples = np.concatenate([np.zeros(lead), residual * scale])
     if (samples.size - 1) * sp > MAX_KERNEL_DURATION:
         samples = samples[: int(round(MAX_KERNEL_DURATION / sp)) + 1]

@@ -44,11 +44,10 @@ ENGINE_COUNTERS = (
 # a stream: memory stays bounded whatever the run's length
 CANDIDATE_CHUNK = 1 << 14
 # the resolver's lockstep lanes: the passes of its loop they take in NumPy
-# before the scalar loop finishes a lane, the uniforms each lane draws in
-# layer 1, and the older kernels a lane holds
+# before the scalar loop finishes a lane, and the uniforms each lane draws
+# in layer 1
 LANE_STEPS = 4
 LANE_DRAWS = 8
-LANE_KERNELS = 2
 
 
 @dataclass(frozen=True)
@@ -411,10 +410,11 @@ def simulate(
     step, in the scalar loop's operation order with math.exp and math.log
     per lane, so its bits do not depend on the SIMD level; the scalar loop
     (`resolve`) reruns with the same draws a lane still live after
-    LANE_STEPS steps, or holding more than LANE_KERNELS older kernels, and
-    resolves, if the detector reaches it, every lane of a model that can
-    latch, and one within quiet_ps after the candidate before it, which
-    mostly lies in that one's train.
+    LANE_STEPS steps, and resolves, if the detector reaches it, every lane
+    of a model that can latch, and one within quiet_ps after the candidate
+    before it, which mostly lies in that one's train. From a reached
+    candidate the detector next reaches the first one quiet_ps past its
+    train's last click (its own ps if it is lone): it skips a train's span.
     Each pass evaluates the next pulse that may click, which leaves the
     proposal standing unless it clicks (a uniform u with u * p_max below its
     click probability), and draws the skip to the next one from a second
@@ -818,7 +818,9 @@ def _run_engine(
         Returns each lane's last click (-1 if left), each click's lane and
         ps, and each lane's drawn, evaluated, dropped, crossings and
         proposals."""
-        n, width = taking.size, LANE_KERNELS
+        # a lane clicks at most once a step, and never in the last, so it
+        # holds at most LANE_STEPS - 1 older kernels
+        n, width = taking.size, LANE_STEPS - 1
         last, work, u = np.full(x.size, -1, np.int64), np.zeros((5, x.size), np.int64), u.ravel()
         # a lane's state is a column of F and of I. F: its mass, envelope,
         # time since the epoch, lift and proposal (-1 for none), then its
@@ -924,14 +926,12 @@ def _run_engine(
             dropped += yes & ~c
             r = q & ~c & old
             if c.any():
-                # a new click: its older kernels are the live ones; a lane
-                # that would hold more than LANE_KERNELS leaves
+                # a new click: its older kernels are the live ones
                 ep += after * c
                 shift = after / PS_PER_SECOND
-                live = shift - F[5:] < kdur
-                eject |= c & live[0]
-                F[5:5 + width] = np.where(c, np.where(live[1:], F[6:] - shift, np.nan), F[5:5 + width])
-                depth = min(depth + 1, width)
+                live = shift - F[6:] < kdur
+                F[5:5 + width] = np.where(c, np.where(live, F[6:] - shift, np.nan), F[5:5 + width])
+                depth += 1
                 F[2:5] = np.where(c, fresh, F[2:5])
                 I[3:5] = np.where(c, fresh_k, I[3:5])
                 r |= c & live[-1]
@@ -985,53 +985,36 @@ def _run_engine(
         close = np.diff(x) < quiet_ps
         taking = np.flatnonzero(~np.append(False, close)[lanes] & (not latching))
         ends, lane, ps, work = lockstep(x[lanes], e[lanes], u, first[lanes], taking)
-        # a break: a candidate that is not lone, or has another in its
-        # window, so the lone ones between two breaks each lie past the
-        # window of the one before. A reached break's train ends at its last
-        # click (-1: the scalar loop's), and the first candidate quiet_ps
-        # after that is reached next
-        breaks = np.flatnonzero(~lone | np.append(close, False))
-        is_lane = ~lone[breaks]
-        stop = x[breaks]
-        stop[is_lane] = ends
+        # a reached candidate's train ends at its own ps if it is lone, else
+        # at its lane's last click (-1: the scalar loop's), and the next one
+        # reached is the first candidate quiet_ps after that
+        stop = x.copy()
+        stop[lanes] = ends
         to = np.searchsorted(x - quiet_ps, stop)
-        to_at, lane_at, succ = np.searchsorted(breaks, to), np.cumsum(is_lane) - 1, np.arange(1, breaks.size + 1)
-        # the turns: the last break, and those after which the next one
+        # the turns: the last candidate, and those after which the next one
         # reached is not the next one, or whose train the scalar loop
-        # resolves. From a reached break, every one up to the next turn is
-        # reached
-        turns = np.flatnonzero((to_at != succ) | (stop < 0) | (succ == breaks.size))
-        turn_at, turn_stop, turn_next = turns.tolist(), stop[turns].tolist(), to_at[turns].tolist()
-        reached, scalar = np.zeros(breaks.size, bool), []
-        runs = [int(x.searchsorted(free))]
-        at = int(breaks.searchsorted(runs[0]))
-        while at < breaks.size:
+        # resolves. From a reached candidate, every one up to the next turn
+        # is reached
+        succ = np.arange(1, m + 1)
+        turns = np.flatnonzero((to != succ) | (stop < 0) | (succ == m))
+        turn_at, turn_stop, turn_next = turns.tolist(), stop[turns].tolist(), to[turns].tolist()
+        reached, scalar = np.zeros(m, bool), []
+        at = int(x.searchsorted(free))
+        while at < m:
             i = bisect.bisect_left(turn_at, at)
-            reached[at:turn_at[i] + 1] = True
+            c = turn_at[i]
+            reached[at:c + 1] = True
             if turn_stop[i] < 0:
-                c = int(breaks[turn_at[i]])
                 free = resolve(int(x[c]), float(e[c]), int(first[c]),
-                               itertools.chain(u[lane_at[turn_at[i]]].tolist(), spare).__next__, scalar)
+                               itertools.chain(u[lanes.searchsorted(c)].tolist(), spare).__next__, scalar)
                 if latched_at is not None:
                     break
-                to[turn_at[i]] = max(int(x.searchsorted(free)), c + 1)
-                turn_next[i] = int(breaks.searchsorted(to[turn_at[i]]))
+                at = max(int(x.searchsorted(free)), c + 1)
             else:
                 free = turn_stop[i] + quiet_ps
-            at = turn_next[i]
-        # the runs start at the first candidate from free on and past the
-        # train of each reached break but one the run latched on
-        runs = np.append(runs, to[reached])[:np.count_nonzero(reached) + (latched_at is None)]
-        if latched_at is None and runs[-1] < m:
-            free = int(x[-1]) + quiet_ps
-        # the lone candidates reached: the run from each reached candidate
-        # to the next break, and the lone breaks; the lanes reached
-        edges = np.zeros(m + 1, np.int64)
-        edges[runs] += 1
-        edges[np.append(breaks[reached], m)[:runs.size]] -= 1
-        taken = np.cumsum(edges[:m]) > 0
-        taken[breaks[reached & ~is_lane]] = True
-        kept = reached[is_lane] & (ends >= 0)
+                at = turn_next[i]
+        taken = reached & lone
+        kept = reached[lanes] & (ends >= 0)
         n_lone += int(np.count_nonzero(taken))
         out.append(np.sort(np.concatenate([x[taken], ps[kept[lane]], np.array(scalar, np.int64)]),
                            kind="stable"))

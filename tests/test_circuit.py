@@ -352,11 +352,18 @@ class TestKernels:
 
     def test_time_offset_shifts_peak(self):
         base = overshoot_kernel(self.narrow_pulse(), peak_amplitude=0.4e-6)
-        shifted = overshoot_kernel(
-            self.narrow_pulse(), peak_amplitude=0.4e-6, time_offset=50e-9
-        )
-        dt = (np.argmax(shifted.samples) - np.argmax(base.samples)) * base.sample_period
-        assert dt == pytest.approx(50e-9, abs=2 * base.sample_period)
+        for offset in (50e-9, -5e-9):
+            shifted = overshoot_kernel(
+                self.narrow_pulse(), peak_amplitude=0.4e-6, time_offset=offset
+            )
+            dt = (np.argmax(shifted.samples) - np.argmax(base.samples)) * base.sample_period
+            assert dt == pytest.approx(offset, abs=2 * base.sample_period)
+
+    def test_time_offset_before_the_click_refused(self):
+        # the residual starts about 9 ns after the click, so -50 ns would
+        # put its first sample before it
+        with pytest.raises(ConfigError, match="time_offset"):
+            overshoot_kernel(self.narrow_pulse(), peak_amplitude=0.4e-6, time_offset=-50e-9)
 
     def test_wide_band_residual_under_one_percent(self):
         # the improved low-frequency response all but removes the overshoot

@@ -908,9 +908,10 @@ class TestModelTables:
     @pytest.mark.parametrize("kernel", ["profile", "wide-band"])
     def test_lane_bias_is_bias_at_on_the_grid(self, kernel, live):
         # the latch scan passes every active kernel as a row of lane_bias,
-        # more than the lockstep's LANE_KERNELS + 1: on the kernel's sample
-        # grid it is bias_at bit for bit, with kernels clicked at assorted
-        # ages before the newest at 0.0, on and off the grid, live and dead
+        # up to six here, more than the lockstep's default LANE_STEPS: on
+        # the kernel's sample grid it is bias_at bit for bit, with kernels
+        # clicked at assorted ages before the newest at 0.0, on and off the
+        # grid, live and dead
         m = table_model(kernel, 25.2e-6)
         tables, c = m._tables, m.circuit
         ksp, kdur = tables.sample_period, tables.duration
@@ -1117,6 +1118,12 @@ LOCKSTEP_RUNS = {
     **{f"{name}-25.2uA-seed{seed}": (lambda stimulus=stimulus, seed=seed: (model_at(25.2e-6), stimulus, 0.05, seed))
        for name, stimulus in SEAM_STIMULI.items() for seed in (1, 7)},
     "2us-kernel-dark": lambda: (two_us_kernel(25.2e-6), StimulusConfig.none(), 0.02, 3),
+    # trains dense enough that a lane clicks while three of its kernels are
+    # live, so that it holds three older ones (one lane at LANE_STEPS 4,
+    # sixteen at 8)
+    "2us-kernel-dark-1e5": lambda: (
+        dataclasses.replace(two_us_kernel(24.0e-6), rates=dataclasses.replace(model_at(24.0e-6).rates, dark_rate_ref=1e5)),
+        StimulusConfig.none(), 0.5, 3),
     "1GHz-20us": lambda: (model_at(25.0e-6), StimulusConfig.periodic(1e9, 1.0), 20e-6, 81),
     # most of its windows hold no pulse that may click and are lone
     "1GHz-mu1e-3-2ms": lambda: (model_at(25.0e-6), StimulusConfig.periodic(1e9, 1e-3), 2e-3, 81),
