@@ -1122,8 +1122,7 @@ LOCKSTEP_RUNS = {
     # live, so that it holds three older ones (one lane at LANE_STEPS 4,
     # sixteen at 8)
     "2us-kernel-dark-1e5": lambda: (
-        dataclasses.replace(two_us_kernel(24.0e-6), rates=dataclasses.replace(model_at(24.0e-6).rates, dark_rate_ref=1e5)),
-        StimulusConfig.none(), 0.5, 3),
+        dataclasses.replace(high_dark_rate(24.0e-6), kernel=two_us_kernel(24.0e-6).kernel), StimulusConfig.none(), 0.5, 3),
     "1GHz-20us": lambda: (model_at(25.0e-6), StimulusConfig.periodic(1e9, 1.0), 20e-6, 81),
     # most of its windows hold no pulse that may click and are lone
     "1GHz-mu1e-3-2ms": lambda: (model_at(25.0e-6), StimulusConfig.periodic(1e9, 1e-3), 2e-3, 81),
